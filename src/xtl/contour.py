@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .exact import MultiLaurent, Scalar, UsageError
+from .exact import DomainError, MultiLaurent, Scalar, UsageError
 
 __all__ = ["ChainShape", "ComponentTable", "psi_components", "sum_components",
            "tsasm_count_integral"]
@@ -233,5 +233,6 @@ def tsasm_count_integral(N: int) -> int:
         factor = [(tuple(m * s for s in step), 1) for m in range(mmax + 1)]
         series = _mul_factor(series, factor, caps)
     count = series.get(caps, 0)
-    assert isinstance(count, int)
+    if not isinstance(count, int):
+        raise DomainError(f"coefficient extraction gave a non-integer count {count!r}")
     return count

@@ -16,6 +16,7 @@ they are safe to share between threads or processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -50,79 +51,115 @@ class DegeneratePointError(DomainError):
 
 Scalar = Union[int, Fraction, "GaussianRational"]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_new = object.__new__
 
 
 class GaussianRational:
-    """An exact element a + b*i of Q(i), with a, b stored as Fractions in lowest terms."""
+    """An exact element a + b*i of Q(i).
 
-    __slots__ = ("re", "im")
+    The value is stored as one integer triple (a + b*i)/d with d > 0 and
+    gcd(a, b, d) = 1, so each operation is plain integer arithmetic followed
+    by at most one gcd.  `re` and `im` are read-only Fraction views; the
+    triple is never written after construction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators, gcd(a, b, d) is already 1
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def i() -> "GaussianRational":
-        return GaussianRational(0, 1)
+        return _triple(0, 1, 1)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
+        if type(other) is GaussianRational:
+            return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
+        if isinstance(other, int):
+            return _sum(self._a, self._b, self._d, other, 0, 1)
+        if isinstance(other, Fraction):
+            return _sum(self._a, self._b, self._d, other.numerator, 0, other.denominator)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
+        if type(other) is GaussianRational:
+            return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
+        if isinstance(other, int):
+            return _sum(self._a, self._b, self._d, -other, 0, 1)
+        if isinstance(other, Fraction):
+            return _sum(self._a, self._b, self._d, -other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            if not self.im and not other.im:
-                return GaussianRational(self.re * other.re)
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return GaussianRational(a * c - b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        return NotImplemented
+        if type(other) is GaussianRational:
+            c, e, f = other._a, other._b, other._d
+        elif isinstance(other, int):
+            # gcd(a*k, b*k, d) = gcd(k, d) because gcd(a, b, d) = 1
+            g = gcd(other, self._d)
+            k = other // g
+            return _triple(self._a * k, self._b * k, self._d // g)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        a, b, d = self._a, self._b, self._d * f
+        if not b and not e:
+            x, y = a * c, 0
+        else:
+            x, y = a * c - b * e, a * e + b * c
+        if d != 1:
+            g = gcd(x, y, d)
+            if g != 1:
+                x, y, d = x // g, y // g, d // g
+        r = _new(GaussianRational)
+        r._a, r._b, r._d = x, y, d
+        return r
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        if self.is_zero():
-            raise DomainError("division by zero in Q(i)")
-        if not self.im:
-            return GaussianRational(1 / self.re)
-        n = self.re * self.re + self.im * self.im
-        return GaussianRational(self.re / n, -self.im / n)
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            if not a:
+                raise DomainError("division by zero in Q(i)")
+            return _triple(d, 0, a) if a > 0 else _triple(-d, 0, -a)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -139,7 +176,7 @@ class GaussianRational:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussianRational(1)
+        out = _triple(1, 0, 1)
         base = self
         while k:
             if k & 1:
@@ -148,27 +185,60 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- comparison -----------------------------------------------------------
     def __eq__(self, other) -> bool:
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """GaussianRational from a triple already in normal form."""
+    x = _new(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """GaussianRational from a triple with d > 0, reduced by one gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
+    """(a + b*i)/d + (c + e*i)/f for normalized triples.
+
+    As for Fraction addition: with g = gcd(d, f), any common factor of the
+    cross-multiplied numerator and denominator divides g.
+    """
+    g = gcd(d, f)
+    if g == 1:
+        return _triple(a * f + c * d, b * f + e * d, d * f)
+    s, t = f // g, d // g
+    x, y = a * s + c * t, b * s + e * t
+    g = gcd(x, y, g)
+    if g == 1:
+        return _triple(x, y, d * s)
+    return _triple(x // g, y // g, t * (f // g))
 
 
 def as_gaussian(x: Scalar) -> GaussianRational:
@@ -182,6 +252,8 @@ def as_gaussian(x: Scalar) -> GaussianRational:
 
 def inv(x):
     """Multiplicative inverse of an exact scalar or an invertible MultiLaurent."""
+    if type(x) is GaussianRational:
+        return x.inverse()
     if isinstance(x, int):
         if x == 0:
             raise DomainError("division by zero")
@@ -248,12 +320,10 @@ def _normcoef(c):
     """Coefficient normal form: int when integral, else GaussianRational."""
     if isinstance(c, int):
         return c
+    if type(c) is GaussianRational:
+        return c._a if not c._b and c._d == 1 else c
     if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else GaussianRational(c)
-    if isinstance(c, GaussianRational):
-        if not c.im and c.re.denominator == 1:
-            return int(c.re)
-        return c
+        return c.numerator if c.denominator == 1 else _triple(c.numerator, 0, c.denominator)
     raise UsageError(f"bad coefficient {c!r}")
 
 
@@ -519,10 +589,6 @@ class MultiLaurent:
             out = out + term
         return out
 
-    def rename(self, mapping: Mapping[str, str]) -> "MultiLaurent":
-        newv = tuple(mapping.get(v, v) for v in self.vars)
-        return MultiLaurent(newv, self.terms)
-
     # -- serialization ------------------------------------------------------------
     def sorted_terms(self):
         """Terms in lexicographic exponent order (deterministic iteration)."""
@@ -590,7 +656,7 @@ def interpolate_laurent(var: str, xs: Sequence[Scalar], ys: Sequence, min_exp: i
     if len(xs) != m or len(ys) != m:
         raise UsageError(f"need exactly {m} sample points, got {len(xs)}")
     pts = [as_gaussian(x) for x in xs]
-    if len({(p.re, p.im) for p in pts}) != m:
+    if len({(p._a, p._b, p._d) for p in pts}) != m:
         raise UsageError("interpolation abscissae must be distinct")
     shifted = [as_gaussian(y) * (p ** (-min_exp)) for p, y in zip(pts, ys)]
     # divided differences

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .exact import (DegeneratePointError, DomainError, GaussianRational,
@@ -155,8 +157,9 @@ def chi_covector(w, s):
 # ---------------------------------------------------------------------------
 
 class _ResidueTables:
-    """Shared bracket tables for one site tuple; raises DegeneratePointError
-    if any denominator bracket vanishes."""
+    """Bracket tables for one site tuple, and the pole and pair factors of the
+    residue sum built from them; raises DegeneratePointError if any
+    denominator bracket vanishes."""
 
     def __init__(self, zs: Sequence, s, beta):
         N = len(zs)
@@ -164,30 +167,64 @@ class _ResidueTables:
         zs = [as_gaussian(z) for z in zs]
         s, beta = as_gaussian(s), as_gaussian(beta)
         q = s * s
+        # each bracket [v] = v - 1/v is formed from v and 1/v, both products
+        # of the site values, their inverses and powers of q
         zinv = [z.inverse() for z in zs]
-        self.ratio = [[None] * N for _ in range(N)]      # [z_j / z_k]
-        self.qratio = [[None] * N for _ in range(N)]     # [q z_j / z_k]
-        self.qprod = [[None] * N for _ in range(N)]      # [q z_j z_k]
-        self.q2prod = [[None] * N for _ in range(N)]     # [q^2 z_j z_k]
+        qi = q.inverse()
+        qz = [q * z for z in zs]
+        qzi = [qi * z for z in zinv]
+        q2z = [q * z for z in qz]
+        q2zi = [qi * z for z in qzi]
+        # [z_k/z_j] = -[z_j/z_k]; the product tables are symmetric
+        ratio = [[None] * N for _ in range(N)]      # [z_j / z_k]
+        qratio = [[None] * N for _ in range(N)]     # [q z_j / z_k]
+        qprod = [[None] * N for _ in range(N)]      # [q z_j z_k]
+        q2prod = [[None] * N for _ in range(N)]     # [q^2 z_j z_k]
         for j in range(N):
             for k in range(N):
-                r = zs[j] * zinv[k]
                 if j != k:
-                    v = bracket(r)
+                    v = -ratio[k][j] if k < j else zs[j] * zinv[k] - zs[k] * zinv[j]
                     if v.is_zero():
                         raise DegeneratePointError("site values collide: z_j = +-z_k")
-                    self.ratio[j][k] = v
-                v = bracket(q * r)
+                    ratio[j][k] = v
+                v = qz[j] * zinv[k] - zs[k] * qzi[j]
                 if v.is_zero():
                     raise DegeneratePointError("site ratio hits +-1/q")
-                self.qratio[j][k] = v
-                self.qprod[j][k] = bracket(q * zs[j] * zs[k])
-                v = bracket(q * q * zs[j] * zs[k])
+                qratio[j][k] = v
+                if k < j:
+                    qprod[j][k], q2prod[j][k] = qprod[k][j], q2prod[k][j]
+                    continue
+                qprod[j][k] = qz[j] * zs[k] - qzi[j] * zinv[k]
+                v = q2z[j] * zs[k] - q2zi[j] * zinv[k]
                 if v.is_zero():
                     raise DegeneratePointError("site product hits +-1/q^2")
-                self.q2prod[j][k] = v
-        self.bw = [bracket(beta * z) for z in zs]
-        self.q2sq = [self.q2prod[j][j] for j in range(N)]
+                q2prod[j][k] = v
+        self.qratio, self.q2prod = qratio, q2prod
+        # pair[pp][p]: the cross factor an earlier pole pp gives to pole p
+        self.pair = [[qratio[p][pp] * ratio[pp][p] * qprod[pp][p] * q2prod[pp][p]
+                      if p != pp else None for p in range(N)] for pp in range(N)]
+        # pole[p][a] for p < a: [q^2 z_p^2] [beta z_p] over the three
+        # denominator groups prod_{j<=a, j!=p} [z_j/z_p], prod_{j>=a} [q z_j/z_p]
+        # and prod_j [q^2 z_p z_j] (positions 1-based, poles 0-based)
+        self.pole = []
+        for p in range(N):
+            num = q2prod[p][p] * bracket(beta * zs[p])
+            d3 = _ONE
+            for j in range(N):
+                d3 = d3 * q2prod[p][j]
+            d2 = [None] * (N + 2)
+            acc = d3
+            for a in range(N, p, -1):
+                acc = acc * qratio[a - 1][p]
+                d2[a] = acc
+            row = [None] * (N + 1)
+            acc = _ONE
+            for a in range(1, N + 1):
+                if a - 1 != p:
+                    acc = acc * ratio[a - 1][p]
+                if a > p:
+                    row[a] = num * (acc * d2[a]).inverse()
+            self.pole.append(row)
 
 
 def _prefactor(t: _ResidueTables, n: int) -> GaussianRational:
@@ -198,68 +235,74 @@ def _prefactor(t: _ResidueTables, n: int) -> GaussianRational:
     return p * (-t.qratio[0][0]) ** n  # qratio[j][j] is [q]
 
 
-def _denominators(t: _ResidueTables):
-    """inv of the three per-variable denominator groups, keyed by (pole, a)."""
-    N = t.N
-    d3 = []
-    for p in range(N):
-        v = _ONE
-        for j in range(N):
-            v = v * t.q2prod[p][j]
-        d3.append(v)
-    d1 = [[None] * (N + 1) for _ in range(N)]  # d1[p][a] = prod_{j<=a, j!=p} [z_j/z_p]
-    for p in range(N):
-        acc = _ONE
-        for a in range(1, N + 1):
-            if a - 1 != p:
-                acc = acc * t.ratio[a - 1][p]
-            d1[p][a] = acc
-    d2 = [[None] * (N + 2) for _ in range(N)]  # d2[p][a] = prod_{j>=a} [q z_j/z_p]
-    for p in range(N):
-        acc = _ONE
-        for a in range(N, 0, -1):
-            acc = acc * t.qratio[a - 1][p]
-            d2[p][a] = acc
-    inv_cache: dict = {}
+def _residue_sums(t: _ResidueTables, tuples: Sequence[tuple]) -> dict:
+    """Residue sums, without the global prefactor, for position tuples of one
+    length given in lexicographic order.
 
-    def denom_inv(p: int, a: int) -> GaussianRational:
-        key = (p, a)
-        if key not in inv_cache:
-            inv_cache[key] = (d1[p][a] * d2[p][a] * d3[p]).inverse()
-        return inv_cache[key]
+    An assignment sends variable i to a distinct pole p_i < a_i and weighs
+    prod_i pole[p_i][a_i] * prod_{ii<i} pair[p_ii][p_i].  The pair factors of
+    variable i depend only on the set of earlier poles, so after level i the
+    walk keeps one partial sum per set of used poles (a bitmask), summed over
+    the orderings of that set.  Tuples sharing a prefix share its states.
+    """
+    N, pole, pair = t.N, t.pole, t.pair
+    n = len(tuples[0])
+    cross = {0: [_ONE] * N}   # mask -> [prod_{pp in mask} pair[pp][p] for p]
+    steps: dict = {}          # (mask, a) -> [(mask | p, cross * pole[p][a])]
+    ends: dict = {}           # (mask, a) -> sum of those factors
 
-    return denom_inv
+    def cross_of(mask: int) -> list:
+        c = cross.get(mask)
+        if c is None:
+            top = mask.bit_length() - 1
+            prev, row = cross_of(mask ^ (1 << top)), pair[top]
+            c = [None if mask >> p & 1 else prev[p] * row[p] for p in range(N)]
+            cross[mask] = c
+        return c
 
+    def factors(mask: int, a: int) -> list:
+        key = (mask, a)
+        fs = steps.get(key)
+        if fs is None:
+            c = cross_of(mask)
+            fs = [(mask | 1 << p, c[p] * pole[p][a])
+                  for p in range(a) if not mask >> p & 1]
+            steps[key] = fs
+        return fs
 
-def _component_sum(t: _ResidueTables, a: tuple, denom_inv) -> GaussianRational:
-    """Residue sum for one position tuple (without the global prefactor)."""
-    n = len(a)
-    total = _ZERO
-    poles: list[int] = []
+    def step(state: dict, a: int) -> dict:
+        out: dict = {}
+        for mask, v in state.items():
+            for m2, f in factors(mask, a):
+                w = v * f
+                u = out.get(m2)
+                out[m2] = w if u is None else u + w
+        return out
 
-    def cross(i: int, p: int) -> GaussianRational:
-        acc = _ONE
-        for ii in range(i):
-            pp = poles[ii]
-            acc = (acc * t.qratio[p][pp] * t.ratio[pp][p]
-                   * t.qprod[pp][p] * t.q2prod[pp][p])
-        return acc
+    def finish(state: dict, a: int) -> GaussianRational:
+        total = _ZERO
+        for mask, v in state.items():
+            e = ends.get((mask, a))
+            if e is None:
+                e = _ZERO
+                for _, f in factors(mask, a):
+                    e = e + f
+                ends[(mask, a)] = e
+            total = total + v * e
+        return total if n % 2 == 0 else -total
 
-    def walk(i: int, acc: GaussianRational):
-        nonlocal total
-        if i == n:
-            total = total + acc
+    out = {}
+
+    def descend(i: int, group: list, state: dict):
+        if i == n - 1:
+            for a in group:
+                out[a] = finish(state, a[i])
             return
-        for p in range(a[i]):
-            if p in poles:
-                continue
-            term = (acc * cross(i, p) * t.q2sq[p] * t.bw[p] * denom_inv(p, a[i]))
-            poles.append(p)
-            walk(i + 1, term)
-            poles.pop()
+        for ai, sub in groupby(group, key=itemgetter(i)):
+            descend(i + 1, list(sub), step(state, ai))
 
-    walk(0, _ONE)
-    return total if n % 2 == 0 else -total
+    descend(0, list(tuples), {0: _ONE})
+    return out
 
 
 def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
@@ -270,14 +313,12 @@ def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
         return SpinVector.make(N, {(): _ONE})
     if len(zs) != N:
         raise UsageError(f"need {N} site values")
-    from itertools import combinations
     t = _ResidueTables(zs, s, beta)
     n = N // 2
     pref = _prefactor(t, n)
-    denom_inv = _denominators(t)
     amps = {}
-    for a in combinations(range(1, N + 1), n):
-        v = pref * _component_sum(t, a, denom_inv)
+    for a, v in _residue_sums(t, list(combinations(range(1, N + 1), n))).items():
+        v = pref * v
         if not v.is_zero():
             amps[a] = v
     return SpinVector(N, amps)
@@ -294,7 +335,7 @@ def big_psi_component(N: int, a: tuple, zs: Sequence, s, beta) -> GaussianRation
     if len(a) != n or list(a) != sorted(set(a)) or not all(1 <= p <= N for p in a):
         raise UsageError(f"positions must be {n} strictly increasing values in 1..{N}")
     t = _ResidueTables(zs, s, beta)
-    return _prefactor(t, n) * _component_sum(t, a, _denominators(t))
+    return _prefactor(t, n) * _residue_sums(t, [a])[a]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import (GaussianRational, MultiLaurent, UsageError, as_gaussian,
-                    bracket, interpolate_laurent)
+from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
+                    interpolate_laurent)
 from .sixvertex import SixVertexConfig, alpha_minus, alpha_plus, enumerate_configs
 
 __all__ = [
@@ -297,9 +297,10 @@ def count_from_partition(N: int) -> int:
         taus.append(tau)
         k += 1
     poly = interpolate_laurent("tau", taus, vals, 0, deg)
-    val = as_gaussian(poly.eval_at({"tau": one}))
-    assert val.is_rational() and val.re.denominator == 1
-    return int(val.re)
+    val = poly.eval_at({"tau": one})  # an int exactly when the value is integral
+    if not isinstance(val, int):
+        raise DomainError(f"partition-function route gave a non-integer count {val}")
+    return val
 
 
 def matrices_to_text(ms: Iterable[Matrix]) -> str:

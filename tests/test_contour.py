@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
+from xtl import contour
 from xtl.contour import ChainShape, psi_components, sum_components, tsasm_count_integral
-from xtl.exact import MultiLaurent
+from xtl.exact import DomainError, MultiLaurent
 
 X = MultiLaurent.var("x")
 T = MultiLaurent.var("tau")
@@ -86,6 +89,14 @@ def test_numeric_specialization_matches_symbolic():
 
 def test_tsasm_count_integral_small_orders():
     assert [tsasm_count_integral(N) for N in range(0, 7)] == [1, 1, 1, 2, 4, 13, 46]
+
+
+def test_tsasm_count_integral_rejects_non_integer_count(monkeypatch):
+    # a real exception, so the guard also holds under python -O
+    monkeypatch.setattr(contour, "_mul_factor",
+                        lambda series, factor, caps: {caps: Fraction(1, 2)})
+    with pytest.raises(DomainError):
+        tsasm_count_integral(4)
 
 
 def test_count_integral_equals_sum_at_special_point():

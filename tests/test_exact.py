@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,91 @@ def test_scalar_strings_roundtrip():
         w = parse_scalar(s)
         assert GaussianRational(0) + w == GaussianRational(0) + v, (s, v)
     assert format_scalar(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
+
+
+# GaussianRational against a reference pair of Fractions
+
+small = st.integers(-12, 12)
+fracs = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30) | small,
+                  st.integers(1, 10 ** 20) | st.integers(1, 12))
+pairs = st.tuples(fracs | small, fracs | small)
+
+
+def model_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def model_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def matches(g, x):
+    """g has the value x and is in normal form: d > 0 and gcd(a, b, d) = 1."""
+    return (isinstance(g, GaussianRational) and (g.re, g.im) == x
+            and g._d > 0 and gcd(g._a, g._b, g._d) == 1)
+
+
+@given(pairs, pairs, st.integers(-4, -1))
+@settings(max_examples=300, deadline=None)
+def test_gaussian_matches_fraction_pair_model(x, y, k):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    x, y = tuple(map(Fraction, x)), tuple(map(Fraction, y))
+    assert matches(gx, x) and matches(gy, y)
+    assert matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
+    assert matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
+    assert matches(-gx, (-x[0], -x[1]))
+    assert matches(gx * gy, model_mul(x, y))
+    assert (gx == gy) == (x == y)
+    assert (gx == GaussianRational(*x)) and hash(gx) == hash(GaussianRational(*x))
+    assert gx.is_rational() == (x[1] == 0)
+    assert bool(gx) == (x != (0, 0))
+    if y != (0, 0):
+        assert matches(gy.inverse(), model_inv(y))
+        assert matches(gx / gy, model_mul(x, model_inv(y)))
+    else:
+        with pytest.raises(DomainError):
+            gy.inverse()
+    if x != (0, 0):
+        ref = (Fraction(1), Fraction(0))
+        for _ in range(-k):
+            ref = model_mul(ref, model_inv(x))
+        assert matches(gx ** k, ref)
+
+
+@given(pairs, fracs | small)
+@settings(max_examples=300, deadline=None)
+def test_gaussian_mixed_operands_match_model(x, c):
+    gx = GaussianRational(*x)
+    x, f = tuple(map(Fraction, x)), Fraction(c)
+    assert matches(gx + c, (x[0] + f, x[1])) and matches(c + gx, (x[0] + f, x[1]))
+    assert matches(gx - c, (x[0] - f, x[1])) and matches(c - gx, (f - x[0], -x[1]))
+    assert matches(gx * c, (x[0] * f, x[1] * f)) and matches(c * gx, (x[0] * f, x[1] * f))
+    if f:
+        assert matches(gx / c, (x[0] / f, x[1] / f))
+    if x != (0, 0):
+        assert matches(c / gx, model_mul((f, Fraction(0)), model_inv(x)))
+    assert (gx == c) == (x == (f, 0)) == (c == gx)
+
+
+@given(fracs | small)
+@settings(max_examples=200, deadline=None)
+def test_gaussian_real_values_equal_and_hash_like_int_and_fraction(c):
+    g = GaussianRational(c)
+    assert g == c and g == Fraction(c) and g.is_rational()
+    assert hash(g) == hash(c) == hash(Fraction(c))
+    assert hash(GaussianRational(0) + c) == hash(c)
+    assert {g: 1}.get(Fraction(c)) == 1
+
+
+@given(pairs)
+@settings(max_examples=200, deadline=None)
+def test_gaussian_string_roundtrip(x):
+    g = GaussianRational(*x)
+    s = format_scalar(g)
+    back = parse_scalar(s)
+    assert back == g and format_scalar(back) == s
+    assert isinstance(back, GaussianRational) == (not g.is_rational())
 
 
 # ---------------------------------------------------------------------------

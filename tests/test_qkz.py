@@ -1,8 +1,12 @@
+import json
+import pathlib
+from itertools import combinations
+
 import pytest
 
 from xtl.contour import psi_components, sum_components
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
-                       bracket, brace, inv)
+                       bracket, brace, format_scalar, inv)
 from xtl.qkz import (SpinVector, big_psi_component, check_exchange_and_reflection,
                      check_psi_reduction, check_Z_properties, gen_sum_Z,
                      gen_sum_Z_poly_in_w, psi_vector, psi_vector_homogeneous,
@@ -92,11 +96,34 @@ def test_homogeneous_vector_matches_extraction_table(N):
 def test_residue_order_independence():
     # summing residues is symmetrized by construction; permuting the site values
     # and compensating with the exchange matrices returns the same vector, so
-    # two independent evaluations of the same component agree
-    zs = RNG.z_point(4, S)
-    v1 = big_psi_component(4, (1, 3), zs, S, BETA)
-    v2 = psi_vector(4, zs, S, BETA).amplitude((1, 3))
-    assert v1 == v2
+    # two independent evaluations of the same component agree: the walk over
+    # one tuple and the walk sharing prefixes across all tuples
+    # a sampler of its own, so the module sampler's later points stay as they were
+    rng = ExactSampler(500)
+    for N in range(2, 7):
+        zs = RNG.z_point(N, S) if N == 4 else rng.z_point(N, S)
+        vec = psi_vector(N, zs, S, BETA)
+        for a in combinations(range(1, N + 1), N // 2):
+            assert big_psi_component(N, a, zs, S, BETA) == vec.amplitude(a), (N, a)
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "psi_golden.json").read_text())
+
+
+@pytest.mark.parametrize("point", GOLDEN["points"],
+                         ids=lambda p: f"N{p['N']}-seed{p['seed']}")
+def test_psi_vector_matches_golden_strings(point):
+    # tests/data/make_psi_golden.py wrote these strings from an earlier,
+    # independently written residue kernel and scalar type
+    N = point["N"]
+    rng = ExactSampler(point["seed"])
+    s, beta = rng.s_value(), rng.beta_value()
+    zs = rng.z_point(N, s)
+    assert [format_scalar(v) for v in (s, beta) + zs] == \
+        [point["s"], point["beta"]] + point["zs"]
+    vec = psi_vector(N, zs, s, beta)
+    got = {",".join(map(str, k)): format_scalar(v) for k, v in sorted(vec.amps.items())}
+    assert got == point["amps"]
 
 
 # ---------------------------------------------------------------------------

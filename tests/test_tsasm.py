@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+from xtl import tsasm
 from xtl.contour import tsasm_count_integral
-from xtl.exact import MultiLaurent, UsageError
+from xtl.exact import DomainError, MultiLaurent, UsageError
 from xtl.sixvertex import enumerate_configs
 from xtl.tsasm import (config_from_tsasm, count_from_partition, diamond_tsasm,
                        enumerate_tsasm, from_sixvertex, genfun, is_tsasm,
@@ -81,6 +84,14 @@ def test_counting_routes_agree():
         e = len(enumerate_tsasm(N))
         assert tsasm_count_integral(N) == e
         assert count_from_partition(N) == e
+
+
+def test_count_from_partition_rejects_non_integer_count(monkeypatch):
+    # a real exception, so the guard also holds under python -O
+    monkeypatch.setattr(tsasm, "interpolate_laurent",
+                        lambda var, xs, ys, lo, hi: MultiLaurent.const(Fraction(1, 2), (var,)))
+    with pytest.raises(DomainError):
+        count_from_partition(4)
 
 
 def test_genfun_published_values():
