@@ -141,10 +141,6 @@ def serialize(result, fmt: str) -> str:
     raise UsageError(f"cannot serialize {type(result).__name__} as {fmt}")
 
 
-def _poly_out(poly, fmt: str) -> str:
-    return serialize(poly, fmt)
-
-
 def _cmd_psi(ns) -> int:
     x = parse_scalar(ns.x) if ns.x else None
     tau = parse_scalar(ns.tau) if ns.tau else None
@@ -162,7 +158,7 @@ def _cmd_psi(ns) -> int:
 
 
 def _cmd_sum(ns) -> int:
-    _emit(ns, _poly_out(sum_components(ns.N), ns.format))
+    _emit(ns, serialize(sum_components(ns.N), ns.format))
     return 0
 
 
@@ -191,7 +187,7 @@ def _cmd_tsasm(ns) -> int:
         if (ns.order is None) == (ns.N is None):
             raise UsageError("give exactly one of --order / --N")
         N = ns.N if ns.N is not None else _order_to_N(ns.order)
-        _emit(ns, _poly_out(genfun(N), ns.format))
+        _emit(ns, serialize(genfun(N), ns.format))
         return 0
 
     N = _order_to_N(ns.order)
@@ -324,11 +320,17 @@ def _run_job(job):
     return rep.passed, rep.to_json_line()
 
 
+def _pool(workers: int):
+    import multiprocessing as mp
+    return mp.get_context("fork").Pool(workers)
+
+
 def _cmd_verify(ns) -> int:
     jobs = _suite_jobs(ns)
-    if ns.threads > 1:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(ns.threads) as pool:
+    # more workers than cores or jobs cannot help, and the output never depends on it
+    workers = min(ns.threads, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        with _pool(workers) as pool:
             results = pool.map(_run_job, jobs)
     else:
         results = [_run_job(j) for j in jobs]

@@ -1,10 +1,11 @@
 """Contour-integral kernels realized as exact coefficient extraction.
 
-The three integral formulas implemented here (eigenvector components, their
-generalized sum, and the odd-order totally-symmetric ASM counting integral)
-all integrate a rational function of auxiliary variables u_1..u_n over small
-positive circles around 0.  Each integral is therefore the coefficient of a
-prescribed monomial in the series expansion of the integrand at 0:
+The two integral formulas implemented here (eigenvector components and their
+generalized sum, whose x = 0, tau = 1 specialization is the odd-order
+totally-symmetric ASM counting integral) integrate a rational function of
+auxiliary variables u_1..u_n over small positive circles around 0.  Each
+integral is therefore the coefficient of a prescribed monomial in the series
+expansion of the integrand at 0:
 
 * numerator factors are ordinary polynomials and are multiplied out exactly;
 * a factor 1/(1 - u_1...u_k) is the geometric series in u_1...u_k, of which
@@ -202,37 +203,8 @@ def sum_components(N: int, x=None, tau=None):
 
 def tsasm_count_integral(N: int) -> int:
     """The number of totally-symmetric ASMs of order 2N+1 by iterated
-    coefficient extraction (the x = 0, tau = 1 specialization of the sum)."""
-    shape = ChainShape.of(N)
-    n = shape.n
-    if n == 0:
-        return 1
-    caps = tuple(shape.nprime + k - 1 for k in range(n))
-    series = {(0,) * n: 1}
-    zero = (0,) * n
-    for k in range(n):
-        if shape.eps:
-            series = _mul_factor(
-                series, [(zero, 1), (_unit(k, n), 1), (_unit(k, n, 2), 1)], caps)
-    for i in range(n):
-        for j in range(i, n):
-            e = list(zero)
-            e[i] += 1
-            e[j] += 1
-            series = _mul_factor(series, [(zero, 1), (tuple(e), -1)], caps)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = _unit(i, n), _unit(j, n)
-            eij = tuple(a + b for a, b in zip(ei, ej))
-            series = _mul_factor(series, [(ej, 1), (ei, -1)], caps)
-            series = _mul_factor(series, [(zero, 1), (ei, 1), (ej, 1)], caps)
-            series = _mul_factor(series, [(zero, 1), (ej, 1), (eij, 1)], caps)
-    for k in range(n):
-        mmax = min(caps[: k + 1])
-        step = tuple(1 if i <= k else 0 for i in range(n))
-        factor = [(tuple(m * s for s in step), 1) for m in range(mmax + 1)]
-        series = _mul_factor(series, factor, caps)
-    count = series.get(caps, 0)
+    coefficient extraction: the x = 0, tau = 1 specialization of the sum."""
+    count = sum_components(N, x=0, tau=1)
     if not isinstance(count, int):
         raise DomainError(f"coefficient extraction gave a non-integer count {count!r}")
     return count

@@ -16,6 +16,7 @@ they are safe to share between threads or processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -25,7 +26,6 @@ __all__ = [
     "DegeneratePointError",
     "GaussianRational",
     "MultiLaurent",
-    "ParamPoint",
     "as_gaussian",
     "inv",
     "bracket",
@@ -33,6 +33,8 @@ __all__ = [
     "format_scalar",
     "parse_scalar",
     "interpolate_laurent",
+    "interpolate_along",
+    "abscissa_sweep",
     "div_exact_univar",
 ]
 
@@ -83,11 +85,6 @@ class GaussianRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    # -- constructors -----------------------------------------------------
-    @staticmethod
-    def i() -> "GaussianRational":
-        return _triple(0, 1, 1)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -382,15 +379,6 @@ class MultiLaurent:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def constant_value(self) -> Scalar:
-        """The value of a constant polynomial (raises if non-constant)."""
-        if not self.terms:
-            return 0
-        zero = (0,) * len(self.vars)
-        if set(self.terms) != {zero}:
-            raise UsageError("polynomial is not constant")
-        return self.terms[zero]
-
     def _aligned(self, other: "MultiLaurent"):
         """Common variable list: self's order, then other's unseen variables."""
         if self.vars == other.vars:
@@ -674,6 +662,53 @@ def interpolate_laurent(var: str, xs: Sequence[Scalar], ys: Sequence, min_exp: i
     return MultiLaurent((var,), terms)
 
 
+def interpolate_along(var: str, samples: Iterable, lo: int, hi: int, spare: int):
+    """Laurent polynomial in var with exponents in [lo, hi] through the first
+    hi - lo + 1 (x, y) pairs of samples, checked at the next `spare` pairs.
+
+    y is a scalar, or a mapping in which a missing key means zero; then each
+    key seen at any of the pairs is interpolated and {key: polynomial} is
+    returned.  Raises DomainError if a spare pair disagrees, i.e. the window
+    is too small.
+    """
+    m = hi - lo + 1
+    pts = list(islice(samples, m + spare))
+    if len(pts) != m + spare:
+        raise UsageError(f"need {m + spare} sample points, got {len(pts)}")
+    xs = [x for x, _ in pts]
+    scalar = not isinstance(pts[0][1], Mapping)
+    ys = [{None: y} if scalar else y for _, y in pts]
+    out = {}
+    for key in dict.fromkeys(k for y in ys for k in y):
+        vals = [y.get(key, 0) for y in ys]
+        poly = interpolate_laurent(var, xs[:m], vals[:m], lo, hi)
+        for x, v in zip(xs[m:], vals[m:]):
+            if poly.eval_at({var: x}) != v:
+                raise DomainError(f"interpolation window [{lo}, {hi}] in {var} too small")
+        out[key] = poly
+    return out[None] if scalar else out
+
+
+_SWEEP_PATIENCE = 120  # rejections in a row before abscissa_sweep gives up
+
+
+def abscissa_sweep(accept):
+    """Distinct exact abscissae 3/2, 2/3, -3/2, 4/3, 3/4, -4/3, ... for which
+    accept(x) is true, as a lazy iterator; raises DomainError once accept has
+    rejected _SWEEP_PATIENCE candidates in a row."""
+    misses = 0
+    for k in count(2):
+        for cand in (Fraction(k + 1, k), Fraction(k, k + 1), Fraction(-k - 1, k)):
+            x = GaussianRational(cand)
+            if accept(x):
+                misses = 0
+                yield x
+            else:
+                misses += 1
+                if misses >= _SWEEP_PATIENCE:
+                    raise DomainError("could not find enough nondegenerate sample points")
+
+
 def div_exact_univar(p: MultiLaurent, d: MultiLaurent, var: str) -> MultiLaurent:
     """Exact division of univariate Laurent polynomials in `var`; raises if inexact."""
     if p.vars != (var,) or d.vars != (var,):
@@ -703,58 +738,3 @@ def div_exact_univar(p: MultiLaurent, d: MultiLaurent, var: str) -> MultiLaurent
             else:
                 rem[key] = _normcoef(s)
     return MultiLaurent((var,), out)
-
-
-# ---------------------------------------------------------------------------
-# parameter points
-# ---------------------------------------------------------------------------
-
-_I = GaussianRational(0, 1)
-
-
-class ParamPoint:
-    """An exact parameter point (s, beta, optional b, site values).
-
-    q is represented through an independent value s with q = s*s, so half-odd
-    powers of q are ordinary powers of s.  Construction rejects the excluded
-    parameter values: s = 0, q^4 = 1 (i.e. s in {0, +-1, +-i} over Q(i)),
-    beta^2 = 1, and zero site values.
-    """
-
-    __slots__ = ("s", "beta", "b", "sites", "kind")
-
-    def __init__(self, s: Scalar, beta: Scalar, sites: Iterable[Scalar] = (),
-                 b: Scalar | None = None, kind: str = "z"):
-        s = as_gaussian(s)
-        beta = as_gaussian(beta)
-        if s.is_zero() or s == 1 or s == -1 or s == _I or s == -_I:
-            raise DomainError("s must be nonzero with q^4 != 1")
-        if beta.is_zero() or beta == 1 or beta == -1:
-            raise DomainError("beta must be nonzero with beta^2 != 1")
-        sites = tuple(as_gaussian(z) for z in sites)
-        if any(z.is_zero() for z in sites):
-            raise DomainError("site values must be nonzero")
-        if kind not in ("z", "w"):
-            raise UsageError("kind must be 'z' or 'w'")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "b", None if b is None else as_gaussian(b))
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ParamPoint is immutable")
-
-    @property
-    def q(self) -> GaussianRational:
-        return self.s * self.s
-
-    def unpack(self):
-        """(sites, s, beta) for handing to the evaluation functions."""
-        return self.sites, self.s, self.beta
-
-    def __repr__(self):
-        xs = ",".join(format_scalar(z) for z in self.sites)
-        b = "" if self.b is None else f", b={format_scalar(self.b)}"
-        return (f"ParamPoint(s={format_scalar(self.s)}, beta={format_scalar(self.beta)}"
-                f"{b}, {self.kind}=[{xs}])")

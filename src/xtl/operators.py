@@ -18,7 +18,7 @@ from .exact import DomainError, GaussianRational, as_gaussian, bracket, brace, i
 
 __all__ = [
     "word_index", "index_word",
-    "apply_one_site", "apply_two_site", "mat4_mul", "mat4_eq", "mat2_mul",
+    "apply_one_site", "apply_two_site", "mat4_eq", "mat2_mul",
     "r_check_exchange", "k_boundary",
     "r_bulk", "r_check_bulk", "k_corner", "det_k_corner",
     "basis_vector", "pairing",
@@ -102,13 +102,6 @@ def apply_two_site(vec, m4, i: int, j: int, L: int):
             nb = base | ((row >> 1) << si) | ((row & 1) << sj)
             out[nb] = out[nb] + v * amp
     return out
-
-
-def mat4_mul(a, b):
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(4)), GaussianRational(0))
-              for c in range(4))
-        for r in range(4))
 
 
 def mat2_mul(a, b):

@@ -18,16 +18,15 @@ using the stated degree-width bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .exact import (DegeneratePointError, DomainError, GaussianRational,
-                    MultiLaurent, UsageError, as_gaussian, bracket, brace, inv,
-                    interpolate_laurent, div_exact_univar)
+                    MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
+                    brace, div_exact_univar, interpolate_along, inv)
 from .operators import k_boundary, r_check_exchange
-from .sampling import ExactSampler
+from .sampling import ExactSampler, z_point_degenerate
 
 __all__ = [
     "SpinVector", "chi_covector", "big_psi_component", "psi_vector",
@@ -81,9 +80,6 @@ class SpinVector:
             else:
                 out[k] = w
         return SpinVector(self.N, out)
-
-    def __sub__(self, other: "SpinVector") -> "SpinVector":
-        return self + other.scale(GaussianRational(-1))
 
     def scale(self, c) -> "SpinVector":
         c = as_gaussian(c)
@@ -342,99 +338,44 @@ def big_psi_component(N: int, a: tuple, zs: Sequence, s, beta) -> GaussianRation
 # interpolation wrappers for degenerate specializations
 # ---------------------------------------------------------------------------
 
-def _distinct_abscissae(m: int, accept) -> list:
-    """m distinct exact sample values x with accept(x) true, from a fixed sweep."""
-    out = []
-    k = 1
-    while len(out) < m:
-        k += 1
-        for cand in (Fraction(k + 1, k), Fraction(k, k + 1), Fraction(-k - 1, k)):
-            x = GaussianRational(cand)
-            if accept(x):
-                out.append(x)
-                if len(out) == m:
-                    break
-        if k > 40 * m + 40:
-            raise DomainError("could not find enough nondegenerate sample points")
-    return out
-
-
-def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta,
-                         halfwidth: int | None = None) -> dict:
-    """All components as exact Laurent polynomials in z_i (others fixed).
-
-    Interpolates at distinct nondegenerate abscissae using the centred
-    degree-width bounds, then cross-validates at two extra points.
-    """
+def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
+    """All components as exact Laurent polynomials in z_i (others fixed),
+    interpolated at nondegenerate abscissae and cross-validated at two more."""
     if not 1 <= i <= N:
         raise UsageError("variable index out of range")
-    n = N // 2
-    npr = N - n
-    if halfwidth is None:
-        halfwidth = max(2 * (npr - 1), 2 * n - 1)
     zs = [as_gaussian(z) for z in zs]
+    s = as_gaussian(s)
 
-    def vector_at(x) -> SpinVector:
+    def at(x) -> list:
         pt = list(zs)
         pt[i - 1] = x
-        return psi_vector(N, pt, s, beta)
+        return pt
 
-    def accept(x) -> bool:
-        pt = list(zs)
-        pt[i - 1] = x
-        from .sampling import z_point_degenerate
-        return not x.is_zero() and not z_point_degenerate(pt, as_gaussian(s))
-
-    m = 2 * halfwidth + 1
-    xs = _distinct_abscissae(m + 2, accept)
-    vecs = [vector_at(x) for x in xs]
-    keys = set()
-    for v in vecs:
-        keys.update(v.amps)
-    out = {}
-    for key in keys:
-        poly = interpolate_laurent("z", xs[:m], [v.amplitude(key) for v in vecs[:m]],
-                                   -halfwidth, halfwidth)
-        for x, v in zip(xs[m:], vecs[m:]):
-            if poly.eval_at({"z": x}) != v.amplitude(key):
-                raise DomainError("interpolation window too small for a component")
-        out[key] = poly
-    return out
+    # each component is centred in z_i with |exponent| <= N - 1, the stated
+    # degree-width bound max(2(n'-1), 2n-1) for n = N//2, n' = N - n
+    h = N - 1
+    xs = abscissa_sweep(lambda x: not z_point_degenerate(at(x), s))
+    return interpolate_along("z", ((x, psi_vector(N, at(x), s, beta).amps) for x in xs),
+                             -h, h, 2)
 
 
 def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
     """The vector with every site value specialized to 1, via exact
-    interpolation along the curve z_i = lambda^(i-1)."""
+    interpolation along the curve z_k = lambda^(k-1)."""
     if N <= 1:
         return SpinVector.make(N, {(): _ONE})
-    n = N // 2
-    npr = N - n
-    h = max(2 * (npr - 1), 2 * n - 1)
-    H = h * (N * (N - 1) // 2)
     s = as_gaussian(s)
 
-    def accept(lam) -> bool:
-        from .sampling import z_point_degenerate
-        if lam.is_zero():
-            return False
-        zs = [lam ** k for k in range(N)]
-        return not z_point_degenerate(zs, s)
+    def at(lam) -> list:
+        return [lam ** k for k in range(N)]
 
-    m = 2 * H + 1
-    lams = _distinct_abscissae(m + 1, accept)
-    vecs = [psi_vector(N, [lam ** k for k in range(N)], s, beta) for lam in lams]
-    keys = set()
-    for v in vecs:
-        keys.update(v.amps)
-    amps = {}
-    one = GaussianRational(1)
-    for key in keys:
-        poly = interpolate_laurent("l", lams[:m], [v.amplitude(key) for v in vecs[:m]],
-                                   -H, H)
-        if poly.eval_at({"l": lams[m]}) != vecs[m].amplitude(key):
-            raise DomainError("homogeneous-curve window too small")
-        amps[key] = poly.eval_at({"l": one})
-    return SpinVector.make(N, amps)
+    # each component has |exponent| <= N - 1 in z_k (psi_vector_poly_in_z),
+    # so |exponent of lambda| <= (N - 1) * sum_k (k - 1)
+    H = (N - 1) * (N * (N - 1) // 2)
+    lams = abscissa_sweep(lambda lam: not z_point_degenerate(at(lam), s))
+    polys = interpolate_along("l", ((lam, psi_vector(N, at(lam), s, beta).amps)
+                                    for lam in lams), -H, H, 1)
+    return SpinVector.make(N, {k: p.eval_at({"l": _ONE}) for k, p in polys.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +394,18 @@ def _half_specialized_sites(N: int, ws: Sequence) -> list:
     return zs
 
 
-def _chi_weights(N: int, ws: Sequence, s) -> dict:
-    """Pairing coefficient per down-position tuple: a factor {s w_i}/{s} for
-    every site pair (2i-1, 2i) whose spins agree, 1 otherwise."""
-    n = N // 2
+def _gen_sum_at(N: int, ws: Sequence, s, beta) -> GaussianRational:
+    """The generalized sum at nondegenerate w values: the vector at sites
+    (w_1, 1/w_1, ..., w_n, 1/w_n[, 1]) paired with the covector that weighs
+    every site pair (2i-1, 2i) whose spins agree by {s w_i}/{s}."""
     s = as_gaussian(s)
-    return {"n": n, "c": [brace(s * as_gaussian(w)) * inv(brace(s)) for w in ws]}
-
-
-def _chi_pair(vec: SpinVector, weights) -> GaussianRational:
-    n, cs = weights["n"], weights["c"]
+    cs = [brace(s * w) * inv(brace(s)) for w in ws]
     total = _ZERO
-    for key, amp in vec.amps.items():
-        f = amp
-        for i in range(n):
-            hits = (2 * i + 1 in key) + (2 * i + 2 in key)
-            if hits != 1:
-                f = f * cs[i]
-        total = total + f
+    for key, amp in psi_vector(N, _half_specialized_sites(N, ws), s, beta).amps.items():
+        for i, c in enumerate(cs):
+            if (2 * i + 1 in key) + (2 * i + 2 in key) != 1:
+                amp = amp * c
+        total = total + amp
     return total
 
 
@@ -491,76 +426,50 @@ def gen_sum_Z(N: int, ws: Sequence, s, beta) -> GaussianRational:
     ws = [as_gaussian(w) for w in ws]
     if all(w == 1 for w in ws):
         return gen_sum_Z_homogeneous(N, s, beta)
-    vec = psi_vector(N, _half_specialized_sites(N, ws), s, beta)
-    return _chi_pair(vec, _chi_weights(N, ws, s))
-
-
-def _gen_sum_on_curve(N: int, s, beta, lam) -> GaussianRational:
-    n = N // 2
-    ws = [lam ** (i + 1) for i in range(n)]
-    vec = psi_vector(N, _half_specialized_sites(N, ws), s, beta)
-    return _chi_pair(vec, _chi_weights(N, ws, s))
+    return _gen_sum_at(N, ws, s, beta)
 
 
 def gen_sum_Z_homogeneous(N: int, s, beta) -> GaussianRational:
     """The generalized component sum at w = (1, ..., 1), by interpolation in
-    lambda along w_i = lambda^i (degree bound from the centred width 2(2N-3))."""
+    lambda along w_i = lambda^i."""
     if N <= 1:
         return _ONE
     n = N // 2
-    H = (2 * N - 3) * (n * (n + 1) // 2)
     s = as_gaussian(s)
 
-    def accept(lam) -> bool:
-        from .sampling import z_point_degenerate
-        if lam.is_zero():
-            return False
-        zs = _half_specialized_sites(N, [lam ** (i + 1) for i in range(n)])
-        return not z_point_degenerate(zs, s)
+    def at(lam) -> list:
+        return [lam ** (i + 1) for i in range(n)]
 
-    m = 2 * H + 1
-    lams = _distinct_abscissae(m + 1, accept)
-    vals = [_gen_sum_on_curve(N, s, beta, lam) for lam in lams]
-    poly = interpolate_laurent("l", lams[:m], vals[:m], -H, H)
-    if poly.eval_at({"l": lams[m]}) != vals[m]:
-        raise DomainError("homogeneous-curve window too small for the sum")
-    return as_gaussian(poly.eval_at({"l": GaussianRational(1)}))
+    # the sum is centred of halfwidth 2N-3 in each w_i (gen_sum_Z_poly_in_w),
+    # so |exponent of lambda| <= (2N-3) * sum_i i
+    H = (2 * N - 3) * (n * (n + 1) // 2)
+    lams = abscissa_sweep(lambda lam: not z_point_degenerate(
+        _half_specialized_sites(N, at(lam)), s))
+    poly = interpolate_along("l", ((lam, _gen_sum_at(N, at(lam), s, beta)) for lam in lams),
+                             -H, H, 1)
+    return as_gaussian(poly.eval_at({"l": _ONE}))
 
 
-def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta,
-                        halfwidth: int | None = None) -> MultiLaurent:
+def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:
     """The generalized sum as an exact Laurent polynomial in w_i, interpolated
     at nondegenerate abscissae and cross-validated at two more."""
-    n = N // 2
-    if not 1 <= i <= n:
+    if not 1 <= i <= N // 2:
         raise UsageError("variable index out of range")
-    if halfwidth is None:
-        halfwidth = 2 * N - 3
     ws = [as_gaussian(w) for w in ws]
     s = as_gaussian(s)
 
-    def value(x) -> GaussianRational:
+    def at(x) -> list:
         pt = list(ws)
         pt[i - 1] = x
-        vec = psi_vector(N, _half_specialized_sites(N, pt), s, beta)
-        return _chi_pair(vec, _chi_weights(N, pt, s))
+        return pt
 
-    def accept(x) -> bool:
-        from .sampling import z_point_degenerate
-        if x.is_zero():
-            return False
-        pt = list(ws)
-        pt[i - 1] = x
-        return not z_point_degenerate(_half_specialized_sites(N, pt), s)
-
-    m = 2 * halfwidth + 1
-    xs = _distinct_abscissae(m + 2, accept)
-    vals = [value(x) for x in xs]
-    poly = interpolate_laurent("w", xs[:m], vals[:m], -halfwidth, halfwidth)
-    for x, v in zip(xs[m:], vals[m:]):
-        if poly.eval_at({"w": x}) != v:
-            raise DomainError("interpolation window too small for the sum")
-    return poly
+    # the stated bound: centred in w_i of width at most 2(2N-3), which
+    # check_Z_properties records as "degree_width"
+    h = 2 * N - 3
+    xs = abscissa_sweep(lambda x: not z_point_degenerate(
+        _half_specialized_sites(N, at(x)), s))
+    return interpolate_along("w", ((x, _gen_sum_at(N, at(x), s, beta)) for x in xs),
+                             -h, h, 2)
 
 
 def y_divisor(N: int, ws: Sequence, s) -> GaussianRational:

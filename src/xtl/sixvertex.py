@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Mapping, Sequence
 
 from .exact import (DegeneratePointError, DomainError, GaussianRational,
-                    MultiLaurent, UsageError, as_gaussian, bracket, brace, inv,
-                    interpolate_laurent)
+                    MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
+                    brace, interpolate_along, inv)
 from .operators import (apply_one_site, apply_two_site, basis_vector, k_corner,
                         pairing, r_bulk, r_check_bulk, word_index)
 
@@ -263,42 +264,11 @@ def config_weight(config: SixVertexConfig, zs: Sequence, s, t):
     return w
 
 
-def partition_enum(n: int, alpha: str, zs: Sequence, s, t):
-    """Partition function by summing configuration weights (column automaton
-    with per-frontier aggregation; identical to the sum over enumerate_configs)."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    alpha = _check_alpha(n, alpha)
-    n2 = 2 * n
-    if len(zs) != n2:
-        raise UsageError(f"need {n2} site values")
-    bulk, corner = _weight_tables(n, zs, s, t)
-    states = {(): 1}
-    for c in range(1, n2 + 1):
-        new: dict = {}
-        for frontier, acc in states.items():
-            for newf, _, classes in _column_steps(frontier, alpha[c - 1]):
-                f = acc
-                for r, cls in enumerate(classes[:-1], start=1):
-                    f = f * bulk(r, c, cls)
-                f = f * corner(c, classes[-1])
-                if newf in new:
-                    new[newf] = new[newf] + f
-                else:
-                    new[newf] = f
-        states = new
-    final = ("L",) * n2
-    total = states.get(final, 0)
-    if isinstance(total, int):
-        total = GaussianRational(total) if not isinstance(s, MultiLaurent) else total
-    return total
-
-
-def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
-    """Partition functions for every bottom boundary word at once, by the same
-    column automaton with the bottom edges left free.  Returns {word: value}."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
+def _automaton_sums(n: int, letters: Sequence[str], zs: Sequence, s, t) -> dict:
+    """Weighted configuration sums of the column automaton, one per bottom
+    word; column c may take any letter of letters[c-1].  The state after each
+    column is keyed by (frontier, word prefix), and each column's weight is
+    formed once per transition before it multiplies the prefix sums."""
     n2 = 2 * n
     if len(zs) != n2:
         raise UsageError(f"need {n2} site values")
@@ -307,7 +277,7 @@ def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
     for c in range(1, n2 + 1):
         new: dict = {}
         for frontier, prefixes in states.items():
-            for ch in "ud":
+            for ch in letters[c - 1]:
                 for newf, _, classes in _column_steps(frontier, ch):
                     f = corner(c, classes[-1])
                     for r, cls in enumerate(classes[:-1], start=1):
@@ -318,10 +288,26 @@ def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
                         cur = slot.get(key)
                         slot[key] = f * acc if cur is None else cur + f * acc
         states = new
-    out = states.get(("L",) * n2, {})
+    return states.get(("L",) * n2, {})
+
+
+def partition_enum(n: int, alpha: str, zs: Sequence, s, t):
+    """Partition function by summing configuration weights (column automaton
+    with per-frontier aggregation; identical to the sum over enumerate_configs)."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    alpha = _check_alpha(n, alpha)
+    return _automaton_sums(n, alpha, zs, s, t).get(alpha, GaussianRational(0))
+
+
+def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
+    """Partition functions for every bottom boundary word at once, by the same
+    column automaton with the bottom edges left free.  Returns {word: value}."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    out = _automaton_sums(n, ["ud"] * (2 * n), zs, s, t)
     zero = GaussianRational(0)
-    from itertools import product
-    return {"".join(w): out.get("".join(w), zero) for w in product("ud", repeat=n2)}
+    return {"".join(w): out.get("".join(w), zero) for w in product("ud", repeat=2 * n)}
 
 
 def partition_algebraic_all_words(n: int, zs: Sequence, s, t) -> dict:
@@ -417,14 +403,11 @@ def rescaled_YY(n: int, ws: Sequence, s, t, b):
     return z * den.inverse() * sign
 
 
-def overlap_ZZ_poly_in_w(n: int, ws: Sequence, i: int, s, t, b,
-                         halfwidth: int | None = None) -> MultiLaurent:
+def overlap_ZZ_poly_in_w(n: int, ws: Sequence, i: int, s, t, b) -> MultiLaurent:
     """The overlap as an exact Laurent polynomial in w_i (other arguments fixed),
     recovered by interpolation at distinct abscissae and cross-validated."""
     if not 1 <= i <= n:
         raise UsageError("variable index out of range")
-    if halfwidth is None:
-        halfwidth = 4 * n - 1  # coarse a-priori bound from the stack's degrees
     ws = list(ws)
 
     def value(x):
@@ -432,25 +415,19 @@ def overlap_ZZ_poly_in_w(n: int, ws: Sequence, i: int, s, t, b,
         pt[i - 1] = x
         return overlap_ZZ(n, pt, s, t, b)
 
-    xs = _abscissae(2 * halfwidth + 3)
-    poly = interpolate_laurent("w", xs[:2 * halfwidth + 1],
-                               [value(x) for x in xs[:2 * halfwidth + 1]],
-                               -halfwidth, halfwidth)
-    for x in xs[2 * halfwidth + 1:]:
-        if poly.eval_at({"w": x}) != value(x):
-            raise DomainError("interpolation window too small for the overlap")
-    return poly
-
-
-def _abscissae(m: int):
-    """Deterministic distinct nonzero rational sample points 2, 3/2, 4/3, ..."""
-    from fractions import Fraction
-    return [Fraction(k + 1, k) for k in range(1, m + 1)]
+    # every path through the stack meets 2(2n-2) crossings and 2 corners whose
+    # entries have w_i-exponents in [-1, 1], and the covector adds one more
+    h = 4 * n - 1
+    return interpolate_along("w", ((x, value(x)) for x in abscissa_sweep(lambda x: True)),
+                             -h, h, 2)
 
 
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
+
+_MAX_REDRAWS = 20  # draws per trial before check_yb_identities reports a failure
+
 
 def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3) -> dict:
     """Exact verification of the crossing/boundary consistency identities at
@@ -463,15 +440,22 @@ def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3)
     report: dict = {}
 
     def run(name, fn, ntrials=None):
-        fails = []
-        for k in range(ntrials or trials):
-            try:
-                ok, info = fn(rng)
-            except DegeneratePointError:
-                ok, info = True, None  # resample by skipping; sampler avoids this
+        # a trial that raises DomainError drew a degenerate point: redraw it
+        fails, resampled = [], 0
+        for _ in range(ntrials or trials):
+            for _ in range(_MAX_REDRAWS):
+                try:
+                    ok, info = fn(rng)
+                    break
+                except DomainError:
+                    resampled += 1
+            else:
+                ok, info = False, {"identity": name, "error":
+                                   f"no nondegenerate point in {_MAX_REDRAWS} draws"}
             if not ok:
                 fails.append(info)
-        report[name] = {"trials": ntrials or trials, "failures": fails}
+        report[name] = {"trials": ntrials or trials, "resampled": resampled,
+                        "failures": fails}
 
     run("yang_baxter_bulk", _ybe_bulk_trial)
     run("boundary_yang_baxter_bulk", _bybe_bulk_trial)
@@ -499,10 +483,7 @@ def _fail_info(name, lhs, rhs):
 def _ybe_bulk_trial(rng):
     s = rng.s_value()
     z, w = rng.nonzero(), rng.nonzero()
-    try:
-        rc = r_check_bulk(z * inv(w), s)
-    except DomainError:
-        return True, None
+    rc = r_check_bulk(z * inv(w), s)
     L = 3
     vec = rng.dense_vector(L)
     lhs = apply_two_site(apply_two_site(apply_two_site(
@@ -534,12 +515,9 @@ def _ybe_exchange_trial(rng, qkz):
     from .operators import r_check_exchange
     s = rng.s_value()
     z1, z2, z3 = (rng.nonzero() for _ in range(3))
-    try:
-        r12a = r_check_exchange(z1 * inv(z2), s)
-        r13 = r_check_exchange(z1 * inv(z3), s)
-        r23b = r_check_exchange(z2 * inv(z3), s)
-    except DomainError:
-        return True, None
+    r12a = r_check_exchange(z1 * inv(z2), s)
+    r13 = r_check_exchange(z1 * inv(z3), s)
+    r23b = r_check_exchange(z2 * inv(z3), s)
     L = 3
     vec = rng.dense_vector(L)
     lhs = apply_two_site(apply_two_site(apply_two_site(
@@ -553,13 +531,10 @@ def _bybe_exchange_trial(rng, qkz):
     from .operators import k_boundary, r_check_exchange
     s, beta = rng.s_value(), rng.beta_value()
     z1, z2 = rng.nonzero(), rng.nonzero()
-    try:
-        ra = r_check_exchange(z1 * inv(z2), s)
-        rb = r_check_exchange(z1 * z2, s)
-        k1 = k_boundary(z1, beta)
-        k2 = k_boundary(z2, beta)
-    except DomainError:
-        return True, None
+    ra = r_check_exchange(z1 * inv(z2), s)
+    rb = r_check_exchange(z1 * z2, s)
+    k1 = k_boundary(z1, beta)
+    k2 = k_boundary(z2, beta)
     L = 2
     vec = rng.dense_vector(L)
     lhs = apply_one_site(vec, k2, 1, L)
@@ -598,11 +573,8 @@ def _chi_exchange_trial(rng, qkz):
     from .operators import r_check_exchange
     s = rng.s_value()
     z, w = rng.nonzero(), rng.nonzero()
-    try:
-        r_zw = r_check_exchange(z * w, s)
-        r_zbw = r_check_exchange(z * inv(w), s)
-    except DomainError:
-        return True, None
+    r_zw = r_check_exchange(z * w, s)
+    r_zbw = r_check_exchange(z * inv(w), s)
     L = 4
     cov_l = _tensor_cov(qkz.chi_covector(w, s), qkz.chi_covector(z, s))
     cov_r = _tensor_cov(qkz.chi_covector(z, s), qkz.chi_covector(w, s))
@@ -637,10 +609,7 @@ def _chi_inversion_trial(rng, qkz):
     from .operators import r_check_exchange
     s = rng.s_value()
     z = rng.nonzero()
-    try:
-        rc = r_check_exchange(z * z, s)
-    except DomainError:
-        return True, None
+    rc = r_check_exchange(z * z, s)
     lhs = _cov_apply(qkz.chi_covector(inv(z), s), [(rc, 1, 2)], 2)
     fac = bracket(inv(s) * inv(z)) * inv(bracket(inv(s) * z))
     rhs = [fac * x for x in qkz.chi_covector(z, s)]

@@ -50,12 +50,6 @@ class SparseHamiltonian:
     x: object
     columns: tuple
 
-    def entry(self, row: int, col: int):
-        for r, v in self.columns[col]:
-            if r == row:
-                return v
-        return 0
-
     def dense(self) -> list:
         dim = 1 << self.N
         out = [[0] * dim for _ in range(dim)]

@@ -24,10 +24,11 @@ matrix row N+1-r sum to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Sequence
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
-                    interpolate_laurent)
+                    interpolate_along)
 from .sixvertex import SixVertexConfig, alpha_minus, alpha_plus, enumerate_configs
 
 __all__ = [
@@ -269,11 +270,10 @@ def count_from_partition(N: int) -> int:
 
     The partition function at unit site values and t = 1 equals [q]^{n(2n-1)}
     times the generating function evaluated at tau = -(q + 1/q); sampling
-    several exact q and interpolating the polynomial in tau (degree at most
-    n(n'-1)) recovers the value at tau = 1.
+    q = s^2 for s = 2, 3, ... and interpolating the polynomial in tau recovers
+    the value at tau = 1.  (tau(s) = tau(1/s) = tau(-s), so the common
+    abscissa sweep would repeat points.)
     """
-    from fractions import Fraction
-
     from .sixvertex import partition_enum
 
     if N < 0:
@@ -281,22 +281,20 @@ def count_from_partition(N: int) -> int:
     n = N // 2
     if n == 0:
         return 1
-    npr = N - n
     alpha = alpha_minus(n) if N % 2 == 0 else alpha_plus(n)
-    deg = n * (npr - 1)
     ones = [GaussianRational(1)] * (2 * n)
     one = GaussianRational(1)
-    taus, vals = [], []
-    k = 2
-    while len(taus) < deg + 1:
-        sv = GaussianRational(Fraction(k, 1))
-        q = sv * sv
-        tau = -(q + q.inverse())
-        z = partition_enum(n, alpha, ones, sv, one)
-        vals.append(z * (bracket(q) ** (n * (2 * n - 1))).inverse())
-        taus.append(tau)
-        k += 1
-    poly = interpolate_laurent("tau", taus, vals, 0, deg)
+
+    def samples():
+        for k in count(2):
+            sv = GaussianRational(k)
+            q = sv * sv
+            z = partition_enum(n, alpha, ones, sv, one)
+            yield -(q + q.inverse()), z * (bracket(q) ** (n * (2 * n - 1))).inverse()
+
+    # tau counts the nonzero entries below the staircase diagonal: at most
+    # n(n'-1), with n' = N - n
+    poly = interpolate_along("tau", samples(), 0, n * (N - n - 1), 0)
     val = poly.eval_at({"tau": one})  # an int exactly when the value is integral
     if not isinstance(val, int):
         raise DomainError(f"partition-function route gave a non-integer count {val}")

@@ -1,8 +1,22 @@
+import importlib.util
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
+from xtl import cli
 from xtl.cli import dispatch
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+
+
+def cli_env(**extra):
+    """Environment for `python -m xtl.cli` that finds the package in src/."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+                           if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run_cli(args, tmp_path=None):
@@ -96,16 +110,15 @@ def test_byte_stable_output():
 def test_thread_count_never_changes_output():
     base = ["verify", "--suite", "corollaries", "--max-N", "2"]
     r1 = subprocess.run([sys.executable, "-m", "xtl.cli"] + base + ["--threads", "1"],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=cli_env())
     r2 = subprocess.run([sys.executable, "-m", "xtl.cli"] + base + ["--threads", "2"],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=cli_env())
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
 
 
 def test_env_seed_default_applies():
-    import os
-    env = dict(os.environ, XTL_SEED="7")
+    env = cli_env(XTL_SEED="7")
     r = subprocess.run([sys.executable, "-m", "xtl.cli", "verify", "--suite",
                         "yandyy", "--max-N", "2", "--trials", "2"],
                        capture_output=True, text=True, env=env)
@@ -122,5 +135,43 @@ def test_out_flag(tmp_path):
 def test_console_entry_point():
     r = subprocess.run([sys.executable, "-m", "xtl.cli", "tsasm", "count",
                         "--order", "7", "--method", "partition"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=cli_env())
     assert r.returncode == 0 and r.stdout.strip() == "2"
+
+
+def test_golden_transcript():
+    # stdout and exit codes of a fixed command list, replayed in-process
+    spec = importlib.util.spec_from_file_location("make_cli_golden",
+                                                  DATA / "make_cli_golden.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.transcript() == (DATA / "cli_golden.txt").read_text()
+
+
+class _FakePool:
+    def __init__(self, workers, seen):
+        seen.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(j) for j in jobs]
+
+
+def test_verify_threads_capped_by_cores_and_jobs(monkeypatch):
+    # no process is started: the pool factory is replaced
+    seen = []
+    monkeypatch.setattr(cli, "_pool", lambda workers: _FakePool(workers, seen))
+    base = ["verify", "--suite", "main", "--max-N", "3"]   # four jobs
+    _, want = run_cli(base + ["--threads", "1"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_cli(base + ["--threads", "5000"]) == (0, want)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run_cli(base + ["--threads", "5000"]) == (0, want)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_cli(base + ["--threads", "5000"]) == (0, want)
+    assert seen == [3, 4]

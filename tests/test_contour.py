@@ -99,11 +99,6 @@ def test_tsasm_count_integral_rejects_non_integer_count(monkeypatch):
         tsasm_count_integral(4)
 
 
-def test_count_integral_equals_sum_at_special_point():
-    for N in range(0, 7):
-        assert sum_components(N, x=0, tau=1) == tsasm_count_integral(N)
-
-
 def test_component_table_json():
     obj = psi_components(2).to_json()
     assert obj["N"] == 2 and obj["n"] == 1

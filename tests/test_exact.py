@@ -10,12 +10,13 @@ from xtl.exact import (
     DomainError,
     GaussianRational,
     MultiLaurent,
-    ParamPoint,
     UsageError,
+    abscissa_sweep,
     bracket,
     brace,
     div_exact_univar,
     format_scalar,
+    interpolate_along,
     interpolate_laurent,
     parse_scalar,
 )
@@ -298,6 +299,69 @@ def test_interpolate_rejects_bad_input():
         interpolate_laurent("w", [1, 1, 2], [0, 0, 0], 0, 2)
 
 
+def _line(p, xs):
+    return ((x, p.eval_at({"w": x})) for x in xs)
+
+
+def test_interpolate_along_recovers_and_checks_spare_points():
+    p = MultiLaurent(("w",), {(-2,): Fraction(3, 5), (0,): -1, (3,): 7})
+    xs = abscissa_sweep(lambda x: True)
+    assert interpolate_along("w", _line(p, xs), -2, 3, 2) == p
+    # the window [-2, 2] misses w^3: both spare points disagree
+    with pytest.raises(DomainError):
+        interpolate_along("w", _line(p, abscissa_sweep(lambda x: True)), -2, 2, 2)
+
+
+def test_interpolate_along_spare_zero_takes_exactly_the_window():
+    p = MultiLaurent(("w",), {(-1,): 2, (1,): I})
+    taken = []
+
+    def samples():
+        for k in range(2, 100):
+            taken.append(k)
+            yield k, p.eval_at({"w": k})
+
+    assert interpolate_along("w", samples(), -1, 1, 0) == p
+    assert taken == [2, 3, 4]
+    # without spare points a too-small window goes unnoticed
+    assert interpolate_along("w", samples(), 0, 1, 0) != p
+
+
+def test_interpolate_along_mapping_missing_key_is_zero():
+    p = MultiLaurent(("w",), {(0,): 1, (1,): 1})  # zero at w = -1
+    xs = [GaussianRational(x) for x in (2, -1, 3, 4)]
+    ys = [{"a": p.eval_at({"w": x}), "b": x} if x != -1 else {"b": x} for x in xs]
+    out = interpolate_along("w", zip(xs, ys), 0, 1, 2)
+    assert out == {"a": p, "b": MultiLaurent.var("w")}
+    # a key seen only at a spare point interpolates to zero and fails the check
+    ys[3] = dict(ys[3], c=1)
+    with pytest.raises(DomainError):
+        interpolate_along("w", zip(xs, ys), 0, 1, 2)
+
+
+def test_interpolate_along_needs_enough_samples():
+    with pytest.raises(UsageError):
+        interpolate_along("w", [(2, 1), (3, 1)], 0, 1, 1)
+
+
+def test_abscissa_sweep_order_and_filter():
+    xs = abscissa_sweep(lambda x: x != Fraction(2, 3))
+    got = [next(xs) for _ in range(5)]
+    assert got == [Fraction(3, 2), Fraction(-3, 2), Fraction(4, 3), Fraction(3, 4),
+                   Fraction(-4, 3)]
+    assert all(isinstance(x, GaussianRational) for x in got)
+
+
+def test_abscissa_sweep_raises_when_accept_keeps_rejecting():
+    with pytest.raises(DomainError):
+        next(abscissa_sweep(lambda x: False))
+    # accepts the first few points, then nothing more
+    xs = abscissa_sweep(lambda x: x.re > 0 and x.re.denominator < 5)
+    with pytest.raises(DomainError):
+        for _ in xs:
+            pass
+
+
 def test_div_exact_univar():
     w = MultiLaurent.var("w")
     d = w - MultiLaurent.monomial(("w",), (-1,))
@@ -307,18 +371,5 @@ def test_div_exact_univar():
         div_exact_univar(w + 1, d, "w")
 
 
-# ---------------------------------------------------------------------------
-# ParamPoint validation
-# ---------------------------------------------------------------------------
-
-def test_parampoint_rejects_excluded_values():
-    ParamPoint(Fraction(3, 2), Fraction(5, 7), sites=(1, 2))
-    for bad_s in (0, 1, -1, I, -I):
-        with pytest.raises(DomainError):
-            ParamPoint(bad_s, Fraction(5, 7))
-    for bad_beta in (0, 1, -1):
-        with pytest.raises(DomainError):
-            ParamPoint(Fraction(3, 2), bad_beta)
-    with pytest.raises(DomainError):
-        ParamPoint(Fraction(3, 2), Fraction(5, 7), sites=(1, 0))
+def test_degenerate_point_error_is_a_domain_error():
     assert isinstance(DegeneratePointError("x"), DomainError)

@@ -63,14 +63,6 @@ def test_single_site_vector():
     assert v.amplitude(()) == 1
 
 
-def test_param_point_carries_an_evaluation_point():
-    from xtl.exact import ParamPoint
-    zs = RNG.z_point(3, S)
-    pt = ParamPoint(S, BETA, sites=zs)
-    sites, s, beta = pt.unpack()
-    assert psi_vector(3, sites, s, beta) == psi_vector(3, zs, S, BETA)
-
-
 def test_degenerate_point_raises():
     with pytest.raises(DegeneratePointError):
         psi_vector(2, (G(2), G(2)), S, BETA)
@@ -262,3 +254,16 @@ def test_report_shape_is_json_ready():
     rep = check_Z_properties(2, trials=2, seed=9, interp_trials=1)
     json.dumps(rep)
     assert {"property", "N", "trials", "pass", "failures"} <= set(rep)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_interpolation_windows_are_attained(N):
+    # the windows are the degree bounds, not guesses: some component reaches
+    # exponent +-(N-1) in z_1, and the sum reaches +-(2N-3) in w_1
+    rng = ExactSampler(N)
+    s, beta = rng.s_value(), rng.beta_value()
+    polys = psi_vector_poly_in_z(N, rng.z_point(N, s, beta), 1, s, beta)
+    assert max(max(-lo, hi) for lo, hi in
+               (p.degree_range("z") for p in polys.values() if p)) == N - 1
+    ws = list(rng.w_point(N, s))
+    assert gen_sum_Z_poly_in_w(N, ws, 1, s, beta).degree_range("w") == (3 - 2 * N, 2 * N - 3)

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from xtl.exact import GaussianRational as G, MultiLaurent as ML, UsageError, bracket, brace, inv
+from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
+                       MultiLaurent as ML, UsageError, bracket, brace, inv)
 from xtl.operators import apply_two_site, mat4_eq, r_bulk, r_check_bulk
 from xtl.sampling import ExactSampler
 from xtl.sixvertex import (alpha_minus, alpha_plus, check_yb_identities,
@@ -209,6 +210,37 @@ def test_yang_baxter_suite_passes():
     rep = check_yb_identities(trials=8, seed=6)
     assert rep["passed"], {k: v for k, v in rep.items()
                            if isinstance(v, dict) and v["failures"]}
+
+
+def test_yang_baxter_trial_that_raises_is_resampled(monkeypatch):
+    from xtl import sixvertex
+    real, calls = sixvertex._ybe_bulk_trial, []
+
+    def flaky(rng):
+        calls.append(rng)
+        if len(calls) == 1:
+            raise DomainError("degenerate draw")
+        return real(rng)
+
+    monkeypatch.setattr(sixvertex, "_ybe_bulk_trial", flaky)
+    rep = check_yb_identities(trials=2, seed=6, max_stack_n=1)
+    assert rep["passed"]
+    assert rep["yang_baxter_bulk"] == {"trials": 2, "resampled": 1, "failures": []}
+    assert len(calls) == 3
+
+
+def test_yang_baxter_trial_that_always_raises_fails(monkeypatch):
+    from xtl import sixvertex
+
+    def degenerate(rng):
+        raise DegeneratePointError("always degenerate")
+
+    monkeypatch.setattr(sixvertex, "_nu_inversion_trial", degenerate)
+    rep = check_yb_identities(trials=1, seed=6, max_stack_n=1)
+    fam = rep["nu_inversion"]
+    assert not rep["passed"]
+    assert fam["trials"] == 1 and fam["resampled"] == sixvertex._MAX_REDRAWS
+    assert len(fam["failures"]) == 1
 
 
 def test_stack_commutation_full_operator_n3():

@@ -88,8 +88,9 @@ def test_counting_routes_agree():
 
 def test_count_from_partition_rejects_non_integer_count(monkeypatch):
     # a real exception, so the guard also holds under python -O
-    monkeypatch.setattr(tsasm, "interpolate_laurent",
-                        lambda var, xs, ys, lo, hi: MultiLaurent.const(Fraction(1, 2), (var,)))
+    monkeypatch.setattr(tsasm, "interpolate_along",
+                        lambda var, samples, lo, hi, spare:
+                            MultiLaurent.const(Fraction(1, 2), (var,)))
     with pytest.raises(DomainError):
         count_from_partition(4)
 
