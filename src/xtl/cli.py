@@ -330,6 +330,8 @@ def _cmd_verify(ns) -> int:
     # more workers than cores or jobs cannot help, and the output never depends on it
     workers = min(ns.threads, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        # import the job modules here, so every forked worker inherits them
+        from . import qkz, sampling, sixvertex, theorems  # noqa: F401
         with _pool(workers) as pool:
             results = pool.map(_run_job, jobs)
     else:

@@ -22,7 +22,10 @@ boundary word alpha ('u'/'d' per column: 'u' = edge points up into the grid).
 Enumeration walks the columns left to right with constraint propagation, so
 partial orientations violating the ice rule or the boundary conditions are
 pruned immediately.  The same column automaton drives both the explicit
-configuration listing and the weighted partition sums.
+configuration listing and the weighted partition sums: both walk one
+transition table, pruned backward to the frontiers that can still reach the
+accepting frontier and memoized per tuple of per-column letter sets, and the
+sums form each vertex weight at most once per call.
 
 The canonical edge order for serialization is: all vedges sorted by (c, r),
 then all hedges sorted by (r, c); orientation bits are U=1/D=0 and R=1/L=0.
@@ -164,29 +167,32 @@ def _column_steps(frontier: tuple, alpha_c: str):
     return out
 
 
-def _transition_table(n: int, alpha: str):
-    """Per-column transition lists over reachable frontiers, pruned backwards
-    so every kept transition extends to at least one accepted configuration."""
-    n2 = 2 * n
+@lru_cache(maxsize=None)
+def _transition_table(letters: tuple) -> tuple:
+    """The pruned column automaton for bottom words with letters[c-1] allowed
+    in column c.  Entry c-1 maps each live frontier before column c to its
+    (letter, new_frontier, vlist, classes) steps; a frontier is live when it is
+    reachable from the empty frontier and reaches the accepting frontier
+    ("L",)*2n, and a step is kept when it leads to a live frontier.  Pure in
+    the geometry, so memoized like _column_steps."""
+    n2 = len(letters)
     trans: list[dict] = []
     frontiers = {()}
-    for c in range(1, n2 + 1):
-        t: dict = {}
-        for f in frontiers:
-            t[f] = _column_steps(f, alpha[c - 1])
+    for ls in letters:
+        t = {f: [(ch,) + st for ch in ls for st in _column_steps(f, ch)]
+             for f in frontiers}
         trans.append(t)
-        frontiers = {nf for steps in t.values() for nf, _, _ in steps}
+        frontiers = {st[1] for steps in t.values() for st in steps}
     live = {("L",) * n2}
-    for c in range(n2, 0, -1):
-        t = trans[c - 1]
-        kept: dict = {}
-        for f, steps in t.items():
-            good = [st for st in steps if st[0] in live]
+    for c in range(n2 - 1, -1, -1):
+        kept = {}
+        for f, steps in trans[c].items():
+            good = [st for st in steps if st[1] in live]
             if good:
                 kept[f] = good
-        trans[c - 1] = kept
+        trans[c] = kept
         live = set(kept)
-    return trans
+    return tuple(trans)
 
 
 def enumerate_configs(n: int, alpha: str) -> list:
@@ -195,23 +201,23 @@ def enumerate_configs(n: int, alpha: str) -> list:
         raise UsageError("n must be >= 1")
     alpha = _check_alpha(n, alpha)
     n2 = 2 * n
-    trans = _transition_table(n, alpha)
+    trans = _transition_table(tuple(alpha))
     results = []
 
     def walk(c, frontier, path):
         if c > n2:
             vedges: dict = {}
             hedges: dict = {}
-            for col, (newf, vlist) in enumerate(path, start=1):
-                vedges[(1, col)] = "U" if alpha[col - 1] == "u" else "D"
+            for col, (ch, newf, vlist) in enumerate(path, start=1):
+                vedges[(1, col)] = "U" if ch == "u" else "D"
                 for idx, v in enumerate(vlist):
                     vedges[(idx + 2, col)] = v  # edge above bulk row idx+1
                 for r, h in enumerate(newf, start=1):
                     hedges[(r, col)] = h
             results.append(SixVertexConfig(n, alpha, vedges, hedges))
             return
-        for newf, vlist, _ in trans[c - 1].get(frontier, ()):
-            path.append((newf, vlist))
+        for ch, newf, vlist, _ in trans[c - 1].get(frontier, ()):
+            path.append((ch, newf, vlist))
             walk(c + 1, newf, path)
             path.pop()
 
@@ -224,25 +230,33 @@ def enumerate_configs(n: int, alpha: str) -> list:
 # weights and partition functions
 # ---------------------------------------------------------------------------
 
-def _weight_tables(n: int, zs: Sequence, s, t):
-    """Per-vertex weights for each class, as callables (r, c) -> value."""
+def _vertex_weights(zs: Sequence, s, t):
+    """The weight of a vertex as a callable (r, c, cls) -> value, corners at
+    c = r.  The turning classes cp/cm share one weight and the transmitting
+    corners tp/tm share t; the others depend on the site values and are each
+    formed on first use, then reused for the rest of the call."""
     q = s * s
     cweight = -bracket(q * q)
     sbrace_inv = inv(brace(s))
+    shared = {"cp": cweight, "cm": cweight, "tp": t, "tm": t}
+    memo: dict = {}
 
-    def bulk(r, c, cls):
-        if cls in ("cp", "cm"):
-            return cweight
-        if cls == "a":
-            return bracket(q * inv(zs[r - 1]) * inv(zs[c - 1]))
-        return bracket(q * zs[r - 1] * zs[c - 1])
+    def weight(r, c, cls):
+        w = shared.get(cls)
+        if w is None:
+            key = (r, c, cls)
+            w = memo.get(key)
+            if w is None:
+                if cls == "a":
+                    w = bracket(q * inv(zs[r - 1]) * inv(zs[c - 1]))
+                elif cls == "b":
+                    w = bracket(q * zs[r - 1] * zs[c - 1])
+                else:
+                    w = brace(s * zs[r - 1]) * sbrace_inv
+                memo[key] = w
+        return w
 
-    def corner(r, cls):
-        if cls in ("tp", "tm"):
-            return t
-        return brace(s * zs[r - 1]) * sbrace_inv
-
-    return bulk, corner
+    return weight
 
 
 def config_weight(config: SixVertexConfig, zs: Sequence, s, t):
@@ -254,41 +268,40 @@ def config_weight(config: SixVertexConfig, zs: Sequence, s, t):
     n2 = 2 * config.n
     if len(zs) != n2:
         raise UsageError(f"need {n2} site values")
-    bulk, corner = _weight_tables(config.n, zs, s, t)
+    weight = _vertex_weights(zs, s, t)
     w = None
     for r in range(1, n2 + 1):
-        f = corner(r, config.corner_class(r))
+        f = weight(r, r, config.corner_class(r))
         w = f if w is None else w * f
         for c in range(r + 1, n2 + 1):
-            w = w * bulk(r, c, config.bulk_class(r, c))
+            w = w * weight(r, c, config.bulk_class(r, c))
     return w
 
 
-def _automaton_sums(n: int, letters: Sequence[str], zs: Sequence, s, t) -> dict:
+def _automaton_sums(letters: tuple, zs: Sequence, s, t) -> dict:
     """Weighted configuration sums of the column automaton, one per bottom
     word; column c may take any letter of letters[c-1].  The state after each
-    column is keyed by (frontier, word prefix), and each column's weight is
-    formed once per transition before it multiplies the prefix sums."""
-    n2 = 2 * n
-    if len(zs) != n2:
-        raise UsageError(f"need {n2} site values")
-    bulk, corner = _weight_tables(n, zs, s, t)
+    column is keyed by (frontier, word prefix); only the live frontiers of
+    _transition_table are walked, and each column's weight is formed once per
+    transition before it multiplies the prefix sums."""
+    if len(zs) != len(letters):
+        raise UsageError(f"need {len(letters)} site values")
+    weight = _vertex_weights(zs, s, t)
     states: dict = {(): {"": GaussianRational(1)}}
-    for c in range(1, n2 + 1):
+    for c, table in enumerate(_transition_table(letters), start=1):
         new: dict = {}
         for frontier, prefixes in states.items():
-            for ch in letters[c - 1]:
-                for newf, _, classes in _column_steps(frontier, ch):
-                    f = corner(c, classes[-1])
-                    for r, cls in enumerate(classes[:-1], start=1):
-                        f = f * bulk(r, c, cls)
-                    slot = new.setdefault(newf, {})
-                    for word, acc in prefixes.items():
-                        key = word + ch
-                        cur = slot.get(key)
-                        slot[key] = f * acc if cur is None else cur + f * acc
+            for ch, newf, _, classes in table.get(frontier, ()):
+                f = weight(c, c, classes[-1])
+                for r, cls in enumerate(classes[:-1], start=1):
+                    f = f * weight(r, c, cls)
+                slot = new.setdefault(newf, {})
+                for word, acc in prefixes.items():
+                    key = word + ch
+                    cur = slot.get(key)
+                    slot[key] = f * acc if cur is None else cur + f * acc
         states = new
-    return states.get(("L",) * n2, {})
+    return states.get(("L",) * len(letters), {})
 
 
 def partition_enum(n: int, alpha: str, zs: Sequence, s, t):
@@ -297,7 +310,7 @@ def partition_enum(n: int, alpha: str, zs: Sequence, s, t):
     if n < 1:
         raise UsageError("n must be >= 1")
     alpha = _check_alpha(n, alpha)
-    return _automaton_sums(n, alpha, zs, s, t).get(alpha, GaussianRational(0))
+    return _automaton_sums(tuple(alpha), zs, s, t).get(alpha, GaussianRational(0))
 
 
 def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
@@ -305,7 +318,7 @@ def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
     column automaton with the bottom edges left free.  Returns {word: value}."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    out = _automaton_sums(n, ["ud"] * (2 * n), zs, s, t)
+    out = _automaton_sums(("ud",) * (2 * n), zs, s, t)
     zero = GaussianRational(0)
     return {"".join(w): out.get("".join(w), zero) for w in product("ud", repeat=2 * n)}
 

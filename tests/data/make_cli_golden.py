@@ -17,6 +17,10 @@ from xtl.cli import dispatch
 
 README_PF = ["sixvertex", "pf", "--n", "2", "--alpha", "-", "--s", "5/2",
              "--t", "3", "--z", "2,3,5/3,7/2"]
+PF_N3 = ["sixvertex", "pf", "--n", "3", "--alpha", "+", "--s", "5/2", "--t", "3",
+         "--z", "2,3,5/3,7/2,4/5,6/7"]
+PF_N4 = ["sixvertex", "pf", "--n", "4", "--alpha", "-", "--s", "5/2", "--t", "3",
+         "--z", "2,3,5/3,7/2,4/5,6/7,9/4,11/3"]
 
 COMMANDS = [
     ["psi", "--N", "4"],
@@ -30,6 +34,9 @@ COMMANDS = [
     README_PF + ["--method", "enum"],
     README_PF + ["--method", "algebraic"],
     ["sixvertex", "pf", "--n", "2", "--alpha", "+", "--s", "5/2", "--t", "t"],
+    PF_N3 + ["--method", "enum"],
+    PF_N3 + ["--method", "algebraic"],
+    PF_N4 + ["--method", "enum"],
     ["spinchain", "verify", "--N", "6", "--x", "3/7"],
     *(["verify", "--suite", s, "--max-N", "4", "--trials", "2"]
       for s in ("exchange", "reduction", "zprops", "yandyy", "gflemma",

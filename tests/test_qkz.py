@@ -249,11 +249,42 @@ def test_z_property_suite(N):
     assert expected <= set(rep["subchecks"]), rep["subchecks"]
 
 
+def _gen_sum_raising(monkeypatch, failing_calls):
+    from xtl import qkz
+    real, calls = qkz.gen_sum_Z, []
+
+    def gen_sum(*args):
+        calls.append(args)
+        if len(calls) in failing_calls:
+            raise DegeneratePointError("forced degenerate point")
+        return real(*args)
+
+    monkeypatch.setattr(qkz, "gen_sum_Z", gen_sum)
+
+
+def test_z_properties_count_a_skipped_trial(monkeypatch):
+    # the first trial meets a degenerate point: it is counted, and the
+    # interpolation subchecks run on the next trial instead
+    _gen_sum_raising(monkeypatch, {1})
+    rep = check_Z_properties(3, trials=2, seed=5, interp_trials=1)
+    assert rep["pass"], rep["failures"][:2]
+    assert rep["skipped"] == 1
+    assert rep["subchecks"]["sign_flip"] == 1
+    assert rep["subchecks"]["degree_width"] == 1
+
+
+def test_z_properties_fail_when_every_trial_is_skipped(monkeypatch):
+    _gen_sum_raising(monkeypatch, range(1, 10 ** 6))
+    rep = check_Z_properties(3, trials=3, seed=5, interp_trials=1)
+    assert not rep["pass"] and rep["skipped"] == 3 and rep["subchecks"] == {}
+    assert [f["property"] for f in rep["failures"]] == ["no_trials_ran"]
+
+
 def test_report_shape_is_json_ready():
     import json
     rep = check_Z_properties(2, trials=2, seed=9, interp_trials=1)
     json.dumps(rep)
-    assert {"property", "N", "trials", "pass", "failures"} <= set(rep)
+    assert {"property", "N", "trials", "skipped", "pass", "failures"} <= set(rep)
 
 
 @pytest.mark.parametrize("N", [3, 4])

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from xtl import sixvertex
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        MultiLaurent as ML, UsageError, bracket, brace, inv)
 from xtl.operators import apply_two_site, mat4_eq, r_bulk, r_check_bulk
 from xtl.sampling import ExactSampler
-from xtl.sixvertex import (alpha_minus, alpha_plus, check_yb_identities,
-                           config_weight, enumerate_configs, overlap_ZZ,
-                           overlap_ZZ_poly_in_w, partition_algebraic,
-                           partition_enum, rescaled_YY)
+from xtl.sixvertex import (_column_steps, _transition_table, alpha_minus, alpha_plus,
+                           check_yb_identities, config_weight, enumerate_configs,
+                           overlap_ZZ, overlap_ZZ_poly_in_w, partition_algebraic,
+                           partition_algebraic_all_words, partition_enum,
+                           partition_enum_all_words, rescaled_YY)
 
 RNG = ExactSampler(101)
 S = RNG.s_value()
@@ -108,7 +110,6 @@ def test_homogeneous_partition_is_generating_function_in_t():
 
 
 def test_all_words_batch_matches_per_word():
-    from xtl.sixvertex import partition_algebraic_all_words, partition_enum_all_words
     n = 2
     zs = [RNG.nonzero() for _ in range(4)]
     enum = partition_enum_all_words(n, zs, S, T)
@@ -118,6 +119,79 @@ def test_all_words_batch_matches_per_word():
         assert enum[w] == partition_enum(n, w, zs, S, T)
         assert alg[w] == partition_algebraic(n, w, zs, S, T)
         assert enum[w] == alg[w]
+
+
+def _config_sum(n, word, zs):
+    total = G(0)
+    for c in enumerate_configs(n, word):
+        total = total + config_weight(c, zs, S, T)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_all_words_equal_sums_of_config_weights(n):
+    # a word whose configurations the pruning lost would read as a wrong zero
+    rng = ExactSampler(n)
+    zs = [rng.nonzero() for _ in range(2 * n)]
+    enum = partition_enum_all_words(n, zs, S, T)
+    words = ["".join(w) for w in itertools.product("ud", repeat=2 * n)]
+    assert sorted(enum) == sorted(words)
+    for w in words:
+        assert enum[w] == _config_sum(n, w, zs), w
+
+
+def test_alternating_words_n3_equal_sums_of_config_weights():
+    rng = ExactSampler(3)
+    zs = [rng.nonzero() for _ in range(6)]
+    for a in (alpha_plus(3), alpha_minus(3)):
+        assert partition_enum(3, a, zs, S, T) == _config_sum(3, a, zs), a
+
+
+def test_dual_route_all_words_n4():
+    rng = ExactSampler(404)
+    s, t = rng.s_value(), rng.nonzero()
+    zs = [rng.nonzero() for _ in range(8)]
+    assert partition_enum_all_words(4, zs, s, t) == partition_algebraic_all_words(4, zs, s, t)
+
+
+@pytest.mark.parametrize("letters", [tuple(alpha_plus(2)), tuple(alpha_minus(3)),
+                                     ("ud",) * 4, ("ud",) * 6])
+def test_transition_table_keeps_only_live_frontiers(letters):
+    # forward: the kept frontiers of column c are exactly those reachable by
+    # kept steps; backward: every kept step lands on a kept frontier of the
+    # next column, or on the accepting frontier after the last one
+    table = _transition_table(letters)
+    n2 = len(letters)
+    assert set(table[0]) == {()}
+    for c, cols in enumerate(table):
+        landed = {st[1] for steps in cols.values() for st in steps}
+        nxt = set(table[c + 1]) if c + 1 < n2 else {("L",) * n2}
+        assert landed == nxt
+        for f, steps in cols.items():
+            assert steps and all(st[0] in letters[c] for st in steps)
+            want = [(ch,) + st for ch in letters[c] for st in _column_steps(f, ch)
+                    if st[0] in nxt]
+            assert steps == want
+
+
+def test_negative_control_negated_turning_weight(monkeypatch):
+    # a wrong class weight in the automaton must break the dual-route agreement
+    real = sixvertex._vertex_weights
+
+    def negated_cp(zs, s, t):
+        weight = real(zs, s, t)
+        return lambda r, c, cls: -weight(r, c, cls) if cls == "cp" else weight(r, c, cls)
+
+    monkeypatch.setattr(sixvertex, "_vertex_weights", negated_cp)
+    rng = ExactSampler(5)
+    for n in (2, 3):
+        zs = [rng.nonzero() for _ in range(2 * n)]
+        for a in ("+", "-"):
+            assert partition_enum(n, a, zs, S, T) != partition_algebraic(n, a, zs, S, T), (n, a)
+    zs = [rng.nonzero() for _ in range(4)]
+    enum = partition_enum_all_words(2, zs, S, T)
+    alg = partition_algebraic_all_words(2, zs, S, T)
+    assert any(enum[w] != alg[w] for w in enum)
 
 
 def test_overlap_closed_forms():
@@ -213,7 +287,6 @@ def test_yang_baxter_suite_passes():
 
 
 def test_yang_baxter_trial_that_raises_is_resampled(monkeypatch):
-    from xtl import sixvertex
     real, calls = sixvertex._ybe_bulk_trial, []
 
     def flaky(rng):
@@ -230,8 +303,6 @@ def test_yang_baxter_trial_that_raises_is_resampled(monkeypatch):
 
 
 def test_yang_baxter_trial_that_always_raises_fails(monkeypatch):
-    from xtl import sixvertex
-
     def degenerate(rng):
         raise DegeneratePointError("always degenerate")
 
