@@ -168,6 +168,23 @@ def _order_to_N(order: int) -> int:
     return (order - 1) // 2
 
 
+# The largest order each tsasm route accepts; a larger request cannot finish
+# in reasonable time or memory.  Measured on a 2-vCPU Xeon, Python 3.11.7:
+#   enum (list, count --method enum) builds every matrix: order 19 takes 6 s
+#     and 0.17 GB, order 21 has 142,873 matrices (ten times as many);
+#   integral: order 23 takes 6 s, order 25 takes 88 s;
+#   partition and genfun walk the column automaton of size n = N//2: at order
+#     27 (n = 6) partition takes 5 s and genfun 3 s, both in 0.3 GB; at order
+#     29 (n = 7) genfun alone takes 35 s and 3 GB.
+_MAX_ORDER = {"enum": 19, "integral": 23, "partition": 27, "genfun": 27}
+
+
+def _check_order(order: int, route: str) -> None:
+    if order > _MAX_ORDER[route]:
+        raise UsageError(f"order {order} is above {_MAX_ORDER[route]}, the largest "
+                         f"order the {route} route can finish")
+
+
 def _cmd_tsasm(ns) -> int:
     from .tsasm import count_from_partition, enumerate_tsasm, genfun
 
@@ -176,6 +193,7 @@ def _cmd_tsasm(ns) -> int:
             raise UsageError("give exactly one of --order / --max-order")
         orders = ([ns.order] if ns.order is not None
                   else list(range(1, ns.max_order + 1, 2)))
+        _check_order(max(orders, default=0), ns.method)
         method = {"enum": lambda N: len(enumerate_tsasm(N)),
                   "integral": tsasm_count_integral,
                   "partition": count_from_partition}[ns.method]
@@ -187,10 +205,12 @@ def _cmd_tsasm(ns) -> int:
         if (ns.order is None) == (ns.N is None):
             raise UsageError("give exactly one of --order / --N")
         N = ns.N if ns.N is not None else _order_to_N(ns.order)
+        _check_order(2 * N + 1, "genfun")
         _emit(ns, serialize(genfun(N), ns.format))
         return 0
 
     N = _order_to_N(ns.order)
+    _check_order(ns.order, "enum")
     _emit(ns, serialize(enumerate_tsasm(N), ns.format))
     return 0
 

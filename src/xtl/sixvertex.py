@@ -22,7 +22,8 @@ boundary word alpha ('u'/'d' per column: 'u' = edge points up into the grid).
 Enumeration walks the columns left to right with constraint propagation, so
 partial orientations violating the ice rule or the boundary conditions are
 pruned immediately.  The same column automaton drives both the explicit
-configuration listing and the weighted partition sums: both walk one
+configuration listing and the weighted sums (the partition functions, and
+with monomial weights the TSASM generating function): both walk one
 transition table, pruned backward to the frontiers that can still reach the
 accepting frontier and memoized per tuple of per-column letter sets, and the
 sums form each vertex weight at most once per call.
@@ -278,16 +279,16 @@ def config_weight(config: SixVertexConfig, zs: Sequence, s, t):
     return w
 
 
-def _automaton_sums(letters: tuple, zs: Sequence, s, t) -> dict:
+def _automaton_sums(letters: tuple, weight, one) -> dict:
     """Weighted configuration sums of the column automaton, one per bottom
-    word; column c may take any letter of letters[c-1].  The state after each
-    column is keyed by (frontier, word prefix); only the live frontiers of
-    _transition_table are walked, and each column's weight is formed once per
-    transition before it multiplies the prefix sums."""
-    if len(zs) != len(letters):
-        raise UsageError(f"need {len(letters)} site values")
-    weight = _vertex_weights(zs, s, t)
-    states: dict = {(): {"": GaussianRational(1)}}
+    word; column c may take any letter of letters[c-1].  A vertex (r, c) of
+    class cls weighs weight(r, c, cls), a value of the ring with unit one:
+    brackets for the partition functions, monomials for the generating
+    function.  The state after each column is keyed by (frontier, word
+    prefix); only the live frontiers of _transition_table are walked, and each
+    column's weight is formed once per transition before it multiplies the
+    prefix sums."""
+    states: dict = {(): {"": one}}
     for c, table in enumerate(_transition_table(letters), start=1):
         new: dict = {}
         for frontier, prefixes in states.items():
@@ -310,7 +311,10 @@ def partition_enum(n: int, alpha: str, zs: Sequence, s, t):
     if n < 1:
         raise UsageError("n must be >= 1")
     alpha = _check_alpha(n, alpha)
-    return _automaton_sums(tuple(alpha), zs, s, t).get(alpha, GaussianRational(0))
+    if len(zs) != 2 * n:
+        raise UsageError(f"need {2 * n} site values")
+    sums = _automaton_sums(tuple(alpha), _vertex_weights(zs, s, t), GaussianRational(1))
+    return sums.get(alpha, GaussianRational(0))
 
 
 def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
@@ -318,7 +322,9 @@ def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
     column automaton with the bottom edges left free.  Returns {word: value}."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    out = _automaton_sums(("ud",) * (2 * n), zs, s, t)
+    if len(zs) != 2 * n:
+        raise UsageError(f"need {2 * n} site values")
+    out = _automaton_sums(("ud",) * (2 * n), _vertex_weights(zs, s, t), GaussianRational(1))
     zero = GaussianRational(0)
     return {"".join(w): out.get("".join(w), zero) for w in product("ud", repeat=2 * n)}
 

@@ -175,7 +175,7 @@ def check_corollaries(N: int, count_max: int = 6, susy_max: int = 5,
 
     if N <= shift_max:
         tau = MultiLaurent.var("tau")
-        lhs_d = genfun(N).substitute({"t": 1 + tau})
+        lhs_d = gf.substitute({"t": 1 + tau})
         rhs_d = genfun(N + 1).substitute({"t": 1})
         if lhs_d != rhs_d:
             rep.fail(part="d_shift", lhs=lhs_d.to_json(), rhs=rhs_d.to_json())

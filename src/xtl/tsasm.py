@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
                     interpolate_along)
-from .sixvertex import SixVertexConfig, alpha_minus, alpha_plus, enumerate_configs
+from .sixvertex import (SixVertexConfig, _automaton_sums, alpha_minus, alpha_plus,
+                        enumerate_configs)
 
 __all__ = [
     "is_tsasm", "diamond_tsasm", "TriangularArray", "triangular_array",
@@ -256,13 +257,33 @@ def enumerate_tsasm(N: int) -> list:
     return [from_sixvertex(c) for c in enumerate_configs(n, alpha)]
 
 
+_GF_VARS = ("t", "tau")
+# exponents of (t, tau) per vertex class: the nonzero staircase corners are
+# exactly the tp/tm corners (mu), the nonzero entries below the diagonal
+# exactly the cp/cm bulk vertices (nu)
+_GF_EXPONENTS = {"tp": (1, 0), "tm": (1, 0), "cp": (0, 1), "cm": (0, 1),
+                 "a": (0, 0), "b": (0, 0), "s": (0, 0)}
+
+
 def genfun(N: int) -> MultiLaurent:
-    """The generating function sum_A t^mu(A) tau^nu(A) over TSASMs of order 2N+1."""
-    out = MultiLaurent.const(0, ("t", "tau"))
-    for m in enumerate_tsasm(N):
-        arr = triangular_array(m)
-        out = out + MultiLaurent.monomial(("t", "tau"), (arr.mu(), arr.nu()))
-    return out
+    """The generating function sum_A t^mu(A) tau^nu(A) over TSASMs of order 2N+1.
+
+    No matrix is built: the column automaton of the staircase bijection sums
+    a monomial weight per configuration, t for each transmitting corner and
+    tau for each turning bulk vertex, aggregated per frontier.  The result
+    has int coefficients; it equals the sum over enumerate_tsasm(N) of
+    t^mu tau^nu read off triangular_array.
+    """
+    if N < 0:
+        raise UsageError("N must be >= 0")
+    n = N // 2
+    if n == 0:  # N = 0, 1: one matrix with an empty staircase
+        return MultiLaurent.const(1, _GF_VARS)
+    alpha = alpha_minus(n) if N % 2 == 0 else alpha_plus(n)
+    mono = {cls: MultiLaurent.monomial(_GF_VARS, e) for cls, e in _GF_EXPONENTS.items()}
+    sums = _automaton_sums(tuple(alpha), lambda r, c, cls: mono[cls],
+                           MultiLaurent.const(1, _GF_VARS))
+    return sums[alpha]
 
 
 def count_from_partition(N: int) -> int:

@@ -30,6 +30,8 @@ COMMANDS = [
     *(["tsasm", "count", "--max-order", "13", "--format", "csv", "--method", m]
       for m in ("enum", "integral", "partition")),
     ["tsasm", "genfun", "--order", "11"],
+    ["tsasm", "genfun", "--order", "17"],
+    ["tsasm", "genfun", "--order", "15", "--format", "text"],
     ["tsasm", "list", "--order", "9"],
     README_PF + ["--method", "enum"],
     README_PF + ["--method", "algebraic"],

@@ -7,6 +7,7 @@ import sys
 
 from xtl import cli
 from xtl.cli import dispatch
+from xtl.exact import MultiLaurent
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -99,6 +100,39 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run_cli(["nonsense"])
     assert code == 2
+
+
+def test_tsasm_refuses_orders_that_cannot_finish(monkeypatch, capsys):
+    # no route runs: each is replaced, so only the limit check is exercised
+    from xtl import tsasm
+
+    def never(N):
+        raise AssertionError("a refused request must not start its route")
+
+    for name in ("enumerate_tsasm", "genfun", "count_from_partition"):
+        monkeypatch.setattr(tsasm, name, never)
+    monkeypatch.setattr(cli, "tsasm_count_integral", never)
+    refused = [["tsasm", "list", "--order", "21"],
+               ["tsasm", "count", "--order", "21", "--method", "enum"],
+               ["tsasm", "count", "--max-order", "25", "--method", "integral"],
+               ["tsasm", "count", "--max-order", "29", "--method", "partition"],
+               ["tsasm", "genfun", "--order", "29"],
+               ["tsasm", "genfun", "--N", "14"]]
+    for args in refused:
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: order" in capsys.readouterr().err
+
+    # the limits themselves are accepted
+    monkeypatch.setattr(tsasm, "enumerate_tsasm", lambda N: [])
+    monkeypatch.setattr(tsasm, "genfun", lambda N: MultiLaurent.const(1, ("t", "tau")))
+    monkeypatch.setattr(tsasm, "count_from_partition", lambda N: 1)
+    monkeypatch.setattr(cli, "tsasm_count_integral", lambda N: 1)
+    for args in (["tsasm", "list", "--order", "19"],
+                 ["tsasm", "count", "--order", "19", "--method", "enum"],
+                 ["tsasm", "count", "--order", "23", "--method", "integral"],
+                 ["tsasm", "count", "--order", "27", "--method", "partition"],
+                 ["tsasm", "genfun", "--order", "27"]):
+        assert run_cli(args)[0] == 0, args
 
 
 def test_byte_stable_output():

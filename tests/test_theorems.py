@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from xtl import tsasm
 from xtl.contour import sum_components
 from xtl.exact import MultiLaurent
 from xtl.theorems import (check_corollaries, check_gf_lemma, check_main_theorem,
@@ -50,6 +51,21 @@ def test_corollary_count_chain_n6():
 def test_gf_lemma(n):
     rep = check_gf_lemma(n, trials=4, seed=2)
     assert rep.passed, rep.failures[:1]
+
+
+@pytest.mark.parametrize("tm", [(0, 0), (1, 1)])
+def test_negative_control_wrong_genfun_weight(monkeypatch, tm):
+    # the enumeration side shares the column automaton with the partition route;
+    # a wrong corner weight there (1 or t*tau instead of t) must break both
+    # theorems, so neither passes by construction.  Weight 1 flips the parity
+    # of mu, which the main theorem treats as an internal error.
+    monkeypatch.setattr(tsasm, "_GF_EXPONENTS", dict(tsasm._GF_EXPONENTS, tm=tm))
+    if tm == (0, 0):
+        with pytest.raises(RuntimeError):
+            check_main_theorem(3)
+    else:
+        assert not all(check_main_theorem(N).passed for N in range(6))
+    assert not check_gf_lemma(1, trials=2).passed
 
 
 @pytest.mark.parametrize("N", range(0, 7))

@@ -1,8 +1,11 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from xtl import tsasm
+from xtl.cli import serialize
 from xtl.contour import tsasm_count_integral
 from xtl.exact import DomainError, MultiLaurent, UsageError
 from xtl.sixvertex import enumerate_configs
@@ -12,6 +15,9 @@ from xtl.tsasm import (config_from_tsasm, count_from_partition, diamond_tsasm,
 
 T = MultiLaurent.var("t")
 TAU = MultiLaurent.var("tau")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "genfun_golden.json"
+# |TSASM(2N+1)| for N = 0..12 (OEIS A005164)
+A005164 = [1, 1, 1, 2, 4, 13, 46, 248, 1516, 13654, 142873, 2156888, 38456356]
 
 # the two published order-seven examples
 EX7_A = [
@@ -103,6 +109,35 @@ def test_genfun_published_values():
     assert genfun(4) == TAU + T ** 2 * (1 + TAU + TAU ** 2)
     assert genfun(5) == (TAU * (1 + TAU ** 2)
                          + T ** 2 * (1 + 3 * TAU + 4 * TAU ** 2 + 2 * TAU ** 3 + TAU ** 4))
+
+
+def genfun_by_listing(N):
+    """The defining sum: t^mu tau^nu over the listed, validated matrices."""
+    out = MultiLaurent.const(0, ("t", "tau"))
+    for m in enumerate_tsasm(N):
+        arr = triangular_array(m)
+        out = out + MultiLaurent.monomial(("t", "tau"), (arr.mu(), arr.nu()))
+    return out
+
+
+@pytest.mark.parametrize("N", range(9))
+def test_genfun_equals_sum_over_listed_matrices(N):
+    assert genfun(N) == genfun_by_listing(N)
+
+
+def test_genfun_golden_table():
+    # rows N <= 8 were written by the materializing genfun, N = 9..12 by the automaton
+    rows = json.loads(GOLDEN.read_text())["rows"]
+    assert [r["N"] for r in rows] == list(range(13))
+    for row in rows:
+        gf = MultiLaurent.from_json(json.loads(row["genfun"]))
+        assert gf.eval_at({"t": 1, "tau": 1}) == A005164[row["N"]]
+        assert serialize(genfun(row["N"]), "json") == row["genfun"] + "\n", row["N"]
+
+
+def test_genfun_rejects_negative_order():
+    with pytest.raises(UsageError):
+        genfun(-1)
 
 
 @pytest.mark.parametrize("N", range(7))
