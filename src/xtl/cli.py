@@ -256,10 +256,22 @@ def _cmd_spinchain(ns) -> int:
     return 0 if rep.passed else 1
 
 
+# the smallest --max-N at which a suite checks something (ybe ignores it and
+# gflemma always checks n = 1); "all" needs what exchange and zprops need
+_MIN_MAX_N = {"all": 2, "exchange": 2, "reduction": 2, "zprops": 2,
+              "yandyy": 0, "relationsz": 0, "main": 0, "corollaries": 0}
+
+
 def _suite_jobs(ns):
     """Declarative (kind, params) job specs for the requested suite; specs are
-    plain data so they can cross process boundaries."""
+    plain data so they can cross process boundaries.  A request that would
+    check nothing, and so pass vacuously, is a usage error."""
     max_n, trials, seed = ns.max_n, ns.trials, ns.seed
+    if trials < 1:
+        raise UsageError("--trials must be at least 1")
+    if max_n < _MIN_MAX_N.get(ns.suite, max_n):
+        raise UsageError(f"--suite {ns.suite} checks nothing below "
+                         f"--max-N {_MIN_MAX_N[ns.suite]}")
     jobs = []
     if ns.suite in ("all", "ybe"):
         jobs.append(("ybe", {"trials": max(trials, 20), "seed": seed}))

@@ -5,22 +5,28 @@ Two families of 2x2 / 4x4 matrices are used throughout:
 * the exchange-normalized crossing matrix and the diagonal boundary matrix
   acting on the eigenvector family (arguments q = s*s and beta);
 * the polynomial crossing matrix, its braid companion, and the symmetric
-  corner matrix of the triangular lattice model (arguments q = s*s, t).
+  corner matrix of the triangular lattice model (arguments q = s*s, t),
+  and the two-site pairing covector.
 
 Dense state vectors on L sites are plain lists of length 2**L over exact
 scalars; basis index b has the spin of site i (1-indexed, site 1 most
-significant) in bit (L - i), with up = 0 and down = 1.
+significant) in bit (L - i), with up = 0 and down = 1.  `SpinVector` is the
+one sparse form, keyed by down-spin position tuples over any exact ring; the
+chain Hamiltonian and the qKZ relation checks act through it.
 """
 
 from __future__ import annotations
 
-from .exact import DomainError, GaussianRational, as_gaussian, bracket, brace, inv
+from dataclasses import dataclass
+from typing import Mapping
+
+from .exact import DomainError, GaussianRational, UsageError, as_gaussian, bracket, brace, inv
 
 __all__ = [
-    "word_index", "index_word",
+    "SpinVector", "word_index", "index_word",
     "apply_one_site", "apply_two_site", "mat4_eq", "mat2_mul",
     "r_check_exchange", "k_boundary",
-    "r_bulk", "r_check_bulk", "k_corner", "det_k_corner",
+    "r_bulk", "r_check_bulk", "k_corner", "det_k_corner", "chi_covector",
     "basis_vector", "pairing",
 ]
 
@@ -54,6 +60,88 @@ def pairing(cov_terms, vec, L: int):
     for word, c in cov_terms:
         total = total + as_gaussian(c) * vec[word_index(word)]
     return total
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors on down-spin positions
+# ---------------------------------------------------------------------------
+
+def _collect(out: dict, terms) -> dict:
+    """Add (key, value) terms into out and return it; no zero value is kept."""
+    for k, v in terms:
+        v = out[k] + v if k in out else v
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+@dataclass(frozen=True)
+class SpinVector:
+    """Sparse vector on N sites indexed by strictly increasing down-spin
+    position tuples; amplitudes lie in any exact ring and none is zero."""
+
+    N: int
+    amps: Mapping[tuple, object]
+
+    @staticmethod
+    def make(N: int, amps: Mapping[tuple, object]) -> "SpinVector":
+        clean = {}
+        for k, v in amps.items():
+            k = tuple(k)
+            if any(not 1 <= p <= N for p in k) or list(k) != sorted(set(k)):
+                raise UsageError(f"bad down-spin positions {k} for N={N}")
+            if v:
+                clean[k] = v
+        return SpinVector(N, clean)
+
+    def amplitude(self, key: tuple):
+        return self.amps.get(tuple(key), 0)
+
+    def __add__(self, other: "SpinVector") -> "SpinVector":
+        if self.N != other.N:
+            raise UsageError("size mismatch")
+        return SpinVector(self.N, _collect(dict(self.amps), other.amps.items()))
+
+    def scale(self, c) -> "SpinVector":
+        if not c:
+            return SpinVector(self.N, {})
+        return SpinVector(self.N, {k: v * c for k, v in self.amps.items()})
+
+    def apply_one_site(self, m2, i: int) -> "SpinVector":
+        """Apply a 2x2 matrix (rows = out, cols = in) on site i."""
+        def terms():
+            for key, amp in self.amps.items():
+                down = i in key
+                rest = tuple(p for p in key if p != i)
+                for row in (0, 1):
+                    coef = m2[row][down]
+                    if coef:
+                        yield key if row == down else tuple(sorted(rest + (i,) * row)), coef * amp
+        return SpinVector(self.N, _collect({}, terms()))
+
+    def apply_two_site(self, m4, i: int) -> "SpinVector":
+        """Apply a 4x4 matrix on adjacent sites (i, i+1); row/col order uu, ud, du, dd."""
+        def terms():
+            for key, amp in self.amps.items():
+                col = 2 * (i in key) + (i + 1 in key)
+                rest = tuple(p for p in key if p != i and p != i + 1)
+                for row in range(4):
+                    coef = m4[row][col]
+                    if coef:
+                        add = (i,) * (row >> 1) + (i + 1,) * (row & 1)
+                        yield key if row == col else tuple(sorted(rest + add)), coef * amp
+        return SpinVector(self.N, _collect({}, terms()))
+
+    def insert_singlet(self, i: int) -> "SpinVector":
+        """Map a vector on N-2 sites to N sites by inserting ud - du at (i, i+1)."""
+        def terms():
+            for key, amp in self.amps.items():
+                shifted = tuple(p if p < i else p + 2 for p in key)
+                yield tuple(sorted(shifted + (i + 1,))), amp
+                yield tuple(sorted(shifted + (i,))), -amp
+        return SpinVector(self.N + 2, _collect({}, terms()))
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +270,11 @@ def k_corner(z, s, t):
 def det_k_corner(z, s, t):
     k = k_corner(z, s, t)
     return k[0][0] * k[1][1] - k[0][1] * k[1][0]
+
+
+def chi_covector(w, s):
+    """Dense coefficients [uu, ud, du, dd] of the two-site pairing covector;
+    aligned spins weigh {sw}/{s}, the corner matrix's off-diagonal entry."""
+    c = brace(s * w) * inv(brace(s))
+    one = c * 0 + 1
+    return [c, one, one, c]

@@ -13,23 +13,26 @@ Specializations that collide poles (equal site values up to sign, ratios
 +-q^{+-1}, products +-q^{-2}) raise DegeneratePointError; property checkers
 reach such points through exact one-variable Laurent interpolation instead,
 using the stated degree-width bounds.
+
+The vectors are `operators.SpinVector`s: the exchange, reflection and
+reduction checks act on them with the local matrices of `operators`, and the
+generalized sum pairs them with its two-site covector `chi_covector`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .exact import (DegeneratePointError, DomainError, GaussianRational,
                     MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
                     brace, div_exact_univar, interpolate_along, inv)
-from .operators import k_boundary, r_check_exchange
+from .operators import SpinVector, chi_covector, k_boundary, r_check_exchange
 from .sampling import ExactSampler, z_point_degenerate
 
 __all__ = [
-    "SpinVector", "chi_covector", "big_psi_component", "psi_vector",
+    "big_psi_component", "psi_vector",
     "psi_vector_poly_in_z", "psi_vector_homogeneous",
     "gen_sum_Z", "gen_sum_Z_poly_in_w", "rescaled_Y", "y_divisor",
     "check_exchange_and_reflection", "check_psi_reduction", "check_Z_properties",
@@ -38,114 +41,6 @@ __all__ = [
 _ONE = GaussianRational(1)
 _ZERO = GaussianRational(0)
 _I = GaussianRational(0, 1)
-
-
-# ---------------------------------------------------------------------------
-# sparse vectors on (C^2)^{\otimes N}
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpinVector:
-    """Sparse vector indexed by strictly increasing down-spin position tuples."""
-
-    N: int
-    amps: Mapping[tuple, GaussianRational]
-
-    @staticmethod
-    def make(N: int, amps: Mapping[tuple, GaussianRational]) -> "SpinVector":
-        clean = {}
-        for k, v in amps.items():
-            k = tuple(k)
-            if any(not 1 <= p <= N for p in k) or list(k) != sorted(set(k)):
-                raise UsageError(f"bad down-spin positions {k} for N={N}")
-            v = as_gaussian(v)
-            if not v.is_zero():
-                clean[k] = v
-        return SpinVector(N, clean)
-
-    def amplitude(self, key: tuple) -> GaussianRational:
-        return self.amps.get(tuple(key), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.amps
-
-    def __add__(self, other: "SpinVector") -> "SpinVector":
-        if self.N != other.N:
-            raise UsageError("size mismatch")
-        out = dict(self.amps)
-        for k, v in other.amps.items():
-            w = out.get(k, _ZERO) + v
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return SpinVector(self.N, out)
-
-    def scale(self, c) -> "SpinVector":
-        c = as_gaussian(c)
-        if c.is_zero():
-            return SpinVector(self.N, {})
-        return SpinVector(self.N, {k: v * c for k, v in self.amps.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SpinVector) and self.N == other.N
-                and self.amps == other.amps)
-
-    def apply_one_site(self, m2, i: int) -> "SpinVector":
-        out: dict = {}
-        for key, amp in self.amps.items():
-            down = i in key
-            rest = tuple(p for p in key if p != i)
-            for new_down, coef in ((False, m2[0][down]), (True, m2[1][down])):
-                if not coef:
-                    continue
-                nk = tuple(sorted(rest + ((i,) if new_down else ())))
-                w = out.get(nk, _ZERO) + coef * amp
-                if w.is_zero():
-                    out.pop(nk, None)
-                else:
-                    out[nk] = w
-        return SpinVector(self.N, out)
-
-    def apply_two_site(self, m4, i: int) -> "SpinVector":
-        """Apply a 4x4 matrix on adjacent sites (i, i+1)."""
-        out: dict = {}
-        for key, amp in self.amps.items():
-            col = 2 * (i in key) + (i + 1 in key)
-            rest = tuple(p for p in key if p != i and p != i + 1)
-            for row in range(4):
-                coef = m4[row][col]
-                if not coef:
-                    continue
-                add = (() if row == 0 else (i + 1,) if row == 1
-                       else (i,) if row == 2 else (i, i + 1))
-                nk = tuple(sorted(rest + add))
-                w = out.get(nk, _ZERO) + coef * amp
-                if w.is_zero():
-                    out.pop(nk, None)
-                else:
-                    out[nk] = w
-        return SpinVector(self.N, out)
-
-    def insert_singlet(self, i: int) -> "SpinVector":
-        """Map a vector on N-2 sites to N sites by inserting ud - du at (i, i+1)."""
-        out: dict = {}
-        for key, amp in self.amps.items():
-            shifted = tuple(p if p < i else p + 2 for p in key)
-            for pos, sign in ((i + 1, _ONE), (i, -_ONE)):
-                nk = tuple(sorted(shifted + (pos,)))
-                w = out.get(nk, _ZERO) + sign * amp
-                if w.is_zero():
-                    out.pop(nk, None)
-                else:
-                    out[nk] = w
-        return SpinVector(self.N + 2, out)
-
-
-def chi_covector(w, s):
-    """Dense coefficients [uu, ud, du, dd] of the two-site pairing covector."""
-    c = brace(s * w) * inv(brace(s))
-    return [c, _ONE + 0 * c, _ONE + 0 * c, c]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +294,7 @@ def _gen_sum_at(N: int, ws: Sequence, s, beta) -> GaussianRational:
     (w_1, 1/w_1, ..., w_n, 1/w_n[, 1]) paired with the covector that weighs
     every site pair (2i-1, 2i) whose spins agree by {s w_i}/{s}."""
     s = as_gaussian(s)
-    cs = [brace(s * w) * inv(brace(s)) for w in ws]
+    cs = [chi_covector(w, s)[0] for w in ws]
     total = _ZERO
     for key, amp in psi_vector(N, _half_specialized_sites(N, ws), s, beta).amps.items():
         for i, c in enumerate(cs):
@@ -538,19 +433,15 @@ def check_psi_reduction(N: int, i: int, zs: Sequence, s, beta) -> dict:
     polys = psi_vector_poly_in_z(N, zs, i + 1, s, beta)
     lhs = SpinVector.make(N, {k: p.eval_at({"z": special}) for k, p in polys.items()})
 
-    n = N // 2
-    if N == 2:
-        rhs = SpinVector.make(2, {(1,): -_ONE, (2,): _ONE}).scale(-bracket(beta * zi))
-    else:
-        pref = bracket(beta * zi)
-        for j in range(1, i):
-            pref = pref * bracket(q * zi * zs[j - 1].inverse()) * bracket(q * zi * zs[j - 1])
-        for j in range(i + 2, N + 1):
-            pref = pref * bracket(q * q * zi.inverse() * zs[j - 1]) * bracket(q * zi * zs[j - 1])
-        if (n + i + 1) % 2:
-            pref = -pref
-        inner = psi_vector(N - 2, zs[:i - 1] + zs[i + 1:], s, beta)
-        rhs = inner.insert_singlet(i).scale(pref)
+    pref = bracket(beta * zi)
+    for j in range(1, i):
+        pref = pref * bracket(q * zi * zs[j - 1].inverse()) * bracket(q * zi * zs[j - 1])
+    for j in range(i + 2, N + 1):
+        pref = pref * bracket(q * q * zi.inverse() * zs[j - 1]) * bracket(q * zi * zs[j - 1])
+    if (N // 2 + i + 1) % 2:
+        pref = -pref
+    inner = psi_vector(N - 2, zs[:i - 1] + zs[i + 1:], s, beta)
+    rhs = inner.insert_singlet(i).scale(pref)
     ok = lhs == rhs
     return {"property": "reduction", "N": N, "i": i, "pass": ok,
             "failures": [] if ok else [{"relation": "reduction", "i": i}]}

@@ -42,8 +42,10 @@ from typing import Mapping, Sequence
 from .exact import (DegeneratePointError, DomainError, GaussianRational,
                     MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
                     brace, interpolate_along, inv)
-from .operators import (apply_one_site, apply_two_site, basis_vector, k_corner,
-                        pairing, r_bulk, r_check_bulk, word_index)
+from .operators import (apply_one_site, apply_two_site, basis_vector, chi_covector,
+                        det_k_corner, index_word, k_boundary, k_corner, mat2_mul,
+                        pairing, r_bulk, r_check_bulk, r_check_exchange, word_index)
+from .sampling import ExactSampler
 
 __all__ = [
     "alpha_plus", "alpha_minus", "SixVertexConfig", "enumerate_configs",
@@ -132,13 +134,12 @@ def _check_alpha(n: int, alpha: str) -> str:
 # the column automaton
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _column_steps(frontier: tuple, alpha_c: str):
     """All ways to orient column c (len(frontier)+1 = c) given the incoming
     horizontal edges.  Returns (new_frontier, vlist, classes) triples; vlist is
     the column's vertical edge orientations bottom-up and classes the vertex
-    classes bottom-up (bulk ... bulk, corner last).  Pure in the geometry, so
-    memoized across all weightings and sizes."""
+    classes bottom-up (bulk ... bulk, corner last).  Not memoized: only
+    _transition_table calls it, once per (frontier, letter) of one build."""
     c = len(frontier) + 1
     out = []
 
@@ -175,7 +176,8 @@ def _transition_table(letters: tuple) -> tuple:
     (letter, new_frontier, vlist, classes) steps; a frontier is live when it is
     reachable from the empty frontier and reaches the accepting frontier
     ("L",)*2n, and a step is kept when it leads to a live frontier.  Pure in
-    the geometry, so memoized like _column_steps."""
+    the geometry, so memoized: count_from_partition and repeated
+    partition_enum calls reuse one table."""
     n2 = len(letters)
     trans: list[dict] = []
     frontiers = {()}
@@ -336,7 +338,6 @@ def partition_algebraic_all_words(n: int, zs: Sequence, s, t) -> dict:
         raise UsageError(f"need {2 * n} site values")
     vec = apply_operator_stack([as_gaussian(z) for z in zs], as_gaussian(s),
                                as_gaussian(t), basis_vector("d" * (2 * n)))
-    from .operators import index_word
     return {index_word(b, 2 * n): as_gaussian(v) if isinstance(v, int) else v
             for b, v in enumerate(vec)}
 
@@ -452,9 +453,6 @@ def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3)
     """Exact verification of the crossing/boundary consistency identities at
     random nondegenerate points.  Returns {family: {trials, failures: [...]}}.
     """
-    from . import qkz  # local import; qkz hosts the exchange-normalized matrices
-    from .sampling import ExactSampler
-
     rng = ExactSampler(seed)
     report: dict = {}
 
@@ -478,15 +476,15 @@ def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3)
 
     run("yang_baxter_bulk", _ybe_bulk_trial)
     run("boundary_yang_baxter_bulk", _bybe_bulk_trial)
-    run("yang_baxter_exchange", lambda rng: _ybe_exchange_trial(rng, qkz))
-    run("boundary_yang_baxter_exchange", lambda rng: _bybe_exchange_trial(rng, qkz))
+    run("yang_baxter_exchange", _ybe_exchange_trial)
+    run("boundary_yang_baxter_exchange", _bybe_exchange_trial)
     for n in range(1, max_stack_n + 1):
         run(f"stack_commutation_n{n}",
             lambda rng, n=n: _stack_commutation_trial(rng, n),
             trials if n < 3 else max(1, trials))
-    run("chi_exchange", lambda rng: _chi_exchange_trial(rng, qkz))
+    run("chi_exchange", _chi_exchange_trial)
     run("nu_exchange", _nu_exchange_trial)
-    run("chi_inversion", lambda rng: _chi_inversion_trial(rng, qkz))
+    run("chi_inversion", _chi_inversion_trial)
     run("nu_inversion", _nu_inversion_trial)
     run("braid_lowest_eigenaction", _braid_lowest_trial)
     run("corner_matrix_identities", _corner_matrix_trial)
@@ -530,8 +528,7 @@ def _bybe_bulk_trial(rng):
     return lhs == rhs, None if lhs == rhs else _fail_info("bybe_bulk", lhs, rhs)
 
 
-def _ybe_exchange_trial(rng, qkz):
-    from .operators import r_check_exchange
+def _ybe_exchange_trial(rng):
     s = rng.s_value()
     z1, z2, z3 = (rng.nonzero() for _ in range(3))
     r12a = r_check_exchange(z1 * inv(z2), s)
@@ -546,8 +543,7 @@ def _ybe_exchange_trial(rng, qkz):
     return lhs == rhs, None if lhs == rhs else _fail_info("ybe_exchange", lhs, rhs)
 
 
-def _bybe_exchange_trial(rng, qkz):
-    from .operators import k_boundary, r_check_exchange
+def _bybe_exchange_trial(rng):
     s, beta = rng.s_value(), rng.beta_value()
     z1, z2 = rng.nonzero(), rng.nonzero()
     ra = r_check_exchange(z1 * inv(z2), s)
@@ -588,15 +584,14 @@ def _stack_commutation_trial(rng, n):
     return True, None
 
 
-def _chi_exchange_trial(rng, qkz):
-    from .operators import r_check_exchange
+def _chi_exchange_trial(rng):
     s = rng.s_value()
     z, w = rng.nonzero(), rng.nonzero()
     r_zw = r_check_exchange(z * w, s)
     r_zbw = r_check_exchange(z * inv(w), s)
     L = 4
-    cov_l = _tensor_cov(qkz.chi_covector(w, s), qkz.chi_covector(z, s))
-    cov_r = _tensor_cov(qkz.chi_covector(z, s), qkz.chi_covector(w, s))
+    cov_l = _tensor_cov(chi_covector(w, s), chi_covector(z, s))
+    cov_r = _tensor_cov(chi_covector(z, s), chi_covector(w, s))
     lhs = _cov_apply(cov_l, [(r_zw, 2, 3), (r_zbw, 1, 2)], L)
     rhs = _cov_apply(cov_r, [(r_zw, 2, 3), (r_zbw, 3, 4)], L)
     ok = lhs == rhs
@@ -624,14 +619,13 @@ def _nu_exchange_trial(rng):
     return ok, None if ok else _fail_info("nu_exchange", lhs, rhs)
 
 
-def _chi_inversion_trial(rng, qkz):
-    from .operators import r_check_exchange
+def _chi_inversion_trial(rng):
     s = rng.s_value()
     z = rng.nonzero()
     rc = r_check_exchange(z * z, s)
-    lhs = _cov_apply(qkz.chi_covector(inv(z), s), [(rc, 1, 2)], 2)
+    lhs = _cov_apply(chi_covector(inv(z), s), [(rc, 1, 2)], 2)
     fac = bracket(inv(s) * inv(z)) * inv(bracket(inv(s) * z))
-    rhs = [fac * x for x in qkz.chi_covector(z, s)]
+    rhs = [fac * x for x in chi_covector(z, s)]
     ok = lhs == rhs
     return ok, None if ok else _fail_info("chi_inversion", lhs, rhs)
 
@@ -660,7 +654,6 @@ def _braid_lowest_trial(rng):
 
 
 def _corner_matrix_trial(rng):
-    from .operators import det_k_corner, mat2_mul
     s, t = rng.s_value(), rng.nonzero()
     w = rng.nonzero()
     q = s * s

@@ -1,11 +1,14 @@
 """The open anisotropic spin chain and its exactly known eigenvector.
 
-The Hamiltonian on N two-state sites couples neighbours with anisotropy -1/2
-and carries diagonal boundary fields p = (1/2)(1/2 - x), p' = (1/2)(1/2 - 1/x)
-for a nonzero parameter x.  Basis convention: words over up/down with site 1
-most significant, up = 0, down = 1; the magnetization (half the up-minus-down
+The Hamiltonian on N two-state sites is a sum of local terms: the neighbour
+coupling with anisotropy -1/2 on each adjacent pair, and diagonal boundary
+fields p = (1/2)(1/2 - x) on site 1 and p' = (1/2)(1/2 - 1/x) on site N,
+for a nonzero parameter x in any exact ring (a `MultiLaurent` variable
+included).  Basis convention: words over up/down with site 1 most
+significant, up = 0, down = 1; the magnetization (half the up-minus-down
 count) commutes with the Hamiltonian, so the action is evaluated inside the
-fixed-magnetization sector spanned by the down-position tuples.
+fixed-magnetization sector, on the sparse down-position vectors of
+`operators.SpinVector`.
 
 The eigenvector candidate is built from the component table of the contour
 kernels at tau = 1; verification asserts an exactly zero residual, never a
@@ -19,27 +22,29 @@ from fractions import Fraction
 from typing import Mapping
 
 from .contour import ChainShape, psi_components
-from .exact import DomainError, MultiLaurent, UsageError
+from .exact import UsageError, inv
+from .operators import SpinVector
 
 __all__ = ["SparseHamiltonian", "build_hamiltonian", "apply_hamiltonian_sector",
            "eigenvalue_E", "verify_eigenpair", "EigenReport"]
 
 
 def _as_x(x):
-    if isinstance(x, MultiLaurent):
-        return x
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    return x
+    """x as a ring element (an int becomes a Fraction); DomainError at x = 0."""
+    return inv(inv(x))
 
 
 def _boundary_fields(x):
     half = Fraction(1, 2)
-    if isinstance(x, MultiLaurent):
-        xinv = x.inverse()
-        return half * (half - x), half * (half - xinv)
-    return half * (half - x), half * (half - 1 / x)
+    return half * (half - x), half * (half - inv(x))
+
+
+# the neighbour coupling on (i, i+1), rows and columns in the order uu, ud, du, dd
+_QUARTER = Fraction(1, 4)
+_NEIGHBOUR = ((_QUARTER, 0, 0, 0),
+              (0, -_QUARTER, -1, 0),
+              (0, -1, -_QUARTER, 0),
+              (0, 0, 0, _QUARTER))
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,6 @@ def build_hamiltonian(N: int, x) -> SparseHamiltonian:
         raise UsageError("N must be >= 1")
     x = _as_x(x)
     p, pp = _boundary_fields(x)
-    quarter = Fraction(1, 4)
     dim = 1 << N
     cols = []
     for b in range(dim):
@@ -77,7 +81,7 @@ def build_hamiltonian(N: int, x) -> SparseHamiltonian:
         col = {}
         diag = 0
         for i in range(N - 1):
-            diag = diag + quarter * (spins[i] * spins[i + 1])
+            diag = diag + _QUARTER * (spins[i] * spins[i + 1])
             if spins[i] != spins[i + 1]:
                 flipped = b ^ (1 << (N - 1 - i)) ^ (1 << (N - 2 - i))
                 col[flipped] = col.get(flipped, 0) - 1
@@ -90,48 +94,25 @@ def build_hamiltonian(N: int, x) -> SparseHamiltonian:
 def apply_hamiltonian_sector(N: int, x, amps: Mapping[tuple, Fraction]) -> dict:
     """Apply the Hamiltonian to a vector given by down-position amplitudes.
 
-    The result stays in the same magnetization sector.  The neighbour coupling
-    contributes -1 on each adjacent up-down flip and (1/4) s_i s_{i+1} on the
-    diagonal; the boundary fields weight the first and last spin.
+    The result stays in the same magnetization sector: it is the sum of the
+    neighbour coupling on each adjacent pair and of diag(p, -p) on site 1 and
+    diag(p', -p') on site N, each applied to the same vector.
     """
-    x = _as_x(x)
+    if N < 1:
+        raise UsageError("N must be >= 1")
     p, pp = _boundary_fields(x)
-    quarter = Fraction(1, 4)
-    out: dict = {}
-
-    def add(key, val):
-        cur = out.get(key, 0) + val
-        if cur == 0:
-            out.pop(key, None)
-        else:
-            out[key] = cur
-
-    for key, amp in amps.items():
-        if amp == 0:
-            continue
-        downs = set(key)
-        diag = 0
-        for i in range(1, N):
-            si = -1 if i in downs else 1
-            sj = -1 if i + 1 in downs else 1
-            if si != sj:
-                flipped = tuple(sorted(downs ^ {i, i + 1}))
-                add(flipped, -amp)
-            diag = diag + quarter * si * sj
-        diag = diag + p * (-1 if 1 in downs else 1) + pp * (-1 if N in downs else 1)
-        add(key, diag * amp)
-    return out
+    vec = SpinVector.make(N, amps)
+    hv = vec.apply_one_site(((p, 0), (0, -p)), 1) + vec.apply_one_site(((pp, 0), (0, -pp)), N)
+    for i in range(1, N):
+        hv = hv + vec.apply_two_site(_NEIGHBOUR, i)
+    return hv.amps
 
 
 def eigenvalue_E(N: int, x) -> Fraction:
     """The closed-form eigenvalue -(3N-1)/4 - (1-x)^2/(2x)."""
     if N < 1:
         raise UsageError("N must be >= 1")
-    if isinstance(x, MultiLaurent):
-        return (MultiLaurent.const(Fraction(-(3 * N - 1), 4))
-                - (1 - x) ** 2 * x.inverse() * Fraction(1, 2))
-    x = _as_x(x)
-    return Fraction(-(3 * N - 1), 4) - (1 - x) ** 2 / (2 * x)
+    return Fraction(-(3 * N - 1), 4) - (1 - x) ** 2 * inv(x) / 2
 
 
 @dataclass(frozen=True)
@@ -159,30 +140,14 @@ def verify_eigenpair(N: int, x) -> EigenReport:
 
     Asserts H v = E v with identically zero residual, that v lies in the
     magnetization sector eps/2, and that the lowest position tuple has
-    amplitude 1.
+    amplitude 1 (the empty tuple labels the all-up state of one site).
     """
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
+    x = _as_x(x)
     shape = ChainShape.of(N)
     table = psi_components(N, x=x, tau=Fraction(1))
-    amps = {a: Fraction(v) if isinstance(v, int) else v
-            for a, v in table.entries.items() if v != 0}
-    if N == 1:
-        amps = {(): Fraction(1)}
-    # the empty tuple labels the all-up state for chains of one site
-    keys = {a for a in amps}
-    sector_ok = all(len(a) == shape.n for a in keys)
-    first = tuple(range(1, shape.n + 1))
-    norm_ok = amps.get(first, 0) == 1
+    amps = {a: v for a, v in table.entries.items() if v}
+    sector_ok = all(len(a) == shape.n for a in amps)
+    norm_ok = amps.get(tuple(range(1, shape.n + 1)), 0) == 1
     e = eigenvalue_E(N, x)
-    if N == 1:
-        hv = {(): (Fraction(1, 2) - x / 2 - 1 / (2 * x)) * amps[()]}
-    else:
-        hv = apply_hamiltonian_sector(N, x, amps)
-    residual_zero = True
-    for key in set(hv) | set(amps):
-        if hv.get(key, 0) != e * amps.get(key, 0):
-            residual_zero = False
-            break
+    residual_zero = apply_hamiltonian_sector(N, x, amps) == SpinVector(N, amps).scale(e).amps
     return EigenReport(N, x, e, residual_zero, sector_ok, norm_ok)

@@ -135,6 +135,34 @@ def test_tsasm_refuses_orders_that_cannot_finish(monkeypatch, capsys):
         assert run_cli(args)[0] == 0, args
 
 
+def test_verify_refuses_requests_that_check_nothing(monkeypatch, capsys):
+    # no job runs: a refused request fails before any job starts
+    def never(job):
+        raise AssertionError("a refused request must not run a job")
+
+    monkeypatch.setattr(cli, "_run_job", never)
+    refused = [["verify", "--suite", s, "--trials", t]
+               for s in ("all", "exchange", "zprops", "yandyy", "relationsz", "main")
+               for t in ("0", "-3")]
+    refused += [["verify", "--suite", s, "--max-N", "1", "--trials", "2"]
+                for s in ("all", "exchange", "reduction", "zprops")]
+    refused += [["verify", "--suite", s, "--max-N", "-1"]
+                for s in ("yandyy", "relationsz", "main", "corollaries")]
+    for args in refused:
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: " in capsys.readouterr().err
+
+    # the smallest accepted requests run their jobs
+    monkeypatch.setattr(cli, "_run_job", lambda job: (True, job[0]))
+    for args, lines in ((["--suite", "zprops", "--max-N", "2", "--trials", "1"], 1),
+                        (["--suite", "exchange", "--max-N", "2", "--trials", "1"], 1),
+                        (["--suite", "main", "--max-N", "0"], 1),
+                        (["--suite", "gflemma", "--max-N", "0"], 1),
+                        (["--suite", "ybe", "--max-N", "0"], 1)):
+        code, out = run_cli(["verify"] + args)
+        assert code == 0 and len(out.splitlines()) == lines, args
+
+
 def test_byte_stable_output():
     a = run_cli(["sum", "--N", "5", "--format", "json"])
     b = run_cli(["sum", "--N", "5", "--format", "json"])

@@ -7,15 +7,18 @@ import pytest
 from xtl.contour import psi_components, sum_components
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        bracket, brace, format_scalar, inv)
-from xtl.qkz import (SpinVector, big_psi_component, check_exchange_and_reflection,
+from xtl.operators import SpinVector, r_check_exchange
+from xtl.qkz import (big_psi_component, check_exchange_and_reflection,
                      check_psi_reduction, check_Z_properties, gen_sum_Z,
                      gen_sum_Z_poly_in_w, psi_vector, psi_vector_homogeneous,
                      psi_vector_poly_in_z, rescaled_Y)
 from xtl.sampling import ExactSampler
 
-RNG = ExactSampler(77)
-S = RNG.s_value()
-BETA = RNG.beta_value()
+# fixed parameters; every test draws its points from a sampler of its own, so
+# a test's point does not depend on which tests ran before it
+_PARAMS = ExactSampler(77)
+S = _PARAMS.s_value()
+BETA = _PARAMS.beta_value()
 Q = S * S
 I = G(0, 1)
 
@@ -36,7 +39,7 @@ def induced_xtau():
 # ---------------------------------------------------------------------------
 
 def test_two_site_components():
-    z1, z2 = RNG.z_point(2, S)
+    z1, z2 = ExactSampler(7701).z_point(2, S)
     v = psi_vector(2, (z1, z2), S, BETA)
     assert v.amplitude((1,)) == bracket(BETA * z1)
     assert v.amplitude((2,)) == -bracket(Q * BETA * z2)
@@ -44,7 +47,7 @@ def test_two_site_components():
 
 
 def test_three_site_components():
-    zs = RNG.z_point(3, S)
+    zs = ExactSampler(7702).z_point(3, S)
     z1, z2, z3 = zs
     v = psi_vector(3, zs, S, BETA)
     assert v.amplitude((1,)) == (bracket(BETA * z1) * bracket(Q * z3 * inv(z2))
@@ -90,10 +93,9 @@ def test_residue_order_independence():
     # and compensating with the exchange matrices returns the same vector, so
     # two independent evaluations of the same component agree: the walk over
     # one tuple and the walk sharing prefixes across all tuples
-    # a sampler of its own, so the module sampler's later points stay as they were
     rng = ExactSampler(500)
     for N in range(2, 7):
-        zs = RNG.z_point(N, S) if N == 4 else rng.z_point(N, S)
+        zs = rng.z_point(N, S)
         vec = psi_vector(N, zs, S, BETA)
         for a in combinations(range(1, N + 1), N // 2):
             assert big_psi_component(N, a, zs, S, BETA) == vec.amplitude(a), (N, a)
@@ -124,20 +126,20 @@ def test_psi_vector_matches_golden_strings(point):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_exchange_and_reflection(N):
+    rng = ExactSampler(7710 + N)
     for trial in range(3):
-        zs = RNG.z_point(N, S)
+        zs = rng.z_point(N, S)
         for i in range(1, N):
             rep = check_exchange_and_reflection(N, i, zs, S, BETA)
             assert rep["pass"], rep
 
 
 def test_exchange_negative_control():
-    zs = RNG.z_point(3, S)
+    zs = ExactSampler(7703).z_point(3, S)
     base = psi_vector(3, zs, S, BETA)
     amps = dict(base.amps)
     amps[(1,)] = base.amplitude((1,)) + 1
     perturbed = SpinVector.make(3, amps)
-    from xtl.operators import r_check_exchange
     swapped = [zs[1], zs[0], zs[2]]
     lhs = perturbed.apply_two_site(r_check_exchange(zs[0] * zs[1].inverse(), S), 1)
     assert lhs != psi_vector(3, swapped, S, BETA)
@@ -146,14 +148,14 @@ def test_exchange_negative_control():
 @pytest.mark.parametrize("N,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
                                  (5, 2), (5, 4), (6, 1), (6, 3), (6, 5)])
 def test_reduction(N, i):
-    zs = RNG.z_point(N, S)
+    zs = ExactSampler(7800 + 10 * N + i).z_point(N, S)
     rep = check_psi_reduction(N, i, zs, S, BETA)
     assert rep["pass"], rep
 
 
 def test_reduction_two_site_closed_form():
     # the smallest case degenerates to a singlet with an elementary prefactor
-    zs = RNG.z_point(2, S)
+    zs = ExactSampler(7704).z_point(2, S)
     polys = psi_vector_poly_in_z(2, zs, 2, S, BETA)
     special = zs[0] * Q.inverse()
     lhs = {k: G(0) + p.eval_at({"z": special}) for k, p in polys.items()}
@@ -167,7 +169,7 @@ def test_reduction_two_site_closed_form():
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_components_are_centred_with_stated_widths(N):
-    zs = RNG.z_point(N, S)
+    zs = ExactSampler(7720 + N).z_point(N, S)
     n, npr = N // 2, (N + 1) // 2
     i = 1 + (N % 2)
     polys = psi_vector_poly_in_z(N, zs, i, S, BETA)
@@ -183,9 +185,10 @@ def test_components_are_centred_with_stated_widths(N):
 # ---------------------------------------------------------------------------
 
 def test_gen_sum_closed_forms():
-    w1 = RNG.w_point(2, S)[0]
+    rng = ExactSampler(7705)
+    w1 = rng.w_point(2, S)[0]
     assert gen_sum_Z(2, [w1], S, BETA) == bracket(inv(S) * w1) * brace(S * BETA)
-    w1 = RNG.w_point(3, S)[0]
+    w1 = rng.w_point(3, S)[0]
     got = gen_sum_Z(3, [w1], S, BETA)
     want = (bracket(inv(S) * w1) * bracket(Q * w1) * bracket(Q * inv(w1))
             * brace(S * BETA) * brace(S ** 3) * inv(brace(S)))
@@ -214,18 +217,20 @@ def test_chi_factorizes_at_unit_argument():
 
 
 def test_gen_sum_zeros():
-    ws = list(RNG.w_point(4, S))
+    rng = ExactSampler(7706)
+    ws = list(rng.w_point(4, S))
     poly = gen_sum_Z_poly_in_w(4, ws, 1, S, BETA)
     assert not poly.eval_at({"w": S}) and not poly.eval_at({"w": -S})
-    ws3 = list(RNG.w_point(3, S))
+    ws3 = list(rng.w_point(3, S))
     poly3 = gen_sum_Z_poly_in_w(3, ws3, 1, S, BETA)
     for z in (S, -S, Q.inverse(), -Q.inverse()):
         assert not poly3.eval_at({"w": z})
 
 
 def test_rescaled_sum_constant_for_two_sites():
+    rng = ExactSampler(7707)
     for _ in range(3):
-        w1 = RNG.w_point(2, S)[0]
+        w1 = rng.w_point(2, S)[0]
         assert rescaled_Y(2, [w1], S, BETA) == brace(S * BETA)
     assert rescaled_Y(0, [], S, BETA) == 1
     assert rescaled_Y(1, [], S, BETA) == 1

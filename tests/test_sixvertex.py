@@ -14,10 +14,12 @@ from xtl.sixvertex import (_column_steps, _transition_table, alpha_minus, alpha_
                            partition_algebraic_all_words, partition_enum,
                            partition_enum_all_words, rescaled_YY)
 
-RNG = ExactSampler(101)
-S = RNG.s_value()
-T = RNG.nonzero()
-B = RNG.nonzero()
+# fixed parameters; every test draws its points from a sampler of its own, so
+# a test's point does not depend on which tests ran before it
+_PARAMS = ExactSampler(101)
+S = _PARAMS.s_value()
+T = _PARAMS.nonzero()
+B = _PARAMS.nonzero()
 Q = S * S
 
 
@@ -44,7 +46,8 @@ def test_dump_lines_are_distinct_and_sorted():
 
 
 def test_size_one_partition_closed_forms_numeric():
-    z1, z2 = RNG.nonzero(), RNG.nonzero()
+    rng = ExactSampler(10101)
+    z1, z2 = rng.nonzero(), rng.nonzero()
     zp = partition_enum(1, "+", [z1, z2], S, T)
     zm = partition_enum(1, "-", [z1, z2], S, T)
     assert zp == -T * bracket(Q * z1 * z2) * brace(S ** 3 * inv(z1)) * inv(brace(S))
@@ -60,7 +63,8 @@ def test_size_one_partition_closed_form_symbolic_sites():
 
 def test_corner_and_bulk_weight_values():
     # the two transmitting corner states weigh t; the two turning bulk states -[q^2]
-    zs = [RNG.nonzero(), RNG.nonzero()]
+    rng = ExactSampler(10102)
+    zs = [rng.nonzero(), rng.nonzero()]
     for cfg in enumerate_configs(1, "+"):
         w = config_weight(cfg, zs, S, T)
         classes = {cfg.corner_class(1), cfg.corner_class(2)}
@@ -74,7 +78,8 @@ def test_corner_and_bulk_weight_values():
 
 
 def test_partition_enum_equals_sum_of_config_weights():
-    zs = [RNG.nonzero() for _ in range(4)]
+    rng = ExactSampler(10103)
+    zs = [rng.nonzero() for _ in range(4)]
     total = None
     for c in enumerate_configs(2, "-"):
         w = config_weight(c, zs, S, T)
@@ -84,7 +89,8 @@ def test_partition_enum_equals_sum_of_config_weights():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dual_route_partition_functions(n):
-    zs = [RNG.nonzero() for _ in range(2 * n)]
+    rng = ExactSampler(10110 + n)
+    zs = [rng.nonzero() for _ in range(2 * n)]
     words = ["".join(w) for w in itertools.product("ud", repeat=2 * n)]
     if n == 3:
         words = random.Random(0).sample(words, 16) + [alpha_plus(3), alpha_minus(3)]
@@ -93,7 +99,8 @@ def test_dual_route_partition_functions(n):
 
 
 def test_dual_route_alternating_words_n4():
-    zs = [RNG.nonzero() for _ in range(8)]
+    rng = ExactSampler(10104)
+    zs = [rng.nonzero() for _ in range(8)]
     for a in ("+", "-"):
         assert partition_enum(4, a, zs, S, T) == partition_algebraic(4, a, zs, S, T)
 
@@ -111,7 +118,8 @@ def test_homogeneous_partition_is_generating_function_in_t():
 
 def test_all_words_batch_matches_per_word():
     n = 2
-    zs = [RNG.nonzero() for _ in range(4)]
+    rng = ExactSampler(10105)
+    zs = [rng.nonzero() for _ in range(4)]
     enum = partition_enum_all_words(n, zs, S, T)
     alg = partition_algebraic_all_words(n, zs, S, T)
     assert len(enum) == 16
@@ -195,7 +203,7 @@ def test_negative_control_negated_turning_weight(monkeypatch):
 
 
 def test_overlap_closed_forms():
-    w1 = RNG.w_point(2, S)[0]
+    w1 = ExactSampler(10106).w_point(2, S)[0]
     got = overlap_ZZ(1, [w1], S, T, B)
     assert got == T * bracket(S) * brace(B * inv(S)) * bracket(Q * Q * inv(w1) ** 2)
     assert rescaled_YY(1, [w1], S, T, B) == -T * brace(B * inv(S))
@@ -206,7 +214,7 @@ def test_overlap_closed_forms():
 def test_overlap_expands_over_pairing_words():
     # the overlap is the stated 2^n combination of half-specialized partition values
     n = 2
-    ws = list(RNG.w_point(2 * n, S))
+    ws = list(ExactSampler(10107).w_point(2 * n, S))
     zs = [ws[0], ws[0].inverse(), ws[1], ws[1].inverse()]
     cu = [bracket(inv(Q) * B * w) for w in ws]
     cd = [bracket(Q * B * inv(w)) for w in ws]
@@ -222,7 +230,7 @@ def test_overlap_expands_over_pairing_words():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_overlap_symmetry_inversion_evenness(n):
-    ws = list(RNG.w_point(2 * n, S))
+    ws = list(ExactSampler(10120 + n).w_point(2 * n, S))
     z0 = overlap_ZZ(n, ws, S, T, B)
     assert overlap_ZZ(n, [-ws[0]] + ws[1:], S, T, B) == z0
     li = overlap_ZZ(n, [ws[0].inverse()] + ws[1:], S, T, B) * bracket(Q * Q * ws[0].inverse() ** 2)
@@ -234,7 +242,7 @@ def test_overlap_symmetry_inversion_evenness(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_overlap_reduction_half_turn(n):
-    ws = list(RNG.w_point(2 * n, S))
+    ws = list(ExactSampler(10130 + n).w_point(2 * n, S))
     pt = ws[:-1] + [G(0, 1) * S]
     lhs = rescaled_YY(n, pt, S, T, B)
     rhs = T * brace(B * inv(S))
@@ -248,7 +256,7 @@ def test_overlap_reduction_half_turn(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_overlap_reduction_pair(n):
-    ws = list(RNG.w_point(2 * n, S))
+    ws = list(ExactSampler(10140 + n).w_point(2 * n, S))
     pt = list(ws)
     pt[n - 1] = ws[n - 2] * Q.inverse()
     w0 = ws[n - 2]
@@ -266,7 +274,7 @@ def test_overlap_reduction_pair(n):
 def test_overlap_polynomial_width_bound(n):
     # even inversion-symmetric rescaled overlap of width at most 8(n-1)
     from xtl.exact import div_exact_univar
-    ws = list(RNG.w_point(2 * n, S))
+    ws = list(ExactSampler(10150 + n).w_point(2 * n, S))
     poly = overlap_ZZ_poly_in_w(n, ws, 1, S, T, B)
     assert all(e[0] % 2 == 0 for e in poly.terms)
     den = bracket(S) ** n
@@ -333,8 +341,9 @@ def test_stack_commutation_full_operator_n3():
 
 def test_negative_control_corrupted_crossing_matrix():
     # a corrupted crossing entry must break the cubic consistency identity
-    s = RNG.s_value()
-    z, w = RNG.nonzero(), RNG.nonzero()
+    rng = ExactSampler(10108)
+    s = rng.s_value()
+    z, w = rng.nonzero(), rng.nonzero()
     rc = r_check_bulk(z * inv(w), s)
     bad = tuple(tuple(v * 2 if (r, c) == (0, 0) else v for c, v in enumerate(row))
                 for r, row in enumerate(rc))

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from xtl.contour import psi_components, sum_components
-from xtl.exact import DomainError
+from xtl.exact import DomainError, MultiLaurent, UsageError
+from xtl.operators import SpinVector
 from xtl.spinchain import (apply_hamiltonian_sector, build_hamiltonian,
                            eigenvalue_E, verify_eigenpair)
 
@@ -46,27 +48,77 @@ def test_dense_matrix_is_symmetric_and_sector_preserving():
                     assert bin(a).count("1") == bin(b).count("1")
 
 
+def _index(N, key):
+    b = 0
+    for p in key:
+        b |= 1 << (N - p)
+    return b
+
+
 def test_sector_application_matches_dense():
     N, x = 4, Fraction(5, 3)
     h = build_hamiltonian(N, x).dense()
     amps = {(1, 3): Fraction(2), (2, 4): Fraction(-1, 2), (3, 4): Fraction(7)}
-
-    def idx(key):
-        b = 0
-        for p in key:
-            b |= 1 << (N - p)
-        return b
-
     out = apply_hamiltonian_sector(N, x, amps)
     dim = 1 << N
     vec = [Fraction(0)] * dim
     for k, v in amps.items():
-        vec[idx(k)] = v
+        vec[_index(N, k)] = v
     hv = [sum(h[r][c] * vec[c] for c in range(dim)) for r in range(dim)]
     got = [Fraction(0)] * dim
     for k, v in out.items():
-        got[idx(k)] = v
+        got[_index(N, k)] = v
     assert got == hv
+
+
+@pytest.mark.parametrize("x", [Fraction(5, 3), Fraction(-2, 7)])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_sector_application_matches_dense_in_every_sector(N, x):
+    # every down-position tuple of every sector carries a nonzero amplitude,
+    # and N = 1 is the boundary fields alone
+    h = build_hamiltonian(N, x).dense()
+    keys = [k for n in range(N + 1) for k in combinations(range(1, N + 1), n)]
+    amps = {k: Fraction(3 * j - 7, j + 2) for j, k in enumerate(keys)}
+    out = apply_hamiltonian_sector(N, x, amps)
+    dim = 1 << N
+    vec = [Fraction(0)] * dim
+    for k, v in amps.items():
+        vec[_index(N, k)] = v
+    hv = [sum(h[r][c] * vec[c] for c in range(dim)) for r in range(dim)]
+    got = [Fraction(0)] * dim
+    for k, v in out.items():
+        got[_index(N, k)] = v
+    assert got == hv
+    assert all(v != 0 for v in out.values())
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_symbolic_x_evaluates_to_numeric_results(N):
+    X = MultiLaurent.var("x")
+    x = Fraction(5, 3)
+    assert eigenvalue_E(N, X).eval_at({"x": x}) == eigenvalue_E(N, x)
+    amps = dict(psi_components(N, x=x, tau=Fraction(1)).entries)
+    symbolic = apply_hamiltonian_sector(N, X, amps)
+    numeric = apply_hamiltonian_sector(N, x, amps)
+    assert {k: v.eval_at({"x": x}) for k, v in symbolic.items()
+            if v.eval_at({"x": x})} == numeric
+    # the table at this x is an eigenvector, so both sides give E v
+    e = eigenvalue_E(N, x)
+    assert numeric == {k: e * v for k, v in amps.items() if v}
+
+
+def test_spin_vector_keeps_the_ring_and_drops_zeros():
+    X = MultiLaurent.var("x")
+    v = SpinVector.make(2, {(1,): X, (2,): Fraction(1, 2), (1, 2): 0})
+    assert v.amps == {(1,): X, (2,): Fraction(1, 2)}
+    assert type(v.amps[(2,)]) is Fraction
+    assert (v + SpinVector.make(2, {(1,): -X})).amps == {(2,): Fraction(1, 2)}
+    assert v.apply_one_site(((1, 0), (0, 0)), 1).amps == {(2,): Fraction(1, 2)}
+    assert v != SpinVector.make(2, {(1,): X})
+    with pytest.raises(UsageError):
+        SpinVector.make(2, {(2, 1): 1})
+    with pytest.raises(UsageError):
+        SpinVector.make(2, {(3,): 1})
 
 
 @pytest.mark.parametrize("x", [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 5)])
