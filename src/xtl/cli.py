@@ -142,6 +142,7 @@ def serialize(result, fmt: str) -> str:
 
 
 def _cmd_psi(ns) -> int:
+    _check_order(2 * ns.N + 1, "psi")
     x = parse_scalar(ns.x) if ns.x else None
     tau = parse_scalar(ns.tau) if ns.tau else None
     table = psi_components(ns.N, x=x, tau=tau)
@@ -158,6 +159,7 @@ def _cmd_psi(ns) -> int:
 
 
 def _cmd_sum(ns) -> int:
+    _check_order(2 * ns.N + 1, "sum")
     _emit(ns, serialize(sum_components(ns.N), ns.format))
     return 0
 
@@ -168,15 +170,22 @@ def _order_to_N(order: int) -> int:
     return (order - 1) // 2
 
 
-# The largest order each tsasm route accepts; a larger request cannot finish
-# in reasonable time or memory.  Measured on a 2-vCPU Xeon, Python 3.11.7:
+# The largest order each tsasm route, and order 2N+1 for psi and sum --N,
+# accepts; a larger request cannot finish in reasonable time or memory.
+# Measured on a 2-vCPU Xeon, Python 3.11.7:
 #   enum (list, count --method enum) builds every matrix: order 19 takes 6 s
 #     and 0.17 GB, order 21 has 142,873 matrices (ten times as many);
 #   integral: order 23 takes 6 s, order 25 takes 88 s;
 #   partition and genfun walk the column automaton of size n = N//2: at order
 #     27 (n = 6) partition takes 5 s and genfun 3 s, both in 0.3 GB; at order
-#     29 (n = 7) genfun alone takes 35 s and 3 GB.
-_MAX_ORDER = {"enum": 19, "integral": 23, "partition": 27, "genfun": 27}
+#     29 (n = 7) genfun alone takes 35 s and 3 GB;
+#   psi and sum expand the contour series once over packed ints: at N = 11
+#     psi takes 8.5 s in 0.16 GB and sum 11 s in 0.19 GB; at N = 12 the
+#     truncated series has up to twelve times as many terms (665,280 against
+#     55,440) with wider ints, and even its plain-int count (integral, order
+#     25) takes 88 s.
+_MAX_ORDER = {"enum": 19, "integral": 23, "partition": 27, "genfun": 27,
+              "psi": 23, "sum": 23}
 
 
 def _check_order(order: int, route: str) -> None:

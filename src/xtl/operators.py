@@ -54,7 +54,7 @@ def basis_vector(word: str):
     return vec
 
 
-def pairing(cov_terms, vec, L: int):
+def pairing(cov_terms, vec):
     """Dual pairing of a covector (list of (word, coeff)) with a dense vector."""
     total = GaussianRational(0)
     for word, c in cov_terms:

@@ -403,7 +403,7 @@ def overlap_ZZ(n: int, ws: Sequence, s, t, b):
     for w in ws:
         zs.extend([w, w.inverse()])
     vec = apply_operator_stack(zs, s, t, basis_vector("d" * (2 * n)))
-    return pairing(_nu_covector_terms(n, ws, s, b), vec, 2 * n)
+    return pairing(_nu_covector_terms(n, ws, s, b), vec)
 
 
 def rescaled_YY(n: int, ws: Sequence, s, t, b):

@@ -114,25 +114,29 @@ def check_gf_lemma(n: int, trials: int = 20, seed: int = 42) -> TheoremReport:
     return rep
 
 
-def check_main_theorem(N: int) -> TheoremReport:
-    """Full symbolic identity: the component sum equals the generating function
-    with t-powers replaced by (1+x)^mu (1+x(x-tau))^((n-mu)/2) tau^nu.
+def _weighted_enumeration(gf: MultiLaurent, n: int, tau) -> MultiLaurent:
+    """The generating function with t-powers replaced by
+    (1+x)^mu (1+x(x-tau))^((n-mu)/2) tau^nu, at a symbolic or given tau.
 
     The exponent (n-mu)/2 is an integer because every mu in the generating
     function has the parity of n; a violation is an internal error.
     """
-    rep = TheoremReport("component_sum_equals_weighted_enumeration", {"N": N})
-    n = ChainShape.of(N).n
-    gf = genfun(N)
-    lhs = sum_components(N)
     x = MultiLaurent.var("x")
-    tau = MultiLaurent.var("tau")
     base = 1 + x * (x - tau)
     rhs = MultiLaurent.const(0, ("x", "tau"))
     for (mu, nu), c in gf.sorted_terms():
         if (n - mu) % 2 or not 0 <= mu <= n or nu < 0:
             raise RuntimeError(f"generating-function exponent parity violated: {(mu, nu)}")
         rhs = rhs + c * (1 + x) ** mu * base ** ((n - mu) // 2) * tau ** nu
+    return rhs
+
+
+def check_main_theorem(N: int) -> TheoremReport:
+    """Full symbolic identity: the component sum equals the generating function
+    with t-powers replaced by (1+x)^mu (1+x(x-tau))^((n-mu)/2) tau^nu."""
+    rep = TheoremReport("component_sum_equals_weighted_enumeration", {"N": N})
+    lhs = sum_components(N)
+    rhs = _weighted_enumeration(genfun(N), ChainShape.of(N).n, MultiLaurent.var("tau"))
     if lhs != rhs:
         rep.fail(lhs=lhs.to_json(), rhs=rhs.to_json())
     return rep
@@ -150,14 +154,9 @@ def check_corollaries(N: int, count_max: int = 6, susy_max: int = 5,
     """
     rep = TheoremReport("corollaries", {"N": N, "count_max": count_max,
                                         "susy_max": susy_max, "shift_max": shift_max})
-    n = ChainShape.of(N).n
     gf = genfun(N)
-    x = MultiLaurent.var("x")
-    base = 1 + x * (x - 1)
-    rhs = MultiLaurent.const(0, ("x",))
-    for (mu, nu), c in gf.sorted_terms():
-        rhs = rhs + c * (1 + x) ** mu * base ** ((n - mu) // 2)
-    lhs = sum_components(N).substitute({"tau": 1})
+    lhs = sum_components(N, tau=1)
+    rhs = _weighted_enumeration(gf, ChainShape.of(N).n, 1)
     if lhs != rhs:
         rep.fail(part="a_tau_one", lhs=lhs.to_json(), rhs=rhs.to_json())
 

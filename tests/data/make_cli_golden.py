@@ -25,6 +25,9 @@ PF_N4 = ["sixvertex", "pf", "--n", "4", "--alpha", "-", "--s", "5/2", "--t", "3"
 COMMANDS = [
     ["psi", "--N", "4"],
     ["psi", "--N", "5", "--x", "3/7", "--tau", "2", "--format", "text"],
+    ["psi", "--N", "3", "--x", "2"],
+    ["psi", "--N", "4", "--tau", "1/2", "--format", "text"],
+    ["psi", "--N", "4", "--x", "1+i", "--tau", "2"],
     ["sum", "--N", "5", "--format", "text"],
     ["sum", "--N", "6"],
     *(["tsasm", "count", "--max-order", "13", "--format", "csv", "--method", m]

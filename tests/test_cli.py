@@ -7,6 +7,7 @@ import sys
 
 from xtl import cli
 from xtl.cli import dispatch
+from xtl.contour import ChainShape, ComponentTable
 from xtl.exact import MultiLaurent
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -132,6 +133,26 @@ def test_tsasm_refuses_orders_that_cannot_finish(monkeypatch, capsys):
                  ["tsasm", "count", "--order", "23", "--method", "integral"],
                  ["tsasm", "count", "--order", "27", "--method", "partition"],
                  ["tsasm", "genfun", "--order", "27"]):
+        assert run_cli(args)[0] == 0, args
+
+
+def test_psi_and_sum_refuse_sizes_that_cannot_finish(monkeypatch, capsys):
+    # nothing is expanded: both routes are replaced, so only the limit check runs
+    def never(N, x=None, tau=None):
+        raise AssertionError("a refused request must not start its route")
+
+    monkeypatch.setattr(cli, "psi_components", never)
+    monkeypatch.setattr(cli, "sum_components", never)
+    for args in (["psi", "--N", "12"], ["psi", "--N", "12", "--x", "2", "--tau", "1"],
+                 ["sum", "--N", "12"], ["sum", "--N", "40", "--format", "text"]):
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: order" in capsys.readouterr().err
+
+    # N = 11 (order 23) is accepted
+    table = ComponentTable(ChainShape.of(0), {(): 1})
+    monkeypatch.setattr(cli, "psi_components", lambda N, x=None, tau=None: table)
+    monkeypatch.setattr(cli, "sum_components", lambda N: MultiLaurent.const(1, ("x", "tau")))
+    for args in (["psi", "--N", "11"], ["sum", "--N", "11"]):
         assert run_cli(args)[0] == 0, args
 
 

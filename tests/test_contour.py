@@ -1,13 +1,29 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from xtl import contour
+from xtl.cli import serialize
 from xtl.contour import ChainShape, psi_components, sum_components, tsasm_count_integral
 from xtl.exact import DomainError, MultiLaurent
 
 X = MultiLaurent.var("x")
 T = MultiLaurent.var("tau")
+
+# tests/data/make_sum_golden.py wrote these strings from an earlier contour
+# route (MultiLaurent coefficients); the packed-int route must reproduce them
+SUM_GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
+                         / "sum_golden.json").read_text())
+
+
+def _sum_json(N):
+    return serialize(sum_components(N), "json").rstrip("\n")
+
+
+def _psi_json(N):
+    return json.dumps(psi_components(N).to_json(), separators=(",", ":"))
 
 
 def test_chain_shape():
@@ -103,3 +119,30 @@ def test_component_table_json():
     obj = psi_components(2).to_json()
     assert obj["N"] == 2 and obj["n"] == 1
     assert [e["a"] for e in obj["entries"]] == [[1], [2]]
+
+
+@pytest.mark.parametrize("row", SUM_GOLDEN["sum"], ids=lambda r: f"N{r['N']}")
+def test_sum_components_match_golden(row):
+    assert _sum_json(row["N"]) == row["sum"]
+
+
+@pytest.mark.parametrize("row", SUM_GOLDEN["psi"], ids=lambda r: f"N{r['N']}")
+def test_psi_components_match_golden(row):
+    assert _psi_json(row["N"]) == row["psi"]
+
+
+def test_golden_replay_catches_a_too_narrow_digit_width(monkeypatch):
+    # the largest coefficient of sum_components(8) has 10 bits, so balanced
+    # digits need B >= 11: the replay passes there and fails one bit lower
+    # (the derived bound gives B = 50 at N = 8, so the margin is all in the
+    # bound; see contour._extract)
+    row = SUM_GOLDEN["sum"][8]
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 11)
+    assert _sum_json(8) == row["sum"]
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 10)
+    assert _sum_json(8) != row["sum"]
+    psi_row = SUM_GOLDEN["psi"][8]  # largest coefficient: 7 bits
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 8)
+    assert _psi_json(8) == psi_row["psi"]
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 7)
+    assert _psi_json(8) != psi_row["psi"]

@@ -58,11 +58,13 @@ def test_negative_control_wrong_genfun_weight(monkeypatch, tm):
     # the enumeration side shares the column automaton with the partition route;
     # a wrong corner weight there (1 or t*tau instead of t) must break both
     # theorems, so neither passes by construction.  Weight 1 flips the parity
-    # of mu, which the main theorem treats as an internal error.
+    # of mu, which the main theorem and corollary (a) treat as an internal error.
     monkeypatch.setattr(tsasm, "_GF_EXPONENTS", dict(tsasm._GF_EXPONENTS, tm=tm))
     if tm == (0, 0):
         with pytest.raises(RuntimeError):
             check_main_theorem(3)
+        with pytest.raises(RuntimeError):
+            check_corollaries(3)
     else:
         assert not all(check_main_theorem(N).passed for N in range(6))
     assert not check_gf_lemma(1, trials=2).passed
