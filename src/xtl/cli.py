@@ -183,9 +183,15 @@ def _order_to_N(order: int) -> int:
 #     psi takes 8.5 s in 0.16 GB and sum 11 s in 0.19 GB; at N = 12 the
 #     truncated series has up to twelve times as many terms (665,280 against
 #     55,440) with wider ints, and even its plain-int count (integral, order
-#     25) takes 88 s.
+#     25) takes 88 s.  spinchain verify --N expands psi, so it shares the psi
+#     limit (at N = 40 it was killed by SIGKILL before it finished);
+#   sixvertex pf --n n is checked at order 4n + 1, the order whose count runs
+#     the same 2n-site automaton; --alpha + --s 2 --t 3 at unit sites:
+#     pf_enum takes 2.8 s in 0.27 GB at n = 6 and 34 s in 2.5 GB at n = 7,
+#     pf_algebraic (a dense 2^(2n) stack column) 4.6 s in 23 MB at n = 7 and
+#     25 s at n = 8.
 _MAX_ORDER = {"enum": 19, "integral": 23, "partition": 27, "genfun": 27,
-              "psi": 23, "sum": 23}
+              "psi": 23, "sum": 23, "pf_enum": 25, "pf_algebraic": 29}
 
 
 def _check_order(order: int, route: str) -> None:
@@ -202,7 +208,9 @@ def _cmd_tsasm(ns) -> int:
             raise UsageError("give exactly one of --order / --max-order")
         orders = ([ns.order] if ns.order is not None
                   else list(range(1, ns.max_order + 1, 2)))
-        _check_order(max(orders, default=0), ns.method)
+        if not orders:
+            raise UsageError("--max-order must be at least 1")
+        _check_order(max(orders), ns.method)
         method = {"enum": lambda N: len(enumerate_tsasm(N)),
                   "integral": tsasm_count_integral,
                   "partition": count_from_partition}[ns.method]
@@ -237,6 +245,7 @@ def _scalar_or_var(token: str):
 def _cmd_sixvertex(ns) -> int:
     from .sixvertex import partition_algebraic, partition_enum
 
+    _check_order(4 * ns.n + 1, f"pf_{ns.method}")
     s = GaussianRational(0) + parse_scalar(ns.s)
     t = _scalar_or_var(ns.t)
     if ns.z:
@@ -260,7 +269,12 @@ def _cmd_sixvertex(ns) -> int:
 def _cmd_spinchain(ns) -> int:
     from .spinchain import verify_eigenpair
 
-    rep = verify_eigenpair(ns.N, Fraction(ns.x))
+    _check_order(2 * ns.N + 1, "psi")  # verify_eigenpair expands psi_components(N)
+    try:
+        x = Fraction(ns.x)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in --x {ns.x!r}") from None
+    rep = verify_eigenpair(ns.N, x)
     _emit(ns, json.dumps(rep.to_json()) + "\n")
     return 0 if rep.passed else 1
 

@@ -295,21 +295,25 @@ def format_scalar(c: Scalar) -> str:
 
 
 def parse_scalar(s: str) -> Scalar:
-    """Parse the canonical scalar strings; returns int, Fraction, or GaussianRational."""
+    """Parse the canonical scalar strings; returns int, Fraction, or GaussianRational.
+    A zero denominator is a UsageError."""
     s = s.strip().replace(" ", "")
-    if s.endswith("*i") or s.endswith("i"):
-        body = s[:-2] if s.endswith("*i") else s[:-1]
-        # split off the imaginary part: last +/- not at position 0 and not in a numerator sign
-        idx = max(body.rfind("+", 1), body.rfind("-", 1))
-        # guard against "1/-2"-style strings (not emitted, but be strict)
-        if idx <= 0:
-            re_part, im_part = "0", body if body not in ("", "+", "-") else body + "1"
-        else:
-            re_part, im_part = body[:idx], body[idx:]
-        if im_part in ("+", "-"):
-            im_part += "1"
-        return GaussianRational(Fraction(re_part), Fraction(im_part))
-    f = Fraction(s)
+    try:
+        if s.endswith("*i") or s.endswith("i"):
+            body = s[:-2] if s.endswith("*i") else s[:-1]
+            # split off the imaginary part: last +/- not at position 0 and not in a numerator sign
+            idx = max(body.rfind("+", 1), body.rfind("-", 1))
+            # guard against "1/-2"-style strings (not emitted, but be strict)
+            if idx <= 0:
+                re_part, im_part = "0", body if body not in ("", "+", "-") else body + "1"
+            else:
+                re_part, im_part = body[:idx], body[idx:]
+            if im_part in ("+", "-"):
+                im_part += "1"
+            return GaussianRational(Fraction(re_part), Fraction(im_part))
+        f = Fraction(s)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in scalar {s!r}") from None
     return int(f) if f.denominator == 1 else f
 
 

@@ -6,7 +6,7 @@ Two families of 2x2 / 4x4 matrices are used throughout:
   acting on the eigenvector family (arguments q = s*s and beta);
 * the polynomial crossing matrix, its braid companion, and the symmetric
   corner matrix of the triangular lattice model (arguments q = s*s, t),
-  and the two-site pairing covector.
+  and the two-site covector chi that the generalized sum pairs with.
 
 Dense state vectors on L sites are plain lists of length 2**L over exact
 scalars; basis index b has the spin of site i (1-indexed, site 1 most
@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .exact import DomainError, GaussianRational, UsageError, as_gaussian, bracket, brace, inv
+from .exact import DomainError, GaussianRational, UsageError, bracket, brace, inv
 
 __all__ = [
     "SpinVector", "word_index", "index_word",
-    "apply_one_site", "apply_two_site", "mat4_eq", "mat2_mul",
+    "apply_one_site", "apply_two_site", "mat2_mul",
     "r_check_exchange", "k_boundary",
     "r_bulk", "r_check_bulk", "k_corner", "det_k_corner", "chi_covector",
-    "basis_vector", "pairing",
+    "basis_vector",
 ]
 
 UP, DOWN = "u", "d"
@@ -52,14 +52,6 @@ def basis_vector(word: str):
     vec = [0] * (1 << L)
     vec[word_index(word)] = GaussianRational(1)
     return vec
-
-
-def pairing(cov_terms, vec):
-    """Dual pairing of a covector (list of (word, coeff)) with a dense vector."""
-    total = GaussianRational(0)
-    for word, c in cov_terms:
-        total = total + as_gaussian(c) * vec[word_index(word)]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +191,6 @@ def mat2_mul(a, b):
         for r in range(2))
 
 
-def mat4_eq(a, b) -> bool:
-    return all(a[r][c] == b[r][c] for r in range(4) for c in range(4))
-
-
 # ---------------------------------------------------------------------------
 # the exchange-normalized crossing and boundary matrices
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def det_k_corner(z, s, t):
 
 
 def chi_covector(w, s):
-    """Dense coefficients [uu, ud, du, dd] of the two-site pairing covector;
+    """Dense coefficients [uu, ud, du, dd] of the two-site covector chi;
     aligned spins weigh {sw}/{s}, the corner matrix's off-diagonal entry."""
     c = brace(s * w) * inv(brace(s))
     one = c * 0 + 1

@@ -44,7 +44,7 @@ from .exact import (DegeneratePointError, DomainError, GaussianRational,
                     brace, interpolate_along, inv)
 from .operators import (apply_one_site, apply_two_site, basis_vector, chi_covector,
                         det_k_corner, index_word, k_boundary, k_corner, mat2_mul,
-                        pairing, r_bulk, r_check_bulk, r_check_exchange, word_index)
+                        r_bulk, r_check_bulk, r_check_exchange, word_index)
 from .sampling import ExactSampler
 
 __all__ = [
@@ -331,20 +331,17 @@ def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
     return {"".join(w): out.get("".join(w), zero) for w in product("ud", repeat=2 * n)}
 
 
-def partition_algebraic_all_words(n: int, zs: Sequence, s, t) -> dict:
-    """Matrix elements <word| stack |dd...d> for every word, from one stack
-    application."""
-    if len(zs) != 2 * n:
-        raise UsageError(f"need {2 * n} site values")
-    vec = apply_operator_stack([as_gaussian(z) for z in zs], as_gaussian(s),
-                               as_gaussian(t), basis_vector("d" * (2 * n)))
-    return {index_word(b, 2 * n): as_gaussian(v) if isinstance(v, int) else v
-            for b, v in enumerate(vec)}
-
-
 # ---------------------------------------------------------------------------
 # the operator stack
 # ---------------------------------------------------------------------------
+
+def _act(vec: list, ops, L: int) -> list:
+    """Apply operators to a dense vector on L sites, the first listed first:
+    (2x2, site) acts on one site and (4x4, i, j) on the pair (i, j)."""
+    for op in ops:
+        vec = apply_one_site(vec, *op, L) if len(op) == 2 else apply_two_site(vec, *op, L)
+    return vec
+
 
 def apply_operator_stack(zs: Sequence, s, t, vec: list) -> list:
     """Apply the full row-transfer operator for site values zs to a dense vector.
@@ -354,13 +351,18 @@ def apply_operator_stack(zs: Sequence, s, t, vec: list) -> list:
     the vector right to left, i.e. row 2n first, and within a row the crossing
     with the largest k first.
     """
-    n2 = len(zs)
-    L = n2
-    for j in range(n2, 0, -1):
-        for k in range(n2, j, -1):
-            vec = apply_two_site(vec, r_bulk(zs[j - 1] * zs[k - 1], s), j, k, L)
-        vec = apply_one_site(vec, k_corner(zs[j - 1], s, t), j, L)
-    return vec
+    L = len(zs)
+    ops = []
+    for j in range(L, 0, -1):
+        ops += [(r_bulk(zs[j - 1] * zs[k - 1], s), j, k) for k in range(L, j, -1)]
+        ops.append((k_corner(zs[j - 1], s, t), j))
+    return _act(vec, ops, L)
+
+
+def _stack_column(zs: Sequence, s, t) -> list:
+    """The stack applied to |dd...d>: entry b is <b| stack |dd...d>."""
+    return apply_operator_stack([as_gaussian(z) for z in zs], as_gaussian(s),
+                                as_gaussian(t), basis_vector("d" * len(zs)))
 
 
 def partition_algebraic(n: int, alpha: str, zs: Sequence, s, t):
@@ -368,27 +370,22 @@ def partition_algebraic(n: int, alpha: str, zs: Sequence, s, t):
     alpha = _check_alpha(n, alpha)
     if len(zs) != 2 * n:
         raise UsageError(f"need {2 * n} site values")
-    vec = apply_operator_stack([as_gaussian(z) for z in zs], as_gaussian(s),
-                               as_gaussian(t), basis_vector("d" * (2 * n)))
-    out = vec[word_index(alpha)]
-    return as_gaussian(out if not isinstance(out, int) else out)
+    return as_gaussian(_stack_column(zs, s, t)[word_index(alpha)])
 
 
-def _nu_covector_terms(n: int, ws: Sequence, s, b):
-    """The 2**n words with coefficients prod_i [b w_i / q] or [q b / w_i]."""
-    q = s * s
-    terms = [("", GaussianRational(1))]
-    for i in range(n):
-        cu = bracket(inv(q) * b * ws[i])       # pair (up, down)
-        cd = bracket(q * b * inv(ws[i]))       # pair (down, up)
-        terms = [(w + "ud", c * cu) for (w, c) in terms] + \
-                [(w + "du", c * cd) for (w, c) in terms]
-    return terms
+def partition_algebraic_all_words(n: int, zs: Sequence, s, t) -> dict:
+    """Matrix elements <word| stack |dd...d> for every word, from one stack
+    application."""
+    if len(zs) != 2 * n:
+        raise UsageError(f"need {2 * n} site values")
+    return {index_word(b, 2 * n): as_gaussian(v)
+            for b, v in enumerate(_stack_column(zs, s, t))}
 
 
 def overlap_ZZ(n: int, ws: Sequence, s, t, b):
-    """The boundary overlap: the two-row covector built from b paired with the
-    operator stack at the pairwise-inverted site values (w_1, 1/w_1, ...)."""
+    """The boundary overlap: the two-row covector built from b, the tensor
+    product of _nu_cov(w_i), paired with the operator stack at the
+    pairwise-inverted site values (w_1, 1/w_1, ...)."""
     if n < 0:
         raise UsageError("n must be >= 0")
     if n == 0:
@@ -399,11 +396,12 @@ def overlap_ZZ(n: int, ws: Sequence, s, t, b):
     if any(w.is_zero() for w in ws):
         raise DegeneratePointError("site values must be nonzero")
     s, t, b = as_gaussian(s), as_gaussian(t), as_gaussian(b)
-    zs = []
+    zs, cov = [], [GaussianRational(1)]
     for w in ws:
         zs.extend([w, w.inverse()])
-    vec = apply_operator_stack(zs, s, t, basis_vector("d" * (2 * n)))
-    return pairing(_nu_covector_terms(n, ws, s, b), vec)
+        cov = _tensor_cov(cov, _nu_cov(w, s, b))
+    return sum((c * v for c, v in zip(cov, _stack_column(zs, s, t)) if c),
+               GaussianRational(0))
 
 
 def rescaled_YY(n: int, ws: Sequence, s, t, b):
@@ -451,63 +449,56 @@ _MAX_REDRAWS = 20  # draws per trial before check_yb_identities reports a failur
 
 def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3) -> dict:
     """Exact verification of the crossing/boundary consistency identities at
-    random nondegenerate points.  Returns {family: {trials, failures: [...]}}.
+    random nondegenerate points.  Each trial returns the two sides of its
+    identity.  Returns {family: {trials, resampled, failures: [...]}} and
+    "passed"; a failure records the family and both sides, or the error.
     """
+    if trials < 1:
+        raise UsageError("trials must be at least 1")
     rng = ExactSampler(seed)
     report: dict = {}
 
-    def run(name, fn, ntrials=None):
+    def run(name, fn):
         # a trial that raises DomainError drew a degenerate point: redraw it
         fails, resampled = [], 0
-        for _ in range(ntrials or trials):
+        for _ in range(trials):
             for _ in range(_MAX_REDRAWS):
                 try:
-                    ok, info = fn(rng)
+                    lhs, rhs = fn(rng)
                     break
                 except DomainError:
                     resampled += 1
             else:
-                ok, info = False, {"identity": name, "error":
-                                   f"no nondegenerate point in {_MAX_REDRAWS} draws"}
-            if not ok:
-                fails.append(info)
-        report[name] = {"trials": ntrials or trials, "resampled": resampled,
-                        "failures": fails}
+                fails.append({"identity": name, "error":
+                              f"no nondegenerate point in {_MAX_REDRAWS} draws"})
+                continue
+            if lhs != rhs:
+                fails.append({"identity": name, "lhs": repr(lhs), "rhs": repr(rhs)})
+        report[name] = {"trials": trials, "resampled": resampled, "failures": fails}
 
     run("yang_baxter_bulk", _ybe_bulk_trial)
     run("boundary_yang_baxter_bulk", _bybe_bulk_trial)
     run("yang_baxter_exchange", _ybe_exchange_trial)
     run("boundary_yang_baxter_exchange", _bybe_exchange_trial)
     for n in range(1, max_stack_n + 1):
-        run(f"stack_commutation_n{n}",
-            lambda rng, n=n: _stack_commutation_trial(rng, n),
-            trials if n < 3 else max(1, trials))
+        run(f"stack_commutation_n{n}", lambda rng, n=n: _stack_commutation_trial(rng, n))
     run("chi_exchange", _chi_exchange_trial)
     run("nu_exchange", _nu_exchange_trial)
     run("chi_inversion", _chi_inversion_trial)
     run("nu_inversion", _nu_inversion_trial)
     run("braid_lowest_eigenaction", _braid_lowest_trial)
     run("corner_matrix_identities", _corner_matrix_trial)
-    report["passed"] = all(not v["failures"] for v in report.values()
-                           if isinstance(v, dict))
+    report["passed"] = all(not v["failures"] for v in report.values())
     return report
-
-
-def _fail_info(name, lhs, rhs):
-    return {"identity": name, "lhs": repr(lhs), "rhs": repr(rhs)}
 
 
 def _ybe_bulk_trial(rng):
     s = rng.s_value()
     z, w = rng.nonzero(), rng.nonzero()
     rc = r_check_bulk(z * inv(w), s)
-    L = 3
-    vec = rng.dense_vector(L)
-    lhs = apply_two_site(apply_two_site(apply_two_site(
-        vec, r_bulk(w, s), 2, 3, L), r_bulk(z, s), 1, 3, L), rc, 1, 2, L)
-    rhs = apply_two_site(apply_two_site(apply_two_site(
-        vec, rc, 1, 2, L), r_bulk(z, s), 2, 3, L), r_bulk(w, s), 1, 3, L)
-    return lhs == rhs, None if lhs == rhs else _fail_info("ybe_bulk", lhs, rhs)
+    vec = rng.dense_vector(3)
+    return (_act(vec, [(r_bulk(w, s), 2, 3), (r_bulk(z, s), 1, 3), (rc, 1, 2)], 3),
+            _act(vec, [(rc, 1, 2), (r_bulk(z, s), 2, 3), (r_bulk(w, s), 1, 3)], 3))
 
 
 def _bybe_bulk_trial(rng):
@@ -515,17 +506,10 @@ def _bybe_bulk_trial(rng):
     z, w = rng.nonzero(), rng.nonzero()
     rc = r_check_bulk(z * inv(w), s)
     rp = r_bulk(z * w, s)
-    L = 2
-    vec = rng.dense_vector(L)
-    lhs = apply_one_site(vec, k_corner(w, s, t), 2, L)
-    lhs = apply_two_site(lhs, rp, 1, 2, L)
-    lhs = apply_one_site(lhs, k_corner(z, s, t), 1, L)
-    lhs = apply_two_site(lhs, rc, 1, 2, L)
-    rhs = apply_two_site(vec, rc, 1, 2, L)
-    rhs = apply_one_site(rhs, k_corner(z, s, t), 2, L)
-    rhs = apply_two_site(rhs, rp, 1, 2, L)
-    rhs = apply_one_site(rhs, k_corner(w, s, t), 1, L)
-    return lhs == rhs, None if lhs == rhs else _fail_info("bybe_bulk", lhs, rhs)
+    vec = rng.dense_vector(2)
+    kz, kw = k_corner(z, s, t), k_corner(w, s, t)
+    return (_act(vec, [(kw, 2), (rp, 1, 2), (kz, 1), (rc, 1, 2)], 2),
+            _act(vec, [(rc, 1, 2), (kz, 2), (rp, 1, 2), (kw, 1)], 2))
 
 
 def _ybe_exchange_trial(rng):
@@ -534,13 +518,9 @@ def _ybe_exchange_trial(rng):
     r12a = r_check_exchange(z1 * inv(z2), s)
     r13 = r_check_exchange(z1 * inv(z3), s)
     r23b = r_check_exchange(z2 * inv(z3), s)
-    L = 3
-    vec = rng.dense_vector(L)
-    lhs = apply_two_site(apply_two_site(apply_two_site(
-        vec, r23b, 2, 3, L), r13, 1, 2, L), r12a, 2, 3, L)
-    rhs = apply_two_site(apply_two_site(apply_two_site(
-        vec, r12a, 1, 2, L), r13, 2, 3, L), r23b, 1, 2, L)
-    return lhs == rhs, None if lhs == rhs else _fail_info("ybe_exchange", lhs, rhs)
+    vec = rng.dense_vector(3)
+    return (_act(vec, [(r23b, 2, 3), (r13, 1, 2), (r12a, 2, 3)], 3),
+            _act(vec, [(r12a, 1, 2), (r13, 2, 3), (r23b, 1, 2)], 3))
 
 
 def _bybe_exchange_trial(rng):
@@ -550,21 +530,14 @@ def _bybe_exchange_trial(rng):
     rb = r_check_exchange(z1 * z2, s)
     k1 = k_boundary(z1, beta)
     k2 = k_boundary(z2, beta)
-    L = 2
-    vec = rng.dense_vector(L)
-    lhs = apply_one_site(vec, k2, 1, L)
-    lhs = apply_two_site(lhs, rb, 1, 2, L)
-    lhs = apply_one_site(lhs, k1, 1, L)
-    lhs = apply_two_site(lhs, ra, 1, 2, L)
-    rhs = apply_two_site(vec, ra, 1, 2, L)
-    rhs = apply_one_site(rhs, k1, 1, L)
-    rhs = apply_two_site(rhs, rb, 1, 2, L)
-    rhs = apply_one_site(rhs, k2, 1, L)
-    return lhs == rhs, None if lhs == rhs else _fail_info("bybe_exchange", lhs, rhs)
+    vec = rng.dense_vector(2)
+    return (_act(vec, [(k2, 1), (rb, 1, 2), (k1, 1), (ra, 1, 2)], 2),
+            _act(vec, [(ra, 1, 2), (k1, 1), (rb, 1, 2), (k2, 1)], 2))
 
 
 def _stack_commutation_trial(rng, n):
-    """Braid matrix at (z_i / z_{i+1}) intertwines stacks with swapped sites."""
+    """Braid matrix at (z_i / z_{i+1}) intertwines stacks with swapped sites:
+    on every basis vector for n < 3, on three random vectors from n = 3."""
     s, t = rng.s_value(), rng.nonzero()
     n2 = 2 * n
     zs = [rng.nonzero() for _ in range(n2)]
@@ -572,16 +545,12 @@ def _stack_commutation_trial(rng, n):
     rc = r_check_bulk(zs[i - 1] * inv(zs[i]), s)
     zs_sw = list(zs)
     zs_sw[i - 1], zs_sw[i] = zs_sw[i], zs_sw[i - 1]
-    nvec = 3 if n >= 3 else          (1 << n2)
-    for k in range(nvec):
-        vec = (rng.dense_vector(n2) if n >= 3 else
-               [GaussianRational(int(j == k)) for j in range(1 << n2)])
-        lhs = apply_two_site(apply_operator_stack(zs, s, t, vec), rc, i, i + 1, n2)
-        rhs = apply_operator_stack(zs_sw, s, t,
-                                   apply_two_site(vec, rc, i, i + 1, n2))
-        if lhs != rhs:
-            return False, _fail_info(f"stack_commutation_n{n}", lhs, rhs)
-    return True, None
+    vecs = ([rng.dense_vector(n2) for _ in range(3)] if n >= 3 else
+            [[GaussianRational(int(j == k)) for j in range(1 << n2)] for k in range(1 << n2)])
+    return ([apply_two_site(apply_operator_stack(zs, s, t, v), rc, i, i + 1, n2)
+             for v in vecs],
+            [apply_operator_stack(zs_sw, s, t, apply_two_site(v, rc, i, i + 1, n2))
+             for v in vecs])
 
 
 def _chi_exchange_trial(rng):
@@ -589,13 +558,10 @@ def _chi_exchange_trial(rng):
     z, w = rng.nonzero(), rng.nonzero()
     r_zw = r_check_exchange(z * w, s)
     r_zbw = r_check_exchange(z * inv(w), s)
-    L = 4
     cov_l = _tensor_cov(chi_covector(w, s), chi_covector(z, s))
     cov_r = _tensor_cov(chi_covector(z, s), chi_covector(w, s))
-    lhs = _cov_apply(cov_l, [(r_zw, 2, 3), (r_zbw, 1, 2)], L)
-    rhs = _cov_apply(cov_r, [(r_zw, 2, 3), (r_zbw, 3, 4)], L)
-    ok = lhs == rhs
-    return ok, None if ok else _fail_info("chi_exchange", lhs, rhs)
+    return (_cov_apply(cov_l, [(r_zw, 2, 3), (r_zbw, 1, 2)], 4),
+            _cov_apply(cov_r, [(r_zw, 2, 3), (r_zbw, 3, 4)], 4))
 
 
 def _nu_exchange_trial(rng):
@@ -606,17 +572,14 @@ def _nu_exchange_trial(rng):
     def r(x):
         return bracket(q * q * x) * bracket(q * q * inv(x))
 
-    L = 4
     cov_l = _tensor_cov(_nu_cov(w, s, b), _nu_cov(z, s, b))
     cov_r = _tensor_cov(_nu_cov(z, s, b), _nu_cov(w, s, b))
     lhs = _cov_apply(cov_l, [(r_check_bulk(z * w, s), 2, 3),
                              (r_check_bulk(z * inv(w), s), 1, 2),
                              (r_check_bulk(inv(z) * w, s), 3, 4),
-                             (r_check_bulk(inv(z) * inv(w), s), 2, 3)], L)
+                             (r_check_bulk(inv(z) * inv(w), s), 2, 3)], 4)
     scale = r(z * w) * r(z * inv(w))
-    rhs = [scale * x for x in cov_r]
-    ok = lhs == rhs
-    return ok, None if ok else _fail_info("nu_exchange", lhs, rhs)
+    return lhs, [scale * x for x in cov_r]
 
 
 def _chi_inversion_trial(rng):
@@ -625,9 +588,7 @@ def _chi_inversion_trial(rng):
     rc = r_check_exchange(z * z, s)
     lhs = _cov_apply(chi_covector(inv(z), s), [(rc, 1, 2)], 2)
     fac = bracket(inv(s) * inv(z)) * inv(bracket(inv(s) * z))
-    rhs = [fac * x for x in chi_covector(z, s)]
-    ok = lhs == rhs
-    return ok, None if ok else _fail_info("chi_inversion", lhs, rhs)
+    return lhs, [fac * x for x in chi_covector(z, s)]
 
 
 def _nu_inversion_trial(rng):
@@ -636,9 +597,7 @@ def _nu_inversion_trial(rng):
     q = s * s
     lhs = _cov_apply(_nu_cov(inv(z), s, b), [(r_check_bulk(z * z, s), 1, 2)], 2)
     fac = bracket(q * q * z * z)
-    rhs = [fac * x for x in _nu_cov(z, s, b)]
-    ok = lhs == rhs
-    return ok, None if ok else _fail_info("nu_inversion", lhs, rhs)
+    return lhs, [fac * x for x in _nu_cov(z, s, b)]
 
 
 def _braid_lowest_trial(rng):
@@ -646,30 +605,27 @@ def _braid_lowest_trial(rng):
     z = rng.nonzero()
     q = s * s
     vec = basis_vector("dd")
-    lhs = apply_two_site(vec, r_check_bulk(z * z, s), 1, 2, 2)
     lam = bracket(q * q * inv(z) * inv(z))
-    rhs = [lam * x for x in vec]
-    ok = lhs == rhs
-    return ok, None if ok else _fail_info("braid_lowest", lhs, rhs)
+    return (apply_two_site(vec, r_check_bulk(z * z, s), 1, 2, 2),
+            [lam * x for x in vec])
 
 
 def _corner_matrix_trial(rng):
+    """k_corner at -i/s is t times the identity, and k(1/w) k(-w/q) is
+    det k(1/w) times the identity."""
     s, t = rng.s_value(), rng.nonzero()
     w = rng.nonzero()
     q = s * s
     i_unit = GaussianRational(0, 1)
-    k_special = k_corner(-i_unit * inv(s), s, t)
-    ok1 = (k_special[0][0] == t and k_special[1][1] == t
-           and not k_special[0][1] and not k_special[1][0])
-    prod = mat2_mul(k_corner(inv(w), s, t), k_corner(-inv(q) * w, s, t))
     det = det_k_corner(inv(w), s, t)
-    ok2 = (prod[0][0] == det and prod[1][1] == det
-           and not prod[0][1] and not prod[1][0])
-    ok = ok1 and ok2
-    return ok, None if ok else _fail_info("corner_matrix", prod, det)
+    return ((k_corner(-i_unit * inv(s), s, t),
+             mat2_mul(k_corner(inv(w), s, t), k_corner(-inv(q) * w, s, t))),
+            (((t, 0), (0, t)), ((det, 0), (0, det))))
 
 
 def _nu_cov(w, s, b):
+    """Dense coefficients [uu, ud, du, dd] of the two-site factor of the
+    boundary covector: [b w / q] on ud and [q b / w] on du."""
     q = s * s
     zero = GaussianRational(0)
     return [zero, bracket(inv(q) * b * w), bracket(q * b * inv(w)), zero]
@@ -682,14 +638,12 @@ def _tensor_cov(a, b):
 def _cov_apply(cov, ops, L):
     """Apply operators to a covector from the right: cov * O1 * O2 * ...
 
-    cov is the dense coefficient list; right-multiplication by O is
-    left-multiplication of the transpose, and all matrices used here are
-    symmetric, so plain application in the listed order is correct.
+    cov is the dense coefficient list.  Right-multiplication by O is
+    left-multiplication by the transpose of O, so each matrix is transposed
+    before _act applies it; the crossing matrices happen to be symmetric, but
+    the identities must not rest on that (a perturbed matrix need not be).
     """
-    vec = list(cov)
-    for m, i, j in ops:
-        vec = apply_two_site(vec, _transpose4(m), i, j, L)
-    return vec
+    return _act(cov, [(_transpose4(m), i, j) for m, i, j in ops], L)
 
 
 def _transpose4(m):

@@ -156,6 +156,56 @@ def test_psi_and_sum_refuse_sizes_that_cannot_finish(monkeypatch, capsys):
         assert run_cli(args)[0] == 0, args
 
 
+def test_spinchain_and_pf_refuse_sizes_that_cannot_finish(monkeypatch, capsys):
+    # no route runs: each is replaced, so only the limit check is exercised
+    from xtl import sixvertex, spinchain
+
+    def never(*args):
+        raise AssertionError("a refused request must not start its route")
+
+    for mod, name in ((spinchain, "verify_eigenpair"), (sixvertex, "partition_enum"),
+                      (sixvertex, "partition_algebraic")):
+        monkeypatch.setattr(mod, name, never)
+    pf = ["sixvertex", "pf", "--alpha", "+", "--s", "2", "--t", "3"]
+    for args in (["spinchain", "verify", "--N", "12", "--x", "1/2"],
+                 ["spinchain", "verify", "--N", "40", "--x", "1/2"],
+                 pf + ["--n", "7", "--method", "enum"],
+                 pf + ["--n", "8", "--method", "algebraic"]):
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: order" in capsys.readouterr().err
+
+    # the limits themselves are accepted
+    report = spinchain.EigenReport(11, 1, 0, True, True, True)
+    monkeypatch.setattr(spinchain, "verify_eigenpair", lambda N, x: report)
+    monkeypatch.setattr(sixvertex, "partition_enum", lambda *args: 1)
+    monkeypatch.setattr(sixvertex, "partition_algebraic", lambda *args: 1)
+    for args in (["spinchain", "verify", "--N", "11", "--x", "1/2"],
+                 pf + ["--n", "6", "--method", "enum"],
+                 pf + ["--n", "7", "--method", "algebraic"]):
+        assert run_cli(args)[0] == 0, args
+
+
+def test_zero_denominators_are_usage_errors(capsys):
+    pf = ["sixvertex", "pf", "--n", "1", "--alpha", "+", "--s", "2", "--t", "3"]
+    for args in (["psi", "--N", "2", "--x", "1/0"],
+                 ["psi", "--N", "2", "--tau", "3/0"],
+                 ["sixvertex", "pf", "--n", "1", "--alpha", "+", "--s", "1/0", "--t", "3"],
+                 pf[:-1] + ["1/0"],
+                 pf + ["--z", "2,1/0"],
+                 pf + ["--z", "2,1+1/0*i"],
+                 ["spinchain", "verify", "--N", "2", "--x", "1/0"]):
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: " in capsys.readouterr().err
+
+
+def test_tsasm_count_refuses_max_order_below_one(capsys):
+    for order in ("0", "-5"):
+        for fmt in ("text", "json", "csv"):
+            args = ["tsasm", "count", "--max-order", order, "--format", fmt]
+            assert run_cli(args) == (2, ""), args
+            assert "usage error: --max-order" in capsys.readouterr().err
+
+
 def test_verify_refuses_requests_that_check_nothing(monkeypatch, capsys):
     # no job runs: a refused request fails before any job starts
     def never(job):

@@ -6,7 +6,7 @@ import pytest
 from xtl import sixvertex
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        MultiLaurent as ML, UsageError, bracket, brace, inv)
-from xtl.operators import apply_two_site, mat4_eq, r_bulk, r_check_bulk
+from xtl.operators import apply_two_site, r_bulk, r_check_bulk
 from xtl.sampling import ExactSampler
 from xtl.sixvertex import (_column_steps, _transition_table, alpha_minus, alpha_plus,
                            check_yb_identities, config_weight, enumerate_configs,
@@ -294,6 +294,65 @@ def test_yang_baxter_suite_passes():
                            if isinstance(v, dict) and v["failures"]}
 
 
+def test_yang_baxter_check_refuses_zero_trials():
+    for trials in (0, -2):
+        with pytest.raises(UsageError):
+            check_yb_identities(trials=trials, seed=6, max_stack_n=1)
+
+
+def _scaled(real, cells, factor):
+    """real with the matrix entries at cells multiplied by factor."""
+    def bad(*args):
+        return tuple(tuple(v * factor if (r, c) in cells else v for c, v in enumerate(row))
+                     for r, row in enumerate(real(*args)))
+    return bad
+
+
+def _nu_ud_doubled(w, s, b, real=sixvertex._nu_cov):
+    uu, ud, du, dd = real(w, s, b)
+    return [uu, ud * 2, du, dd]
+
+
+# (binding in sixvertex, perturbed replacement, the families it must break);
+# doubling the chi coefficient or swapping nu's ud/du entries is a symmetry of
+# the identities and breaks nothing, so neither is a control
+_PERTURBED = [
+    ("r_bulk", _scaled(sixvertex.r_bulk, {(1, 1), (2, 2)}, 2),
+     {"yang_baxter_bulk", "boundary_yang_baxter_bulk",
+      "stack_commutation_n1", "stack_commutation_n2"}),
+    ("r_check_bulk", _scaled(sixvertex.r_check_bulk, {(3, 3)}, 2),
+     {"yang_baxter_bulk", "boundary_yang_baxter_bulk", "stack_commutation_n1",
+      "stack_commutation_n2", "braid_lowest_eigenaction", "nu_exchange"}),
+    ("r_check_bulk", _scaled(sixvertex.r_check_bulk, {(1, 1), (2, 2)}, -1),
+     {"yang_baxter_bulk", "boundary_yang_baxter_bulk", "stack_commutation_n1",
+      "stack_commutation_n2", "nu_inversion"}),
+    ("r_check_exchange", _scaled(sixvertex.r_check_exchange, {(1, 1), (2, 2)}, 2),
+     {"yang_baxter_exchange", "chi_exchange", "chi_inversion"}),
+    ("k_boundary", _scaled(sixvertex.k_boundary, {(1, 1)}, 2),
+     {"boundary_yang_baxter_exchange"}),
+    ("k_corner", _scaled(sixvertex.k_corner, {(0, 1), (1, 0)}, 2),
+     {"corner_matrix_identities"}),
+    ("_nu_cov", _nu_ud_doubled, {"nu_exchange", "nu_inversion"}),
+]
+
+
+@pytest.mark.parametrize("name, bad, broken", _PERTURBED,
+                         ids=[f"{name}-{k}" for k, (name, _, _) in enumerate(_PERTURBED)])
+def test_yang_baxter_families_fail_under_a_perturbed_operator(monkeypatch, name, bad, broken):
+    monkeypatch.setattr(sixvertex, name, bad)
+    rep = check_yb_identities(trials=2, seed=6, max_stack_n=2)
+    failed = {k for k, v in rep.items() if isinstance(v, dict) and v["failures"]}
+    assert not rep["passed"] and failed == broken
+    for fam in broken:
+        assert all(f["identity"] == fam for f in rep[fam]["failures"])
+
+
+def test_every_yang_baxter_family_has_a_negative_control():
+    rep = check_yb_identities(trials=1, seed=6, max_stack_n=2)
+    families = {k for k, v in rep.items() if isinstance(v, dict)}
+    assert set().union(*(broken for _, _, broken in _PERTURBED)) == families
+
+
 def test_yang_baxter_trial_that_raises_is_resampled(monkeypatch):
     real, calls = sixvertex._ybe_bulk_trial, []
 
@@ -347,7 +406,7 @@ def test_negative_control_corrupted_crossing_matrix():
     rc = r_check_bulk(z * inv(w), s)
     bad = tuple(tuple(v * 2 if (r, c) == (0, 0) else v for c, v in enumerate(row))
                 for r, row in enumerate(rc))
-    assert not mat4_eq(bad, rc)
+    assert bad != rc
     vec = [G(k % 7 - 3) for k in range(8)]
     lhs = apply_two_site(apply_two_site(apply_two_site(
         vec, r_bulk(w, s), 2, 3, 3), r_bulk(z, s), 1, 3, 3), bad, 1, 2, 3)
