@@ -29,7 +29,7 @@ from .exact import (DegeneratePointError, DomainError, GaussianRational,
                     MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
                     brace, div_exact_univar, interpolate_along, inv)
 from .operators import SpinVector, chi_covector, k_boundary, r_check_exchange
-from .sampling import ExactSampler, z_point_degenerate
+from .sampling import ExactSampler, half_sites, z_point_degenerate
 
 __all__ = [
     "big_psi_component", "psi_vector",
@@ -230,8 +230,16 @@ def big_psi_component(N: int, a: tuple, zs: Sequence, s, beta) -> GaussianRation
 
 
 # ---------------------------------------------------------------------------
-# interpolation wrappers for degenerate specializations
+# interpolation along a curve through degenerate specializations
 # ---------------------------------------------------------------------------
+
+def _along(var: str, value, sites, s, h: int, spare: int):
+    """value(x) as an exact Laurent polynomial in var with exponents in
+    [-h, h], sampled at the sweep's abscissae x whose site tuple sites(x) is
+    nondegenerate and cross-validated at `spare` more."""
+    xs = abscissa_sweep(lambda x: not z_point_degenerate(sites(x), s))
+    return interpolate_along(var, ((x, value(x)) for x in xs), -h, h, spare)
+
 
 def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
     """All components as exact Laurent polynomials in z_i (others fixed),
@@ -248,10 +256,7 @@ def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
 
     # each component is centred in z_i with |exponent| <= N - 1, the stated
     # degree-width bound max(2(n'-1), 2n-1) for n = N//2, n' = N - n
-    h = N - 1
-    xs = abscissa_sweep(lambda x: not z_point_degenerate(at(x), s))
-    return interpolate_along("z", ((x, psi_vector(N, at(x), s, beta).amps) for x in xs),
-                             -h, h, 2)
+    return _along("z", lambda x: psi_vector(N, at(x), s, beta).amps, at, s, N - 1, 2)
 
 
 def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
@@ -266,10 +271,8 @@ def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
 
     # each component has |exponent| <= N - 1 in z_k (psi_vector_poly_in_z),
     # so |exponent of lambda| <= (N - 1) * sum_k (k - 1)
-    H = (N - 1) * (N * (N - 1) // 2)
-    lams = abscissa_sweep(lambda lam: not z_point_degenerate(at(lam), s))
-    polys = interpolate_along("l", ((lam, psi_vector(N, at(lam), s, beta).amps)
-                                    for lam in lams), -H, H, 1)
+    polys = _along("l", lambda lam: psi_vector(N, at(lam), s, beta).amps, at, s,
+                   (N - 1) * (N * (N - 1) // 2), 1)
     return SpinVector.make(N, {k: p.eval_at({"l": _ONE}) for k, p in polys.items()})
 
 
@@ -277,26 +280,15 @@ def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
 # the generalized component sum
 # ---------------------------------------------------------------------------
 
-def _half_specialized_sites(N: int, ws: Sequence) -> list:
-    zs = []
-    for w in ws:
-        w = as_gaussian(w)
-        if w.is_zero():
-            raise DegeneratePointError("w values must be nonzero")
-        zs.extend([w, w.inverse()])
-    if N % 2:
-        zs.append(_ONE)
-    return zs
-
-
 def _gen_sum_at(N: int, ws: Sequence, s, beta) -> GaussianRational:
     """The generalized sum at nondegenerate w values: the vector at sites
     (w_1, 1/w_1, ..., w_n, 1/w_n[, 1]) paired with the covector that weighs
     every site pair (2i-1, 2i) whose spins agree by {s w_i}/{s}."""
     s = as_gaussian(s)
+    zs = half_sites(ws, N % 2)   # first: it refuses a zero w
     cs = [chi_covector(w, s)[0] for w in ws]
     total = _ZERO
-    for key, amp in psi_vector(N, _half_specialized_sites(N, ws), s, beta).amps.items():
+    for key, amp in psi_vector(N, zs, s, beta).amps.items():
         for i, c in enumerate(cs):
             if (2 * i + 1 in key) + (2 * i + 2 in key) != 1:
                 amp = amp * c
@@ -337,11 +329,9 @@ def gen_sum_Z_homogeneous(N: int, s, beta) -> GaussianRational:
 
     # the sum is centred of halfwidth 2N-3 in each w_i (gen_sum_Z_poly_in_w),
     # so |exponent of lambda| <= (2N-3) * sum_i i
-    H = (2 * N - 3) * (n * (n + 1) // 2)
-    lams = abscissa_sweep(lambda lam: not z_point_degenerate(
-        _half_specialized_sites(N, at(lam)), s))
-    poly = interpolate_along("l", ((lam, _gen_sum_at(N, at(lam), s, beta)) for lam in lams),
-                             -H, H, 1)
+    poly = _along("l", lambda lam: _gen_sum_at(N, at(lam), s, beta),
+                  lambda lam: half_sites(at(lam), N % 2), s,
+                  (2 * N - 3) * (n * (n + 1) // 2), 1)
     return as_gaussian(poly.eval_at({"l": _ONE}))
 
 
@@ -360,35 +350,37 @@ def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:
 
     # the stated bound: centred in w_i of width at most 2(2N-3), which
     # check_Z_properties records as "degree_width"
-    h = 2 * N - 3
-    xs = abscissa_sweep(lambda x: not z_point_degenerate(
-        _half_specialized_sites(N, at(x)), s))
-    return interpolate_along("w", ((x, _gen_sum_at(N, at(x), s, beta)) for x in xs),
-                             -h, h, 2)
+    return _along("w", lambda x: _gen_sum_at(N, at(x), s, beta),
+                  lambda x: half_sites(at(x), N % 2), s, 2 * N - 3, 2)
 
 
-def y_divisor(N: int, ws: Sequence, s) -> GaussianRational:
+def y_divisor(N: int, ws: Sequence, s):
     """The elementary product dividing the sum: prod [w_i/q^{1/2}] and, for odd
-    size, also prod [q w_i][q/w_i]."""
+    size, also prod [q w_i][q/w_i].  A w may be a MultiLaurent variable; then
+    so is the product."""
     s = as_gaussian(s)
     q = s * s
     d = _ONE
     for w in ws:
-        w = as_gaussian(w)
         d = d * bracket(inv(s) * w)
         if N % 2:
             d = d * bracket(q * w) * bracket(q * inv(w))
     return d
 
 
+def _rescale(N: int, z: GaussianRational, ws: Sequence, s) -> GaussianRational:
+    """z divided by y_divisor(N, ws, s); DomainError if the divisor vanishes."""
+    d = y_divisor(N, ws, s)
+    if d.is_zero():
+        raise DomainError("rescaling divisor vanishes at this point")
+    return z * d.inverse()
+
+
 def rescaled_Y(N: int, ws: Sequence, s, beta) -> GaussianRational:
     """The generalized sum divided by its forced elementary factors."""
     if N <= 1:
         return _ONE
-    d = y_divisor(N, ws, s)
-    if d.is_zero():
-        raise DomainError("rescaling divisor vanishes at this point")
-    return gen_sum_Z(N, ws, s, beta) * d.inverse()
+    return _rescale(N, gen_sum_Z(N, ws, s, beta), ws, s)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +439,6 @@ def check_psi_reduction(N: int, i: int, zs: Sequence, s, beta) -> dict:
             "failures": [] if ok else [{"relation": "reduction", "i": i}]}
 
 
-def _y_from_poly(N: int, poly_val: GaussianRational, ws_special: Sequence, s) -> GaussianRational:
-    d = y_divisor(N, ws_special, s)
-    if d.is_zero():
-        raise DomainError("rescaling divisor vanishes at the specialized point")
-    return poly_val * d.inverse()
-
-
 def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
                        interp_trials: int = 2) -> dict:
     """All stated properties of the generalized sum for one chain size.
@@ -464,11 +449,12 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
     even inversion-symmetric polynomial of width at most 8(n-1), and the two
     reduction relations.  A trial that meets a degenerate point is counted in
     "skipped"; the interpolation subchecks run on the first interp_trials
-    trials that were not skipped, and the check fails if every trial was.
+    trials that were not skipped, and the check fails if every trial was.  A
+    request that would check nothing (N < 2, or no trials or interpolation
+    trials) is refused.
     """
-    if N < 2:
-        return {"property": "z_properties", "N": N, "trials": 0, "skipped": 0,
-                "pass": True, "subchecks": {}, "failures": []}
+    if N < 2 or trials < 1 or interp_trials < 1:
+        raise UsageError("need N >= 2, trials >= 1 and interp_trials >= 1")
     n = N // 2
     rng = ExactSampler(seed)
     sub: dict[str, int] = {}
@@ -519,7 +505,7 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
                     record("zero_at_inv_q", not poly.eval_at({"w": z}))
 
             # rescaled sum: even inversion-symmetric polynomial of width <= 8(n-1)
-            ypoly = _rescaled_poly(N, poly, s)
+            ypoly = div_exact_univar(poly, y_divisor(N, [MultiLaurent.var("w")], s), "w")
             rng_y = ypoly.degree_range("w")
             record("y_even", all(e[0] % 2 == 0 for e in ypoly.terms))
             record("y_inversion",
@@ -532,7 +518,7 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
             # reduction at w_1 = i q^{1/2}
             wi = _I * s
             zval = poly.eval_at({"w": wi})
-            ylhs = _y_from_poly(N, zval, [wi] + ws[1:], s)
+            ylhs = _rescale(N, zval, [wi] + ws[1:], s)
             yrhs = brace(s * beta)
             if N % 2:
                 yrhs = yrhs * brace(s ** 3) * inv(brace(s))
@@ -548,7 +534,7 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
                 poly2 = gen_sum_Z_poly_in_w(N, ws, 2, s, beta)
                 w2 = q.inverse() * ws[0]
                 zval2 = poly2.eval_at({"w": w2})
-                ylhs2 = _y_from_poly(N, zval2, [ws[0], w2] + ws[2:], s)
+                ylhs2 = _rescale(N, zval2, [ws[0], w2] + ws[2:], s)
                 f = _f_reduction(N, ws[0], s, beta)
                 for w in ws[2:]:
                     f = f * (bracket(q * ws[0] * w) * bracket(q * ws[0] * w.inverse())
@@ -558,23 +544,10 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
                 record("reduction_pair", ylhs2 == yrhs2,
                        {"lhs": repr(ylhs2), "rhs": repr(yrhs2)})
 
-    if trials and not ran:
+    if not ran:
         fails.append({"property": "no_trials_ran", "N": N, "info": {"skipped": trials}})
     return {"property": "z_properties", "N": N, "trials": trials, "skipped": trials - ran,
             "pass": not fails, "subchecks": sub, "failures": fails}
-
-
-def _rescaled_poly(N: int, zpoly: MultiLaurent, s) -> MultiLaurent:
-    """Divide the interpolated sum by its forced elementary factors in w."""
-    s = as_gaussian(s)
-    q = s * s
-    div = MultiLaurent(("w",), {(1,): s.inverse(), (-1,): -s})
-    out = div_exact_univar(zpoly, div, "w")
-    if N % 2:
-        for c in (q, q.inverse()):
-            d = MultiLaurent(("w",), {(1,): c, (-1,): -c.inverse()})
-            out = div_exact_univar(out, d, "w")
-    return out
 
 
 def _f_reduction(N: int, w, s, beta) -> GaussianRational:

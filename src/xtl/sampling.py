@@ -11,11 +11,28 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exact import GaussianRational, as_gaussian
+from .exact import DegeneratePointError, GaussianRational, as_gaussian
 
-__all__ = ["ExactSampler", "z_point_degenerate"]
+__all__ = ["ExactSampler", "half_sites", "z_point_degenerate"]
 
 _I = GaussianRational(0, 1)
+_BOUND = 20            # numerators and denominators are drawn from 1.._BOUND
+_GAUSSIAN_PROB = 0.2   # chance that a nonzero value gets an imaginary part
+
+
+def half_sites(ws, odd: bool) -> list:
+    """The half-specialized site tuple (w_1, 1/w_1, ..., w_n, 1/w_n[, 1]), with
+    the trailing 1 for odd size: the point where the generalized sum and the
+    boundary overlap are both evaluated.  A zero w raises DegeneratePointError."""
+    zs = []
+    for w in ws:
+        w = as_gaussian(w)
+        if w.is_zero():
+            raise DegeneratePointError("w values must be nonzero")
+        zs += [w, w.inverse()]
+    if odd:
+        zs.append(GaussianRational(1))
+    return zs
 
 
 def z_point_degenerate(zs, s) -> bool:
@@ -41,21 +58,20 @@ def z_point_degenerate(zs, s) -> bool:
 class ExactSampler:
     """Deterministic source of exact random values and nondegenerate points."""
 
-    def __init__(self, seed: int = 42, bound: int = 20):
+    def __init__(self, seed: int = 42):
         self.rng = random.Random(seed)
-        self.bound = bound
 
     def randint(self, a: int, b: int) -> int:
         return self.rng.randint(a, b)
 
     def fraction(self) -> Fraction:
-        num = self.rng.randint(1, self.bound) * self.rng.choice((1, -1))
-        den = self.rng.randint(1, self.bound)
+        num = self.rng.randint(1, _BOUND) * self.rng.choice((1, -1))
+        den = self.rng.randint(1, _BOUND)
         return Fraction(num, den)
 
-    def nonzero(self, gaussian_prob: float = 0.2) -> GaussianRational:
+    def nonzero(self) -> GaussianRational:
         while True:
-            im = self.fraction() if self.rng.random() < gaussian_prob else 0
+            im = self.fraction() if self.rng.random() < _GAUSSIAN_PROB else 0
             v = GaussianRational(self.fraction(), im)
             if not v.is_zero():
                 return v
@@ -89,22 +105,17 @@ class ExactSampler:
                 continue
             return zs
 
-    def w_point(self, N: int, s, need_rescaling: bool = True) -> tuple:
-        """Half-specialization-ready w values for a chain of N sites: the induced
-        site tuple (w_1, 1/w_1, ..., [1]) is nondegenerate and the rescaling
-        divisors are nonzero."""
+    def w_point(self, N: int, s) -> tuple:
+        """Half-specialization-ready w values for a chain of N sites: the
+        induced site tuple half_sites(ws, N odd) is nondegenerate and the
+        rescaling divisors are nonzero."""
         n = N // 2
         q = s * s
         while True:
             ws = tuple(self.nonzero() for _ in range(n))
-            zs = []
-            for w in ws:
-                zs.extend([w, w.inverse()])
-            if N % 2:
-                zs.append(as_gaussian(1))
-            if z_point_degenerate(zs, s):
+            if z_point_degenerate(half_sites(ws, N % 2), s):
                 continue
-            if need_rescaling and not self._rescaling_ok(ws, N, q, s):
+            if not self._rescaling_ok(ws, N, q, s):
                 continue
             return ws
 
@@ -113,7 +124,7 @@ class ExactSampler:
         for w in ws:
             if (w * s.inverse()) ** 2 == 1:      # [w/q^{1/2}] = 0
                 return False
-            if (w * w) ** 2 == (q * q) ** 2:     # [q^2/w^2] = 0 or [q^2 w^2] = 0
+            if (w * w) ** 2 == (q * q) ** 2:     # [q^2/w^2] = 0
                 return False
             if N % 2 and ((q * w) ** 2 == 1 or (q * w.inverse()) ** 2 == 1):
                 return False

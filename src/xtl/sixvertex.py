@@ -39,13 +39,12 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
-from .exact import (DegeneratePointError, DomainError, GaussianRational,
-                    MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
-                    brace, interpolate_along, inv)
+from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError,
+                    abscissa_sweep, as_gaussian, bracket, brace, interpolate_along, inv)
 from .operators import (apply_one_site, apply_two_site, basis_vector, chi_covector,
                         det_k_corner, index_word, k_boundary, k_corner, mat2_mul,
                         r_bulk, r_check_bulk, r_check_exchange, word_index)
-from .sampling import ExactSampler
+from .sampling import ExactSampler, half_sites
 
 __all__ = [
     "alpha_plus", "alpha_minus", "SixVertexConfig", "enumerate_configs",
@@ -307,14 +306,18 @@ def _automaton_sums(letters: tuple, weight, one) -> dict:
     return states.get(("L",) * len(letters), {})
 
 
+def _check_sites(n: int, zs: Sequence) -> None:
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    if len(zs) != 2 * n:
+        raise UsageError(f"need {2 * n} site values")
+
+
 def partition_enum(n: int, alpha: str, zs: Sequence, s, t):
     """Partition function by summing configuration weights (column automaton
     with per-frontier aggregation; identical to the sum over enumerate_configs)."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
+    _check_sites(n, zs)
     alpha = _check_alpha(n, alpha)
-    if len(zs) != 2 * n:
-        raise UsageError(f"need {2 * n} site values")
     sums = _automaton_sums(tuple(alpha), _vertex_weights(zs, s, t), GaussianRational(1))
     return sums.get(alpha, GaussianRational(0))
 
@@ -322,10 +325,7 @@ def partition_enum(n: int, alpha: str, zs: Sequence, s, t):
 def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
     """Partition functions for every bottom boundary word at once, by the same
     column automaton with the bottom edges left free.  Returns {word: value}."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    if len(zs) != 2 * n:
-        raise UsageError(f"need {2 * n} site values")
+    _check_sites(n, zs)
     out = _automaton_sums(("ud",) * (2 * n), _vertex_weights(zs, s, t), GaussianRational(1))
     zero = GaussianRational(0)
     return {"".join(w): out.get("".join(w), zero) for w in product("ud", repeat=2 * n)}
@@ -367,17 +367,15 @@ def _stack_column(zs: Sequence, s, t) -> list:
 
 def partition_algebraic(n: int, alpha: str, zs: Sequence, s, t):
     """Partition function as the matrix element <alpha| stack |dd...d>."""
+    _check_sites(n, zs)
     alpha = _check_alpha(n, alpha)
-    if len(zs) != 2 * n:
-        raise UsageError(f"need {2 * n} site values")
     return as_gaussian(_stack_column(zs, s, t)[word_index(alpha)])
 
 
 def partition_algebraic_all_words(n: int, zs: Sequence, s, t) -> dict:
     """Matrix elements <word| stack |dd...d> for every word, from one stack
     application."""
-    if len(zs) != 2 * n:
-        raise UsageError(f"need {2 * n} site values")
+    _check_sites(n, zs)
     return {index_word(b, 2 * n): as_gaussian(v)
             for b, v in enumerate(_stack_column(zs, s, t))}
 
@@ -392,13 +390,10 @@ def overlap_ZZ(n: int, ws: Sequence, s, t, b):
         return GaussianRational(1)
     if len(ws) != n:
         raise UsageError(f"need {n} site values")
-    ws = [as_gaussian(w) for w in ws]
-    if any(w.is_zero() for w in ws):
-        raise DegeneratePointError("site values must be nonzero")
+    zs = half_sites(ws, False)
     s, t, b = as_gaussian(s), as_gaussian(t), as_gaussian(b)
-    zs, cov = [], [GaussianRational(1)]
-    for w in ws:
-        zs.extend([w, w.inverse()])
+    cov = [GaussianRational(1)]
+    for w in zs[::2]:  # w_1, ..., w_n
         cov = _tensor_cov(cov, _nu_cov(w, s, b))
     return sum((c * v for c, v in zip(cov, _stack_column(zs, s, t)) if c),
                GaussianRational(0))
@@ -453,8 +448,8 @@ def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3)
     identity.  Returns {family: {trials, resampled, failures: [...]}} and
     "passed"; a failure records the family and both sides, or the error.
     """
-    if trials < 1:
-        raise UsageError("trials must be at least 1")
+    if trials < 1 or max_stack_n < 1:
+        raise UsageError("trials and max_stack_n must be at least 1")
     rng = ExactSampler(seed)
     report: dict = {}
 

@@ -41,6 +41,15 @@ class TheoremReport:
                           sort_keys=True)
 
 
+def _sampled(statement: str, trials: int, seed: int, **size):
+    """The report and the sampler of a check over `trials` sampled points; a
+    check of no points would pass without doing its work, so it is refused."""
+    if trials < 1:
+        raise UsageError("trials must be at least 1")
+    return (TheoremReport(statement, {**size, "trials": trials, "seed": seed}),
+            ExactSampler(seed))
+
+
 def _xtau(s, beta):
     q = s * s
     return -bracket(beta * q) * inv(bracket(beta)), -brace(q)
@@ -49,11 +58,9 @@ def _xtau(s, beta):
 def check_relation_SZ(N: int, trials: int = 20, seed: int = 42) -> TheoremReport:
     """The homogeneous generalized sum reproduces the component-sum polynomial
     after the elementary rescaling, with x and tau induced by (q, beta)."""
-    rep = TheoremReport("relation_sum_generalized_sum", {"N": N, "trials": trials,
-                                                         "seed": seed})
+    rep, rng = _sampled("relation_sum_generalized_sum", trials, seed, N=N)
     shape = ChainShape.of(N)
     n, npr = shape.n, shape.nprime
-    rng = ExactSampler(seed)
     spoly = sum_components(N)
     for _ in range(trials):
         s, beta = rng.s_value(), rng.beta_value()
@@ -73,17 +80,15 @@ def check_Y_equals_YY(N: int, trials: int = 20, seed: int = 42) -> TheoremReport
     """The rescaled generalized sum equals the rescaled overlap once the corner
     weight is set to -{beta q^{1/2}}/{q^{1/2}} and the pairing parameter to q
     (even size) or 1/q (odd size)."""
-    rep = TheoremReport("rescaled_sum_equals_rescaled_overlap",
-                        {"N": N, "trials": trials, "seed": seed})
+    rep, rng = _sampled("rescaled_sum_equals_rescaled_overlap", trials, seed, N=N)
     n = N // 2
-    rng = ExactSampler(seed)
     for _ in range(trials):
         s, beta = rng.s_value(), rng.beta_value()
         q = s * s
         t = -brace(beta * s) * inv(brace(s))
         b = q if N % 2 == 0 else q.inverse()
-        ws = list(rng.w_point(N, s)) if n else []
-        lhs = rescaled_Y(N, ws, s, beta) if N >= 2 else GaussianRational(1)
+        ws = list(rng.w_point(N, s))
+        lhs = rescaled_Y(N, ws, s, beta)
         rhs = rescaled_YY(n, ws, s, t, b)
         if lhs != rhs:
             rep.fail(point={"s": s, "beta": beta, "w": ws}, lhs=lhs, rhs=rhs)
@@ -95,9 +100,7 @@ def check_gf_lemma(n: int, trials: int = 20, seed: int = 42) -> TheoremReport:
     function at tau = -{q}, for both boundary parities of size n."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    rep = TheoremReport("generating_function_from_partition",
-                        {"n": n, "trials": trials, "seed": seed})
-    rng = ExactSampler(seed)
+    rep, rng = _sampled("generating_function_from_partition", trials, seed, n=n)
     ones = [GaussianRational(1)] * (2 * n)
     cases = ((2 * n, alpha_minus(n)), (2 * n + 1, alpha_plus(n)))
     gfs = {N: genfun(N) for N, _ in cases}

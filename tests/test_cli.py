@@ -198,6 +198,14 @@ def test_zero_denominators_are_usage_errors(capsys):
         assert "usage error: " in capsys.readouterr().err
 
 
+def test_pf_refuses_size_zero_on_both_routes(capsys):
+    for method in ("enum", "algebraic"):
+        args = ["sixvertex", "pf", "--n", "0", "--alpha", "+", "--s", "2", "--t", "3",
+                "--method", method]
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: n must be >= 1" in capsys.readouterr().err
+
+
 def test_tsasm_count_refuses_max_order_below_one(capsys):
     for order in ("0", "-5"):
         for fmt in ("text", "json", "csv"):

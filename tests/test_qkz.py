@@ -6,12 +6,12 @@ import pytest
 
 from xtl.contour import psi_components, sum_components
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
-                       bracket, brace, format_scalar, inv)
+                       MultiLaurent, UsageError, bracket, brace, format_scalar, inv)
 from xtl.operators import SpinVector, r_check_exchange
 from xtl.qkz import (big_psi_component, check_exchange_and_reflection,
                      check_psi_reduction, check_Z_properties, gen_sum_Z,
                      gen_sum_Z_poly_in_w, psi_vector, psi_vector_homogeneous,
-                     psi_vector_poly_in_z, rescaled_Y)
+                     psi_vector_poly_in_z, rescaled_Y, y_divisor)
 from xtl.sampling import ExactSampler
 
 # fixed parameters; every test draws its points from a sampler of its own, so
@@ -241,6 +241,15 @@ def test_rescaled_sum_zero_divisor_raises():
         rescaled_Y(2, [S], S, BETA)  # [w/q^{1/2}] vanishes at w = q^{1/2}
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_divisor_at_a_symbolic_w_evaluates_to_the_scalar_divisor(N):
+    # check_Z_properties divides the interpolated sum by the symbolic divisor
+    rng = ExactSampler(7730 + N)
+    ws = list(rng.w_point(N, S))
+    poly = y_divisor(N, [MultiLaurent.var("w")] + ws[1:], S)
+    assert G(0) + poly.eval_at({"w": ws[0]}) == y_divisor(N, ws, S)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_z_property_suite(N):
     rep = check_Z_properties(N, trials=4, seed=5, interp_trials=1)
@@ -252,6 +261,27 @@ def test_z_property_suite(N):
     if N % 2:
         expected |= {"zero_at_inv_q"}
     assert expected <= set(rep["subchecks"]), rep["subchecks"]
+
+
+@pytest.mark.parametrize("N,trials,interp_trials",
+                         [(1, 4, 1), (0, 4, 1), (3, 0, 1), (3, -1, 1), (3, 4, 0)])
+def test_z_properties_refuse_requests_that_check_nothing(N, trials, interp_trials):
+    # N < 2 has no w, no trials checks nothing, and no interpolation trials
+    # leave only sign_flip and inversion
+    with pytest.raises(UsageError):
+        check_Z_properties(N, trials=trials, seed=5, interp_trials=interp_trials)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_z_properties_fail_without_the_odd_size_divisor(monkeypatch, N):
+    # negative control for the one divisor: the even-size product at odd size
+    # leaves two factors in the rescaled sum
+    from xtl import qkz
+    real = qkz.y_divisor
+    monkeypatch.setattr(qkz, "y_divisor", lambda N, ws, s: real(0, ws, s))
+    rep = check_Z_properties(N, trials=2, seed=3, interp_trials=1)
+    failed = {f["property"] for f in rep["failures"]}
+    assert {"y_width", "reduction_half_turn"} <= failed, failed
 
 
 def _gen_sum_raising(monkeypatch, failing_calls):

@@ -38,6 +38,17 @@ def test_alpha_validation():
     assert alpha_plus(2) == "udud" and alpha_minus(2) == "dudu"
 
 
+def test_every_partition_route_refuses_size_below_one():
+    # the empty staircase must not pass as the empty product 1 on one route only
+    for n in (0, -1):
+        for call in (lambda: partition_enum(n, "+", [], S, T),
+                     lambda: partition_algebraic(n, "+", [], S, T),
+                     lambda: partition_enum_all_words(n, [], S, T),
+                     lambda: partition_algebraic_all_words(n, [], S, T)):
+            with pytest.raises(UsageError, match="n must be >= 1"):
+                call()
+
+
 def test_dump_lines_are_distinct_and_sorted():
     cs = enumerate_configs(2, "+")
     lines = [c.dump_line() for c in cs]
@@ -298,6 +309,13 @@ def test_yang_baxter_check_refuses_zero_trials():
     for trials in (0, -2):
         with pytest.raises(UsageError):
             check_yb_identities(trials=trials, seed=6, max_stack_n=1)
+
+
+def test_yang_baxter_check_refuses_no_stack_family():
+    # max_stack_n < 1 would drop every stack_commutation family and still pass
+    for msn in (0, -1):
+        with pytest.raises(UsageError):
+            check_yb_identities(trials=1, seed=6, max_stack_n=msn)
 
 
 def _scaled(real, cells, factor):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from xtl import tsasm
+from xtl import qkz, sixvertex, tsasm
 from xtl.contour import sum_components
-from xtl.exact import MultiLaurent
+from xtl.exact import (DegeneratePointError, GaussianRational as G, MultiLaurent,
+                       UsageError, inv)
+from xtl.sampling import half_sites
 from xtl.theorems import (check_corollaries, check_gf_lemma, check_main_theorem,
                           check_relation_SZ, check_Y_equals_YY)
 
@@ -95,6 +97,55 @@ def test_y_equals_yy_negative_control_swapped_parity():
         rhs = rescaled_YY(1, ws, s, t, q)  # parity-wrong parameter
         mismatches += lhs != rhs
     assert mismatches
+
+
+def test_half_sites_is_the_pairwise_inverted_tuple():
+    w = G(-3, 1)
+    assert half_sites([2, w], False) == [G(2), inv(G(2)), w, inv(w)]
+    assert half_sites([w], True) == [w, inv(w), G(1)]
+    assert half_sites([], True) == [G(1)] and half_sites([], False) == []
+    # a zero w is refused on both sides of Y = YY
+    for N in (2, 3):
+        with pytest.raises(DegeneratePointError):
+            qkz.gen_sum_Z(N, [G(0)], G(3), G(5))
+    with pytest.raises(DegeneratePointError):
+        sixvertex.overlap_ZZ(2, [G(2), 0], G(3), G(5), G(7))
+
+
+_FAULTY_PAIRS = {  # the site pair a faulty half_sites makes of each w
+    "w_and_inverse_swapped": lambda w: (inv(w), w),
+    "inverse_negated": lambda w: (w, -inv(w)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTY_PAIRS))
+@pytest.mark.parametrize("N", range(2, 6))
+def test_y_equals_yy_fails_on_a_shared_faulty_site_tuple(monkeypatch, fault, N):
+    # both sides read the one half_sites; a fault in it is not hidden by the
+    # sharing, because the two routes evaluate different functions there
+    def faulty(ws, odd):
+        return [z for w in ws for z in _FAULTY_PAIRS[fault](w)] + [G(1)] * odd
+
+    monkeypatch.setattr(qkz, "half_sites", faulty)
+    monkeypatch.setattr(sixvertex, "half_sites", faulty)
+    assert not check_Y_equals_YY(N, trials=2, seed=3).passed
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_y_equals_yy_fails_without_the_odd_size_divisor(monkeypatch, N):
+    real = qkz.y_divisor
+    monkeypatch.setattr(qkz, "y_divisor", lambda N, ws, s: real(0, ws, s))
+    assert not check_Y_equals_YY(N, trials=2, seed=3).passed
+
+
+@pytest.mark.parametrize("check", [lambda t: check_relation_SZ(3, trials=t),
+                                   lambda t: check_Y_equals_YY(3, trials=t),
+                                   lambda t: check_gf_lemma(1, trials=t)],
+                         ids=["relation_SZ", "Y_equals_YY", "gf_lemma"])
+def test_sampled_checks_refuse_zero_trials(check):
+    for trials in (0, -2):
+        with pytest.raises(UsageError):
+            check(trials)
 
 
 @pytest.mark.parametrize("N", range(0, 5))
