@@ -21,7 +21,7 @@ generalized sum pairs them with its two-site covector `chi_covector`.
 
 from __future__ import annotations
 
-from itertools import combinations, groupby
+from itertools import combinations, groupby, islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -241,9 +241,51 @@ def _along(var: str, value, sites, s, h: int, spare: int):
     return interpolate_along(var, ((x, value(x)) for x in xs), -h, h, spare)
 
 
+def _psi_along(var: str, N: int, sites, s, beta, h: int, parity, spare: int) -> dict:
+    """The components of psi_vector(N, sites(x), s, beta) as exact Laurent
+    polynomials in var with exponents in [-h, h], given that component a is
+    x^parity(a) times a polynomial P_a in y = x^2.
+
+    P_a has exponents in [-((h+1)//2), h//2], so it is interpolated in y at
+    h + 1 abscissae of distinct squares (not 2h + 1 in x) whose site tuples
+    are nondegenerate.  The `spare` pairs are direct evaluations at further
+    such abscissae, compared with the rebuilt polynomials in var: a wrong
+    parity or a too-small window raises DomainError.
+    """
+    squares: set = set()
+
+    def fresh(x) -> bool:
+        y = x * x
+        if y in squares or z_point_degenerate(sites(x), s):
+            return False
+        squares.add(y)
+        return True
+
+    lo, hi = -((h + 1) // 2), h // 2
+    m = hi - lo + 1
+    pts = [(x, psi_vector(N, sites(x), s, beta).amps)
+           for x in islice(abscissa_sweep(fresh), m + spare)]
+
+    def fit_sample(x, amps):
+        xi = x.inverse()
+        return x * x, {a: v * xi if parity(a) else v for a, v in amps.items()}
+
+    fits = interpolate_along("y", (fit_sample(x, amps) for x, amps in pts[:m]), lo, hi, 0)
+    polys = {a: MultiLaurent((var,), {(2 * e + parity(a),): c for (e,), c in p.terms.items()})
+             for a, p in fits.items()}
+    for x, amps in pts[m:]:
+        for a in polys.keys() | amps.keys():
+            p = polys.get(a)
+            if (p.eval_at({var: x}) if p else 0) != amps.get(a, 0):
+                raise DomainError(f"interpolation window [{-h}, {h}] in {var} with "
+                                  "the sign rule does not fit")
+    return polys
+
+
 def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
     """All components as exact Laurent polynomials in z_i (others fixed),
-    interpolated at nondegenerate abscissae and cross-validated at two more."""
+    interpolated in z_i^2 at nondegenerate abscissae and cross-validated at two
+    more."""
     if not 1 <= i <= N:
         raise UsageError("variable index out of range")
     zs = [as_gaussian(z) for z in zs]
@@ -254,9 +296,20 @@ def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
         pt[i - 1] = x
         return pt
 
-    # each component is centred in z_i with |exponent| <= N - 1, the stated
-    # degree-width bound max(2(n'-1), 2n-1) for n = N//2, n' = N - n
-    return _along("z", lambda x: psi_vector(N, at(x), s, beta).amps, at, s, N - 1, 2)
+    # Each component is centred in z_i with |exponent| <= N - 1, the stated
+    # degree-width bound max(2(n'-1), 2n-1) for n = N//2, n' = N - n.
+    # The sign rule psi_a(.., -z_i, ..) = (-1)^[i in a] psi_a(.., z_i, ..):
+    # every bracket [v] = v - 1/v is odd in v, so a bracket with z_i to the
+    # first power ([z_j/z_i], [q z_j/z_i], [q z_j z_i], [q^2 z_j z_i] for
+    # j != i, and [beta z_i]) changes sign, while [q^2 z_i^2] and [q] do not.
+    # In _ResidueTables (sites p, positions a, both 1-based here) the pair
+    # factor of sites p != pp holds four such brackets when z_i is z_p or z_pp
+    # and none otherwise, and the prefactor holds two per pair (j, i).  The
+    # pole factor of site p at position a holds 1 + (a-1) + (N-a+1-[p=a]) +
+    # (N-1) of them when i = p and [i<=a] + [i>=a] + 1 otherwise, so it flips
+    # sign iff a = i.  Each residue term of component a has one pole factor
+    # per position of a.
+    return _psi_along("z", N, at, s, beta, N - 1, lambda a: int(i in a), 2)
 
 
 def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
@@ -270,9 +323,11 @@ def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
         return [lam ** k for k in range(N)]
 
     # each component has |exponent| <= N - 1 in z_k (psi_vector_poly_in_z),
-    # so |exponent of lambda| <= (N - 1) * sum_k (k - 1)
-    polys = _along("l", lambda lam: psi_vector(N, at(lam), s, beta).amps, at, s,
-                   (N - 1) * (N * (N - 1) // 2), 1)
+    # so |exponent of lambda| <= (N - 1) * sum_k (k - 1); lambda -> -lambda
+    # negates z_k for even k, so by the sign rule of psi_vector_poly_in_z
+    # component a has the parity of #{k in a : k even}
+    polys = _psi_along("l", N, at, s, beta, (N - 1) * (N * (N - 1) // 2),
+                       lambda a: sum(1 for k in a if k % 2 == 0) % 2, 1)
     return SpinVector.make(N, {k: p.eval_at({"l": _ONE}) for k, p in polys.items()})
 
 

@@ -110,22 +110,20 @@ class ExactSampler:
         induced site tuple half_sites(ws, N odd) is nondegenerate and the
         rescaling divisors are nonzero."""
         n = N // 2
-        q = s * s
         while True:
             ws = tuple(self.nonzero() for _ in range(n))
             if z_point_degenerate(half_sites(ws, N % 2), s):
                 continue
-            if not self._rescaling_ok(ws, N, q, s):
+            if not self._rescaling_ok(ws, N, s):
                 continue
             return ws
 
     @staticmethod
-    def _rescaling_ok(ws, N, q, s) -> bool:
-        for w in ws:
-            if (w * s.inverse()) ** 2 == 1:      # [w/q^{1/2}] = 0
-                return False
-            if (w * w) ** 2 == (q * q) ** 2:     # [q^2/w^2] = 0
-                return False
-            if N % 2 and ((q * w) ** 2 == 1 or (q * w.inverse()) ** 2 == 1):
-                return False
-        return True
+    def _rescaling_ok(ws, N, s) -> bool:
+        """Both rescaling divisors, qkz.y_divisor and sixvertex.yy_divisor, are
+        nonzero at ws (imported here: both modules import this one).  Each of
+        their zeros (w^2 = q, w^2 = +-q^2, w = +-q^{+-1} at odd size) is also a
+        pole collision of half_sites(ws, N odd), which w_point tests first."""
+        from .qkz import y_divisor
+        from .sixvertex import yy_divisor
+        return not (y_divisor(N, ws, s).is_zero() or yy_divisor(ws, s).is_zero())

@@ -50,7 +50,7 @@ __all__ = [
     "alpha_plus", "alpha_minus", "SixVertexConfig", "enumerate_configs",
     "config_weight", "partition_enum", "partition_algebraic",
     "partition_enum_all_words", "partition_algebraic_all_words",
-    "apply_operator_stack", "overlap_ZZ", "rescaled_YY", "overlap_ZZ_poly_in_w",
+    "apply_operator_stack", "overlap_ZZ", "rescaled_YY", "yy_divisor", "overlap_ZZ_poly_in_w",
     "check_yb_identities",
 ]
 
@@ -399,21 +399,25 @@ def overlap_ZZ(n: int, ws: Sequence, s, t, b):
                GaussianRational(0))
 
 
+def yy_divisor(ws: Sequence, s) -> GaussianRational:
+    """The w-dependent normalization prod [q^2/w_i^2] of rescaled_YY."""
+    q = as_gaussian(s) ** 2
+    d = GaussianRational(1)
+    for w in ws:
+        d = d * bracket(q * q * as_gaussian(w).inverse() ** 2)
+    return d
+
+
 def rescaled_YY(n: int, ws: Sequence, s, t, b):
     """The overlap divided by (-1)^(n(n+1)/2) normalizations [s]^n prod [q^2/w_i^2]."""
     z = overlap_ZZ(n, ws, s, t, b)
     if n == 0:
         return z
-    s = as_gaussian(s)
-    q = s * s
-    den = bracket(s) ** n
-    for w in ws:
-        f = bracket(q * q * as_gaussian(w).inverse() ** 2)
-        if f.is_zero():
-            raise DomainError("rescaling undefined: [q^2/w_i^2] = 0")
-        den = den * f
+    den = yy_divisor(ws, s)
+    if den.is_zero():
+        raise DomainError("rescaling undefined: [q^2/w_i^2] = 0")
     sign = -1 if (n * (n + 1) // 2) % 2 else 1
-    return z * den.inverse() * sign
+    return z * (bracket(as_gaussian(s)) ** n * den).inverse() * sign
 
 
 def overlap_ZZ_poly_in_w(n: int, ws: Sequence, i: int, s, t, b) -> MultiLaurent:

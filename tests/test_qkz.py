@@ -6,13 +6,14 @@ import pytest
 
 from xtl.contour import psi_components, sum_components
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
-                       MultiLaurent, UsageError, bracket, brace, format_scalar, inv)
+                       MultiLaurent, UsageError, as_gaussian, bracket, brace, format_scalar,
+                       inv)
 from xtl.operators import SpinVector, r_check_exchange
 from xtl.qkz import (big_psi_component, check_exchange_and_reflection,
                      check_psi_reduction, check_Z_properties, gen_sum_Z,
                      gen_sum_Z_poly_in_w, psi_vector, psi_vector_homogeneous,
                      psi_vector_poly_in_z, rescaled_Y, y_divisor)
-from xtl.sampling import ExactSampler
+from xtl.sampling import ExactSampler, half_sites, z_point_degenerate
 
 # fixed parameters; every test draws its points from a sampler of its own, so
 # a test's point does not depend on which tests ran before it
@@ -167,6 +168,79 @@ def test_reduction_two_site_closed_form():
 # Laurent structure of the components
 # ---------------------------------------------------------------------------
 
+_FLIP = ((1, 0), (0, -1))   # -1 on a down spin
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_sign_rule_under_negating_one_site_value(N):
+    # psi_a(.., -z_k, ..) = (-1)^[k in a] psi_a(.., z_k, ..), the rule the
+    # interpolation in z_k^2 rests on
+    rng = ExactSampler(7740 + N)
+    s, beta = rng.s_value(), rng.beta_value()
+    zs = rng.z_point(N, s, beta)
+    base = psi_vector(N, zs, s, beta)
+    for k in range(1, N + 1):
+        flipped = list(zs)
+        flipped[k - 1] = -flipped[k - 1]
+        assert psi_vector(N, flipped, s, beta) == base.apply_one_site(_FLIP, k), k
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_sign_rule_on_the_homogeneous_curve(N):
+    # z_k = lambda^(k-1) at -lambda negates z_k for even k
+    rng = ExactSampler(7750 + N)
+    s, beta = rng.s_value(), rng.beta_value()
+    lam = G(3, 2)
+    lhs = psi_vector(N, [(-lam) ** k for k in range(N)], s, beta)
+    rhs = psi_vector(N, [lam ** k for k in range(N)], s, beta)
+    for k in range(2, N + 1, 2):
+        rhs = rhs.apply_one_site(_FLIP, k)
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_interpolation_in_z_squared_costs_N_plus_2_evaluations(monkeypatch, N):
+    # N abscissae fit the polynomials in z_i^2 and two more cross-validate;
+    # the full window in z_i took 2N + 1
+    from xtl import qkz
+    real, calls = qkz.psi_vector, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qkz, "psi_vector", counted)
+    rng = ExactSampler(7760 + N)
+    s, beta = rng.s_value(), rng.beta_value()
+    psi_vector_poly_in_z(N, rng.z_point(N, s, beta), 1, s, beta)
+    assert len(calls) == N + 2
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_wrong_parity_term_fails_the_spare_pairs(monkeypatch, N):
+    # negative control for the sign rule: one component gains z_k^2, inside
+    # the window in z_k but of the wrong parity
+    from xtl import qkz
+    real = qkz.psi_vector
+    k = 2
+
+    def perturbed(n, zs, s, beta):
+        vec = real(n, zs, s, beta)
+        if n != N:
+            return vec
+        amps = dict(vec.amps)
+        a = min(key for key in amps if k in key)
+        amps[a] = amps[a] + as_gaussian(zs[k - 1]) ** 2
+        return SpinVector.make(n, amps)
+
+    monkeypatch.setattr(qkz, "psi_vector", perturbed)
+    zs = ExactSampler(7770 + N).z_point(N, S, BETA)
+    with pytest.raises(DomainError):
+        psi_vector_poly_in_z(N, zs, k, S, BETA)
+    with pytest.raises(DomainError):
+        check_psi_reduction(N, k - 1, zs, S, BETA)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_components_are_centred_with_stated_widths(N):
     zs = ExactSampler(7720 + N).z_point(N, S)
@@ -250,6 +324,41 @@ def test_divisor_at_a_symbolic_w_evaluates_to_the_scalar_divisor(N):
     assert G(0) + poly.eval_at({"w": ws[0]}) == y_divisor(N, ws, S)
 
 
+def _w_point_squared_tests(rng, N, s):
+    """w_point with the squared-value tests of the divisors' zero sets that
+    the divisors replaced."""
+    n, q = N // 2, s * s
+    while True:
+        ws = tuple(rng.nonzero() for _ in range(n))
+        if z_point_degenerate(half_sites(ws, N % 2), s):
+            continue
+        if any((w * s.inverse()) ** 2 == 1 or (w * w) ** 2 == (q * q) ** 2
+               or N % 2 and ((q * w) ** 2 == 1 or (q * w.inverse()) ** 2 == 1)
+               for w in ws):
+            continue
+        return ws
+
+
+def test_w_point_draws_are_unchanged_by_the_divisor_helpers():
+    for seed in range(6):
+        s = ExactSampler(100 + seed).s_value()
+        for N in range(2, 8):
+            ref, rng = ExactSampler(seed), ExactSampler(seed)
+            for _ in range(20):
+                assert rng.w_point(N, s) == _w_point_squared_tests(ref, N, s), (seed, N)
+
+
+@pytest.mark.parametrize("N,w", [(2, S), (2, -S), (2, Q), (2, -I * Q), (3, S),
+                                 (3, Q), (3, -Q), (3, Q.inverse()), (3, -Q.inverse())])
+def test_w_point_rejects_each_divisor_zero(N, w):
+    # each zero of y_divisor or yy_divisor is also a pole collision of the
+    # half-specialized sites, so the degeneracy test rejects it first
+    from xtl.sixvertex import yy_divisor
+    assert y_divisor(N, [w], S).is_zero() or yy_divisor([w], S).is_zero()
+    assert not ExactSampler._rescaling_ok((w,), N, S)
+    assert z_point_degenerate(half_sites([w], N % 2), S)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_z_property_suite(N):
     rep = check_Z_properties(N, trials=4, seed=5, interp_trials=1)
@@ -325,11 +434,14 @@ def test_report_shape_is_json_ready():
 @pytest.mark.parametrize("N", [3, 4])
 def test_interpolation_windows_are_attained(N):
     # the windows are the degree bounds, not guesses: some component reaches
-    # exponent +-(N-1) in z_1, and the sum reaches +-(2N-3) in w_1
+    # exponent +-(N-1) in z_1, both ends of the window [-(N//2), (N-1)//2] of
+    # the polynomials in z_1^2 are reached, and the sum reaches +-(2N-3) in w_1
     rng = ExactSampler(N)
     s, beta = rng.s_value(), rng.beta_value()
     polys = psi_vector_poly_in_z(N, rng.z_point(N, s, beta), 1, s, beta)
     assert max(max(-lo, hi) for lo, hi in
                (p.degree_range("z") for p in polys.values() if p)) == N - 1
+    halves = {(e - (1 in a)) // 2 for a, p in polys.items() for (e,) in p.terms}
+    assert (min(halves), max(halves)) == (-(N // 2), (N - 1) // 2)
     ws = list(rng.w_point(N, s))
     assert gen_sum_Z_poly_in_w(N, ws, 1, s, beta).degree_range("w") == (3 - 2 * N, 2 * N - 3)
