@@ -14,8 +14,9 @@ Subcommands map one-to-one onto the library operations:
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
 byte-stable for fixed flags: polynomial terms are ordered lexicographically
 and all scalars print through the canonical exact formats.  XTL_SEED and
-XTL_THREADS provide defaults for --seed/--threads (flags win); neither value
-affects any numerical result.
+XTL_THREADS provide defaults for --seed/--threads (flags win; a malformed
+value that no flag overrides is a usage error); neither value affects any
+numerical result.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError,
                     format_scalar, parse_scalar)
 
 __all__ = ["main", "dispatch"]
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,8 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "yandyy", "gflemma", "main", "corollaries", "relationsz"))
     p.add_argument("--max-N", type=int, dest="max_n", default=6)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=_env_int("XTL_SEED", 42))
-    p.add_argument("--threads", type=int, default=_env_int("XTL_THREADS", 1),
+    # argparse applies type=int to a string default only when the flag is absent,
+    # so a malformed environment value is a usage error unless a flag overrides it
+    p.add_argument("--seed", type=int, default=os.environ.get("XTL_SEED", "42"))
+    p.add_argument("--threads", type=int, default=os.environ.get("XTL_THREADS", "1"),
                    help="worker processes for independent checks (never affects output)")
     return top
 
@@ -111,8 +107,8 @@ def _emit(ns, text: str) -> None:
 
 
 def serialize(result, fmt: str) -> str:
-    """Bit-stable rendering of a polynomial, count table, matrix list, or
-    report; raises UsageError on an unsupported pairing."""
+    """Bit-stable rendering of a polynomial, count table or matrix list;
+    raises UsageError on an unsupported pairing."""
     from .tsasm import matrices_to_text
 
     if isinstance(result, MultiLaurent):
@@ -135,9 +131,6 @@ def serialize(result, fmt: str) -> str:
             return matrices_to_text(result)
         if fmt == "json":
             return json.dumps(result) + "\n"
-    if isinstance(result, dict):
-        if fmt == "json":
-            return json.dumps(result, sort_keys=True, default=str) + "\n"
     raise UsageError(f"cannot serialize {type(result).__name__} as {fmt}")
 
 

@@ -491,16 +491,6 @@ class MultiLaurent:
         except ValueError:
             raise UsageError(f"unknown variable {var!r} (have {self.vars})") from None
 
-    def coeff_of(self, var: str, k: int) -> "MultiLaurent":
-        """Coefficient of var**k, a MultiLaurent in the remaining variables."""
-        ax = self._axis(var)
-        rest = self.vars[:ax] + self.vars[ax + 1:]
-        out = {}
-        for e, c in self.terms.items():
-            if e[ax] == k:
-                out[e[:ax] + e[ax + 1:]] = c
-        return _raw(rest, out)
-
     def degree_range(self, var: str):
         """(min exponent, max exponent) of var, or None for the zero polynomial."""
         ax = self._axis(var)

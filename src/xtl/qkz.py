@@ -32,7 +32,7 @@ from .operators import SpinVector, chi_covector, k_boundary, r_check_exchange
 from .sampling import ExactSampler, half_sites, z_point_degenerate
 
 __all__ = [
-    "big_psi_component", "psi_vector",
+    "psi_vector",
     "psi_vector_poly_in_z", "psi_vector_homogeneous",
     "gen_sum_Z", "gen_sum_Z_poly_in_w", "rescaled_Y", "y_divisor",
     "check_exchange_and_reflection", "check_psi_reduction", "check_Z_properties",
@@ -213,20 +213,6 @@ def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
         if not v.is_zero():
             amps[a] = v
     return SpinVector(N, amps)
-
-
-def big_psi_component(N: int, a: tuple, zs: Sequence, s, beta) -> GaussianRational:
-    """A single component at strictly increasing positions a (exact)."""
-    a = tuple(a)
-    if N <= 1:
-        if a != ():
-            raise UsageError("chains of fewer than two sites have only the empty tuple")
-        return _ONE
-    n = N // 2
-    if len(a) != n or list(a) != sorted(set(a)) or not all(1 <= p <= N for p in a):
-        raise UsageError(f"positions must be {n} strictly increasing values in 1..{N}")
-    t = _ResidueTables(zs, s, beta)
-    return _prefactor(t, n) * _residue_sums(t, [a])[a]
 
 
 # ---------------------------------------------------------------------------

@@ -107,23 +107,12 @@ class ExactSampler:
 
     def w_point(self, N: int, s) -> tuple:
         """Half-specialization-ready w values for a chain of N sites: the
-        induced site tuple half_sites(ws, N odd) is nondegenerate and the
-        rescaling divisors are nonzero."""
+        induced site tuple half_sites(ws, N odd) is nondegenerate.  That also
+        keeps the rescaling divisors qkz.y_divisor and sixvertex.yy_divisor
+        nonzero: each of their zeros (w^2 = q, w^2 = +-q^2, w = +-q^{+-1} at
+        odd size) is a pole collision of these sites."""
         n = N // 2
         while True:
             ws = tuple(self.nonzero() for _ in range(n))
-            if z_point_degenerate(half_sites(ws, N % 2), s):
-                continue
-            if not self._rescaling_ok(ws, N, s):
-                continue
-            return ws
-
-    @staticmethod
-    def _rescaling_ok(ws, N, s) -> bool:
-        """Both rescaling divisors, qkz.y_divisor and sixvertex.yy_divisor, are
-        nonzero at ws (imported here: both modules import this one).  Each of
-        their zeros (w^2 = q, w^2 = +-q^2, w = +-q^{+-1} at odd size) is also a
-        pole collision of half_sites(ws, N odd), which w_point tests first."""
-        from .qkz import y_divisor
-        from .sixvertex import yy_divisor
-        return not (y_divisor(N, ws, s).is_zero() or yy_divisor(ws, s).is_zero())
+            if not z_point_degenerate(half_sites(ws, N % 2), s):
+                return ws

@@ -39,8 +39,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
-from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError,
-                    abscissa_sweep, as_gaussian, bracket, brace, interpolate_along, inv)
+from .exact import (DomainError, GaussianRational, UsageError, as_gaussian, bracket,
+                    brace, inv)
 from .operators import (apply_one_site, apply_two_site, basis_vector, chi_covector,
                         det_k_corner, index_word, k_boundary, k_corner, mat2_mul,
                         r_bulk, r_check_bulk, r_check_exchange, word_index)
@@ -50,7 +50,7 @@ __all__ = [
     "alpha_plus", "alpha_minus", "SixVertexConfig", "enumerate_configs",
     "config_weight", "partition_enum", "partition_algebraic",
     "partition_enum_all_words", "partition_algebraic_all_words",
-    "apply_operator_stack", "overlap_ZZ", "rescaled_YY", "yy_divisor", "overlap_ZZ_poly_in_w",
+    "apply_operator_stack", "overlap_ZZ", "rescaled_YY", "yy_divisor",
     "check_yb_identities",
 ]
 
@@ -79,9 +79,6 @@ class SixVertexConfig:
         hbits = tuple(int(self.hedge[(r, c)] == "R")
                       for r in range(1, n2 + 1) for c in range(r, n2 + 1))
         return vbits + hbits
-
-    def dump_line(self) -> str:
-        return "".join(str(b) for b in self.canonical_bits())
 
     def bulk_class(self, r: int, c: int) -> str:
         """Ice-rule class of bulk vertex (r, c): 'a' (straight, weight [q/(z_r z_c)]),
@@ -418,25 +415,6 @@ def rescaled_YY(n: int, ws: Sequence, s, t, b):
         raise DomainError("rescaling undefined: [q^2/w_i^2] = 0")
     sign = -1 if (n * (n + 1) // 2) % 2 else 1
     return z * (bracket(as_gaussian(s)) ** n * den).inverse() * sign
-
-
-def overlap_ZZ_poly_in_w(n: int, ws: Sequence, i: int, s, t, b) -> MultiLaurent:
-    """The overlap as an exact Laurent polynomial in w_i (other arguments fixed),
-    recovered by interpolation at distinct abscissae and cross-validated."""
-    if not 1 <= i <= n:
-        raise UsageError("variable index out of range")
-    ws = list(ws)
-
-    def value(x):
-        pt = list(ws)
-        pt[i - 1] = x
-        return overlap_ZZ(n, pt, s, t, b)
-
-    # every path through the stack meets 2(2n-2) crossings and 2 corners whose
-    # entries have w_i-exponents in [-1, 1], and the covector adds one more
-    h = 4 * n - 1
-    return interpolate_along("w", ((x, value(x)) for x in abscissa_sweep(lambda x: True)),
-                             -h, h, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from .contour import ChainShape, psi_components
 from .exact import UsageError, inv
 from .operators import SpinVector
 
-__all__ = ["SparseHamiltonian", "build_hamiltonian", "apply_hamiltonian_sector",
-           "eigenvalue_E", "verify_eigenpair", "EigenReport"]
+__all__ = ["apply_hamiltonian_sector", "eigenvalue_E", "verify_eigenpair", "EigenReport"]
 
 
 def _as_x(x):
@@ -45,50 +44,6 @@ _NEIGHBOUR = ((_QUARTER, 0, 0, 0),
               (0, -_QUARTER, -1, 0),
               (0, -1, -_QUARTER, 0),
               (0, 0, 0, _QUARTER))
-
-
-@dataclass(frozen=True)
-class SparseHamiltonian:
-    """Sparse symmetric matrix: columns[b] lists (row index, exact entry)."""
-
-    N: int
-    x: object
-    columns: tuple
-
-    def dense(self) -> list:
-        dim = 1 << self.N
-        out = [[0] * dim for _ in range(dim)]
-        for c, col in enumerate(self.columns):
-            for r, v in col:
-                out[r][c] = v
-        return out
-
-
-def build_hamiltonian(N: int, x) -> SparseHamiltonian:
-    """The full 2^N-dimensional Hamiltonian; x may be exact or a variable.
-
-    Only sensible for moderate N; eigenvector verification uses the
-    sector-restricted application instead of this matrix.
-    """
-    if N < 1:
-        raise UsageError("N must be >= 1")
-    x = _as_x(x)
-    p, pp = _boundary_fields(x)
-    dim = 1 << N
-    cols = []
-    for b in range(dim):
-        spins = [1 - 2 * ((b >> (N - i)) & 1) for i in range(1, N + 1)]  # +1 up
-        col = {}
-        diag = 0
-        for i in range(N - 1):
-            diag = diag + _QUARTER * (spins[i] * spins[i + 1])
-            if spins[i] != spins[i + 1]:
-                flipped = b ^ (1 << (N - 1 - i)) ^ (1 << (N - 2 - i))
-                col[flipped] = col.get(flipped, 0) - 1
-        diag = diag + p * spins[0] + pp * spins[N - 1]
-        col[b] = col.get(b, 0) + diag
-        cols.append(tuple(sorted((r, v) for r, v in col.items() if v != 0)))
-    return SparseHamiltonian(N, x, tuple(cols))
 
 
 def apply_hamiltonian_sector(N: int, x, amps: Mapping[tuple, Fraction]) -> dict:

@@ -145,37 +145,41 @@ def check_main_theorem(N: int) -> TheoremReport:
     return rep
 
 
-def check_corollaries(N: int, count_max: int = 6, susy_max: int = 5,
-                      shift_max: int = 5) -> TheoremReport:
+# the largest N at which check_corollaries runs parts (b), (c) and (d): each
+# enumerates the TSASMs of order 2N+1 or 2N+3
+_COUNT_MAX, _SUSY_MAX, _SHIFT_MAX = 6, 5, 5
+
+
+def check_corollaries(N: int) -> TheoremReport:
     """The corollary chain:
 
     (a) the tau = 1 component sum against the tau = 1 generating function;
-    (b) the counting integral against the enumeration count, N <= count_max;
+    (b) the counting integral against the enumeration count, N <= _COUNT_MAX;
     (c) the component sum at x = tau = 1 against the count two orders higher,
-        N <= susy_max;
-    (d) the shift identity gf_N(1+tau, tau) = gf_{N+1}(1, tau), N <= shift_max.
+        N <= _SUSY_MAX;
+    (d) the shift identity gf_N(1+tau, tau) = gf_{N+1}(1, tau), N <= _SHIFT_MAX.
     """
-    rep = TheoremReport("corollaries", {"N": N, "count_max": count_max,
-                                        "susy_max": susy_max, "shift_max": shift_max})
+    rep = TheoremReport("corollaries", {"N": N, "count_max": _COUNT_MAX,
+                                        "susy_max": _SUSY_MAX, "shift_max": _SHIFT_MAX})
     gf = genfun(N)
     lhs = sum_components(N, tau=1)
     rhs = _weighted_enumeration(gf, ChainShape.of(N).n, 1)
     if lhs != rhs:
         rep.fail(part="a_tau_one", lhs=lhs.to_json(), rhs=rhs.to_json())
 
-    if N <= count_max:
+    if N <= _COUNT_MAX:
         ci = tsasm_count_integral(N)
         ce = len(enumerate_tsasm(N))
         if ci != ce:
             rep.fail(part="b_counts", lhs=ci, rhs=ce)
 
-    if N <= susy_max:
+    if N <= _SUSY_MAX:
         sval = sum_components(N, x=1, tau=1)
         bigger = len(enumerate_tsasm(N + 1))
         if sval != bigger:
             rep.fail(part="c_supersymmetric_point", lhs=sval, rhs=bigger)
 
-    if N <= shift_max:
+    if N <= _SHIFT_MAX:
         tau = MultiLaurent.var("tau")
         lhs_d = gf.substitute({"t": 1 + tau})
         rhs_d = genfun(N + 1).substitute({"t": 1})

@@ -33,7 +33,7 @@ from .sixvertex import (SixVertexConfig, _automaton_sums, alpha_minus, alpha_plu
                         enumerate_configs)
 
 __all__ = [
-    "is_tsasm", "diamond_tsasm", "TriangularArray", "triangular_array",
+    "is_tsasm", "TriangularArray", "triangular_array",
     "matrix_from_array", "from_sixvertex", "config_from_tsasm",
     "enumerate_tsasm", "genfun", "count_from_partition", "matrices_to_text",
 ]
@@ -72,19 +72,6 @@ def is_tsasm(m: Matrix) -> bool:
     return True
 
 
-def diamond_tsasm(N: int) -> list:
-    """The diamond-shaped TSASM of order 2N+1 attaining the maximal statistics."""
-    if N < 0:
-        raise UsageError("N must be >= 0")
-    order = 2 * N + 1
-    out = [[0] * order for _ in range(order)]
-    for i in range(1, order + 1):
-        for j in range(1, order + 1):
-            if abs(i - j) <= N and abs(2 * (N + 1) - i - j) <= N:
-                out[i - 1][j - 1] = (-1) ** (i + j + N)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the triangular fundamental domain
 # ---------------------------------------------------------------------------
@@ -101,10 +88,6 @@ class TriangularArray:
     def eps(self) -> int:
         return self.N % 2
 
-    @property
-    def n(self) -> int:
-        return self.N // 2
-
     def mu(self) -> int:
         """Nonzero entries on the staircase diagonal (first entry of each row)."""
         return sum(1 for row in self.rows if row and row[0])
@@ -112,9 +95,6 @@ class TriangularArray:
     def nu(self) -> int:
         """Nonzero entries strictly below the staircase diagonal."""
         return sum(1 for row in self.rows for v in row[1:] if v)
-
-    def to_json(self) -> list:
-        return [list(r) for r in self.rows]
 
 
 def triangular_array(m: Matrix) -> TriangularArray:

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from xtl import cli
 from xtl.cli import dispatch
 from xtl.contour import ChainShape, ComponentTable
@@ -264,6 +266,16 @@ def test_env_seed_default_applies():
                         "yandyy", "--max-N", "2", "--trials", "2"],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0 and '"seed": 7' in r.stdout
+
+
+@pytest.mark.parametrize("var,flag", [("XTL_SEED", "--seed"), ("XTL_THREADS", "--threads")])
+def test_malformed_env_default_is_a_usage_error(monkeypatch, capsys, var, flag):
+    # a bad value must not fall back to the built-in default; a flag still
+    # wins, and the variable is then not read
+    monkeypatch.setenv(var, "abc")
+    base = ["verify", "--suite", "yandyy", "--max-N", "1", "--trials", "1"]
+    assert run_cli(base) == (2, "")
+    assert run_cli(base + [flag, "1"])[0] == 0
 
 
 def test_out_flag(tmp_path):

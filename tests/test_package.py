@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "xtl"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "xtl"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -23,3 +24,62 @@ def test_no_assert_statements():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Assert)]
     assert not hits
+
+
+# public names that only tests call, each kept as the reference its test
+# compares a product route against: (test file, test)
+TEST_REFERENCES = {
+    "config_weight": ("test_sixvertex.py", "test_partition_enum_equals_sum_of_config_weights"),
+    "config_from_tsasm": ("test_tsasm.py", "test_bijection_round_trip"),
+    "triangular_array": ("test_tsasm.py", "test_statistics_bounds"),
+    "psi_vector_homogeneous": ("test_qkz.py", "test_homogeneous_vector_matches_extraction_table"),
+}
+
+
+def _code_names(node) -> set:
+    """Identifiers used as code (Name or Attribute) under node; strings and
+    docstrings do not count."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _unreferenced_public_names() -> list:
+    """Names in an __all__ that no code in the package uses outside their own
+    definition and that perfbench does not name."""
+    refs = set()
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            refs |= _code_names(stmt) - {getattr(stmt, "name", None)}
+    # perfbench wraps bindings that it looks up by name, so a string there counts
+    bench = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bench |= _code_names(tree) | {n.value for n in ast.walk(tree)
+                                      if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return [f"{name}.{n}" for name in MODULES
+            for n in getattr(importlib.import_module(f"xtl.{name}"), "__all__", ())
+            if n not in refs and n not in bench]
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    unused = _unreferenced_public_names()
+    assert sorted(n for n in unused if n.split(".")[1] not in TEST_REFERENCES) == []
+    # an entry of TEST_REFERENCES that the package starts to use is stale
+    assert sorted(n.split(".")[1] for n in unused) == sorted(TEST_REFERENCES)
+    for name, (path, test) in TEST_REFERENCES.items():
+        tree = ast.parse((ROOT / "tests" / path).read_text())
+        fn = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == test)
+        assert name in _code_names(fn), (name, test)
+
+
+def test_sampling_imports_only_exact():
+    # the modules that draw points import sampling, so sampling must not
+    # import them back, not even at call time
+    imported = set()
+    for n in ast.walk(ast.parse((SRC / "sampling.py").read_text())):
+        if isinstance(n, ast.ImportFrom) and (n.level or n.module.split(".")[0] == "xtl"):
+            mod = n.module.removeprefix("xtl").lstrip(".") if n.module else ""
+            imported |= {mod} if mod else {a.name for a in n.names}
+        elif isinstance(n, ast.Import):
+            imported |= {a.name[4:] for a in n.names if a.name.startswith("xtl.")}
+    assert imported == {"exact"}

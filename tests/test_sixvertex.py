@@ -5,12 +5,13 @@ import pytest
 
 from xtl import sixvertex
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
-                       MultiLaurent as ML, UsageError, bracket, brace, inv)
+                       MultiLaurent as ML, UsageError, abscissa_sweep, bracket, brace,
+                       div_exact_univar, interpolate_along, inv)
 from xtl.operators import apply_two_site, r_bulk, r_check_bulk
 from xtl.sampling import ExactSampler
 from xtl.sixvertex import (_column_steps, _transition_table, alpha_minus, alpha_plus,
                            check_yb_identities, config_weight, enumerate_configs,
-                           overlap_ZZ, overlap_ZZ_poly_in_w, partition_algebraic,
+                           overlap_ZZ, partition_algebraic,
                            partition_algebraic_all_words, partition_enum,
                            partition_enum_all_words, rescaled_YY)
 
@@ -51,9 +52,9 @@ def test_every_partition_route_refuses_size_below_one():
 
 def test_dump_lines_are_distinct_and_sorted():
     cs = enumerate_configs(2, "+")
-    lines = [c.dump_line() for c in cs]
-    assert len(set(lines)) == len(lines)
-    assert lines == sorted(lines)
+    bits = [c.canonical_bits() for c in cs]
+    assert len(set(bits)) == len(bits)
+    assert bits == sorted(bits)
 
 
 def test_size_one_partition_closed_forms_numeric():
@@ -281,10 +282,24 @@ def test_overlap_reduction_pair(n):
     assert lhs == f * rescaled_YY(n - 2, ws[:n - 2], S, T, B)
 
 
+def overlap_ZZ_poly_in_w(n, ws, i, s, t, b):
+    """The overlap as an exact Laurent polynomial in w_i (other arguments fixed),
+    recovered by interpolation at distinct abscissae and cross-validated."""
+    def value(x):
+        pt = list(ws)
+        pt[i - 1] = x
+        return overlap_ZZ(n, pt, s, t, b)
+
+    # every path through the stack meets 2(2n-2) crossings and 2 corners whose
+    # entries have w_i-exponents in [-1, 1], and the covector adds one more
+    h = 4 * n - 1
+    return interpolate_along("w", ((x, value(x)) for x in abscissa_sweep(lambda x: True)),
+                             -h, h, 2)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_overlap_polynomial_width_bound(n):
     # even inversion-symmetric rescaled overlap of width at most 8(n-1)
-    from xtl.exact import div_exact_univar
     ws = list(ExactSampler(10150 + n).w_point(2 * n, S))
     poly = overlap_ZZ_poly_in_w(n, ws, 1, S, T, B)
     assert all(e[0] % 2 == 0 for e in poly.terms)

@@ -7,8 +7,24 @@ import pytest
 from xtl.contour import psi_components, sum_components
 from xtl.exact import DomainError, MultiLaurent, UsageError
 from xtl.operators import SpinVector
-from xtl.spinchain import (apply_hamiltonian_sector, build_hamiltonian,
-                           eigenvalue_E, verify_eigenpair)
+from xtl.spinchain import apply_hamiltonian_sector, eigenvalue_E, verify_eigenpair
+
+
+def dense_hamiltonian(N, x):
+    """The full 2^N-dimensional Hamiltonian at a rational x, built entry by
+    entry from the spin words: the reference for the sector application."""
+    half = Fraction(1, 2)
+    p, pp = half * (half - x), half * (half - 1 / x)
+    dim = 1 << N
+    h = [[0] * dim for _ in range(dim)]
+    for b in range(dim):
+        spins = [1 - 2 * ((b >> (N - i)) & 1) for i in range(1, N + 1)]  # +1 up
+        h[b][b] = p * spins[0] + pp * spins[-1]
+        for i in range(N - 1):
+            h[b][b] += Fraction(spins[i] * spins[i + 1], 4)
+            if spins[i] != spins[i + 1]:
+                h[b ^ (1 << (N - 1 - i)) ^ (1 << (N - 2 - i))][b] -= 1
+    return h
 
 
 def test_eigenvalue_examples():
@@ -22,14 +38,13 @@ def test_eigenvalue_examples():
 
 def test_single_site_hamiltonian_is_boundary_fields_only():
     x = Fraction(3, 5)
-    h = build_hamiltonian(1, x)
-    d = h.dense()
+    d = dense_hamiltonian(1, x)
     val = Fraction(1, 2) * (Fraction(1, 2) - x) + Fraction(1, 2) * (Fraction(1, 2) - 1 / x)
     assert d[0][0] == val and d[1][1] == -val and d[0][1] == 0
 
 
 def test_two_site_hamiltonian_structure():
-    d = build_hamiltonian(2, Fraction(1)).dense()
+    d = dense_hamiltonian(2, Fraction(1))
     # off-diagonal hop of strength -1 in the mixed block, quarter-weighted diagonal
     assert d[1][2] == d[2][1] == -1
     assert d[0][0] == Fraction(-1, 4) and d[3][3] == Fraction(3, 4)
@@ -38,8 +53,7 @@ def test_two_site_hamiltonian_structure():
 
 def test_dense_matrix_is_symmetric_and_sector_preserving():
     for N in (2, 3, 4):
-        h = build_hamiltonian(N, Fraction(2, 3))
-        d = h.dense()
+        d = dense_hamiltonian(N, Fraction(2, 3))
         dim = 1 << N
         for a in range(dim):
             for b in range(dim):
@@ -57,7 +71,7 @@ def _index(N, key):
 
 def test_sector_application_matches_dense():
     N, x = 4, Fraction(5, 3)
-    h = build_hamiltonian(N, x).dense()
+    h = dense_hamiltonian(N, x)
     amps = {(1, 3): Fraction(2), (2, 4): Fraction(-1, 2), (3, 4): Fraction(7)}
     out = apply_hamiltonian_sector(N, x, amps)
     dim = 1 << N
@@ -76,7 +90,7 @@ def test_sector_application_matches_dense():
 def test_sector_application_matches_dense_in_every_sector(N, x):
     # every down-position tuple of every sector carries a nonzero amplitude,
     # and N = 1 is the boundary fields alone
-    h = build_hamiltonian(N, x).dense()
+    h = dense_hamiltonian(N, x)
     keys = [k for n in range(N + 1) for k in combinations(range(1, N + 1), n)]
     amps = {k: Fraction(3 * j - 7, j + 2) for j, k in enumerate(keys)}
     out = apply_hamiltonian_sector(N, x, amps)

@@ -45,7 +45,7 @@ def test_corollary_supersymmetric_point_values():
 
 
 def test_corollary_count_chain_n6():
-    rep = check_corollaries(6, susy_max=5, shift_max=5)
+    rep = check_corollaries(6)
     assert rep.passed
 
 

@@ -9,9 +9,9 @@ from xtl.cli import serialize
 from xtl.contour import tsasm_count_integral
 from xtl.exact import DomainError, MultiLaurent, UsageError
 from xtl.sixvertex import enumerate_configs
-from xtl.tsasm import (config_from_tsasm, count_from_partition, diamond_tsasm,
-                       enumerate_tsasm, from_sixvertex, genfun, is_tsasm,
-                       matrices_to_text, matrix_from_array, triangular_array)
+from xtl.tsasm import (config_from_tsasm, count_from_partition, enumerate_tsasm,
+                       from_sixvertex, genfun, is_tsasm, matrices_to_text,
+                       matrix_from_array, triangular_array)
 
 T = MultiLaurent.var("t")
 TAU = MultiLaurent.var("tau")
@@ -63,6 +63,13 @@ def test_is_tsasm_rejects_asymmetric_asm():
         [0, 1, 0],
     ]
     assert not is_tsasm(m2)
+
+
+def diamond_tsasm(N):
+    """The diamond-shaped TSASM of order 2N+1 attaining the maximal statistics."""
+    order = 2 * N + 1
+    return [[(-1) ** (i + j + N) if abs(i - j) <= N and abs(2 * (N + 1) - i - j) <= N else 0
+             for j in range(1, order + 1)] for i in range(1, order + 1)]
 
 
 def test_diamond_matrix():
