@@ -240,9 +240,14 @@ def _cmd_sixvertex(ns) -> int:
 
     _check_order(4 * ns.n + 1, f"pf_{ns.method}")
     s = GaussianRational(0) + parse_scalar(ns.s)
+    # both routes divide by {s} = s + 1/s and by every site value
+    if s == 0 or s * s == -1:
+        raise UsageError(f"--s {ns.s!r} makes s or {{s}} zero")
     t = _scalar_or_var(ns.t)
     if ns.z:
         zs = [_scalar_or_var(v) for v in ns.z.split(",")]
+        if any(z == 0 for z in zs):
+            raise UsageError(f"--z {ns.z!r} has a zero site value")
     else:
         zs = [GaussianRational(1)] * (2 * ns.n)
     symbolic = isinstance(t, MultiLaurent) or any(isinstance(z, MultiLaurent) for z in zs)
@@ -267,6 +272,8 @@ def _cmd_spinchain(ns) -> int:
         x = Fraction(ns.x)
     except ZeroDivisionError:
         raise UsageError(f"zero denominator in --x {ns.x!r}") from None
+    if x == 0:  # the boundary fields divide by x
+        raise UsageError("--x must be nonzero")
     rep = verify_eigenpair(ns.N, x)
     _emit(ns, json.dumps(rep.to_json()) + "\n")
     return 0 if rep.passed else 1
@@ -276,6 +283,22 @@ def _cmd_spinchain(ns) -> int:
 # gflemma always checks n = 1); "all" needs what exchange and zprops need
 _MIN_MAX_N = {"all": 2, "exchange": 2, "reduction": 2, "zprops": 2,
               "yandyy": 0, "relationsz": 0, "main": 0, "corollaries": 0}
+
+# The largest --max-N each suite accepts: the largest size whose one job
+# takes at most about 30 s at --trials 1 (trials multiply it).  Measured on a
+# 2-vCPU Xeon, Python 3.11.7, one job per size:
+#   exchange and reduction run one job over N = 2..max-N: exchange 9 takes
+#     19 s, 10 over 100 s; reduction 9 takes 30 s, 10 over 100 s;
+#   zprops N = 9 takes 15 s, 10 takes 98 s;
+#   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
+#   relationsz N = 7 takes 2.5 s, 8 takes 37 s;
+#   main N = 11 takes 24 s in 0.2 GB, 12 over 100 s (its component sum is
+#     the expansion that psi and sum refuse above N = 11).
+# "all" runs every one of them; gflemma and corollaries cap their own jobs,
+# and ybe ignores --max-N.
+_MAX_MAX_N = {"exchange": 9, "reduction": 9, "zprops": 9, "yandyy": 11,
+              "relationsz": 7, "main": 11}
+_MAX_MAX_N["all"] = min(_MAX_MAX_N.values())
 
 
 def _suite_jobs(ns):
@@ -288,6 +311,9 @@ def _suite_jobs(ns):
     if max_n < _MIN_MAX_N.get(ns.suite, max_n):
         raise UsageError(f"--suite {ns.suite} checks nothing below "
                          f"--max-N {_MIN_MAX_N[ns.suite]}")
+    if max_n > _MAX_MAX_N.get(ns.suite, max_n):
+        raise UsageError(f"--suite {ns.suite} cannot finish above "
+                         f"--max-N {_MAX_MAX_N[ns.suite]}")
     jobs = []
     if ns.suite in ("all", "ybe"):
         jobs.append(("ybe", {"trials": max(trials, 20), "seed": seed}))

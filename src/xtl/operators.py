@@ -88,9 +88,6 @@ class SpinVector:
                 clean[k] = v
         return SpinVector(N, clean)
 
-    def amplitude(self, key: tuple):
-        return self.amps.get(tuple(key), 0)
-
     def __add__(self, other: "SpinVector") -> "SpinVector":
         if self.N != other.N:
             raise UsageError("size mismatch")

@@ -17,8 +17,8 @@ from .exact import (GaussianRational, MultiLaurent, UsageError, as_gaussian,
                     bracket, brace, inv)
 from .qkz import gen_sum_Z, rescaled_Y
 from .sampling import ExactSampler
-from .sixvertex import alpha_minus, alpha_plus, partition_enum, rescaled_YY
-from .tsasm import enumerate_tsasm, genfun
+from .sixvertex import partition_enum, rescaled_YY
+from .tsasm import _staircase, enumerate_tsasm, genfun
 
 __all__ = ["TheoremReport", "check_relation_SZ", "check_Y_equals_YY",
            "check_gf_lemma", "check_main_theorem", "check_corollaries"]
@@ -102,7 +102,7 @@ def check_gf_lemma(n: int, trials: int = 20, seed: int = 42) -> TheoremReport:
         raise UsageError("n must be >= 1")
     rep, rng = _sampled("generating_function_from_partition", trials, seed, n=n)
     ones = [GaussianRational(1)] * (2 * n)
-    cases = ((2 * n, alpha_minus(n)), (2 * n + 1, alpha_plus(n)))
+    cases = [(N, _staircase(N)[1]) for N in (2 * n, 2 * n + 1)]
     gfs = {N: genfun(N) for N, _ in cases}
     for _ in range(trials):
         s, t = rng.s_value(), rng.nonzero()

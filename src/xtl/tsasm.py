@@ -3,8 +3,10 @@
 A TSASM has odd order 2N+1, satisfies the alternating-sign conditions, and is
 invariant under every symmetry of the square.  Its middle row and column are
 frozen to alternating signs, and the whole matrix is recovered from the
-triangular fundamental domain: the staircase of entries A[i][j] (1-indexed)
-with 1+eps <= i <= N and 2(N+1)-i <= j <= 2N+1-eps, where eps = N mod 2.
+triangular fundamental domain, which is the staircase grid of size n = N//2
+(see `_staircase`): vertex (r, c), 1 <= r <= c <= 2n, is the entry
+A[N+1-r][N+1+c] (1-indexed), and the staircase's bottom boundary word is
+alpha_minus(n) for even N and alpha_plus(n) for odd N.
 
 Enumeration never filters square matrices; it walks the staircase six-vertex
 configurations (which are in bijection with the TSASMs of the matching order)
@@ -15,10 +17,10 @@ and converts each one.  The conversion reads off the vertex classes:
   to the right; all other classes give 0.
 
 The inverse map orients every staircase edge from partial sums of the matrix:
-a vertical edge of grid column c below grid row r points down iff the first
-N+1-r entries of matrix column N+1+c sum to 1, and a horizontal edge of grid
-row r right of grid column c points left iff the first N+1+c entries of
-matrix row N+1-r sum to 1.
+the vertical edge below vertex (r, c) points down iff the entries of its
+matrix column from the top down to its entry sum to 1, and the horizontal
+edge right of it points left iff the entries of its matrix row from the left
+up to its entry sum to 1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
                     interpolate_along)
 from .sixvertex import (SixVertexConfig, _automaton_sums, alpha_minus, alpha_plus,
-                        enumerate_configs)
+                        enumerate_configs, partition_enum)
 
 __all__ = [
     "is_tsasm", "TriangularArray", "triangular_array",
@@ -73,20 +75,42 @@ def is_tsasm(m: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the triangular fundamental domain
+# the staircase correspondence
 # ---------------------------------------------------------------------------
+
+def _staircase(N: int) -> tuple:
+    """(n, alpha): the size and bottom boundary word of the staircase grid of
+    the TSASMs of order 2N+1.  n = N//2, and alpha is alpha_minus(n) for even
+    N and alpha_plus(n) for odd N; grid vertex (r, c), 1 <= r <= c <= 2n, is
+    the matrix entry A[N+1-r][N+1+c] (1-indexed), see _cells."""
+    if N < 0:
+        raise UsageError("N must be >= 0")
+    n = N // 2
+    return n, alpha_plus(n) if N % 2 else alpha_minus(n)
+
+
+def _cells(N: int) -> list:
+    """The staircase vertices of order 2N+1 as (r, c, i, j), (i, j) the 0-based
+    matrix entry of vertex (r, c), grouped in the rows of TriangularArray."""
+    n2 = 2 * (N // 2)
+    return [[(r, c, N - r, N + c) for c in range(r, n2 + 1)] for r in range(n2, 0, -1)]
+
+
+def _orbit(N: int, i: int, j: int) -> tuple:
+    """The images of the 0-based entry (i, j) under the symmetries of the
+    square of order 2N+1: {entry, transpose} x {row, mirrored row} x
+    {column, mirrored column}."""
+    i2, j2 = 2 * N - i, 2 * N - j
+    return ((i, j), (i, j2), (i2, j), (i2, j2), (j, i), (j2, i), (j, i2), (j2, i2))
+
 
 @dataclass(frozen=True)
 class TriangularArray:
-    """Staircase rows of a TSASM: row index i runs 1+eps..N, row i holds the
-    entries A[i][j] for j = 2(N+1)-i .. 2N+1-eps."""
+    """Staircase rows of a TSASM of order 2N+1: row k holds the entries of the
+    vertices (r, r), ..., (r, 2n) for r = 2n - k, n = N//2."""
 
     N: int
     rows: tuple
-
-    @property
-    def eps(self) -> int:
-        return self.N % 2
 
     def mu(self) -> int:
         """Nonzero entries on the staircase diagonal (first entry of each row)."""
@@ -98,57 +122,32 @@ class TriangularArray:
 
 
 def triangular_array(m: Matrix) -> TriangularArray:
-    order = len(m)
-    N = (order - 1) // 2
-    eps = N % 2
-    rows = []
-    for i in range(1 + eps, N + 1):
-        rows.append(tuple(m[i - 1][j - 1]
-                          for j in range(2 * (N + 1) - i, 2 * N + 2 - eps)))
-    return TriangularArray(N, tuple(rows))
+    N = (len(m) - 1) // 2
+    return TriangularArray(N, tuple(tuple(m[i][j] for _, _, i, j in row)
+                                    for row in _cells(N)))
 
 
 def matrix_from_array(arr: TriangularArray) -> list:
     """Rebuild the full matrix from the staircase and validate it.
 
+    The medians alternate, and each staircase entry is copied to its images
+    under the symmetries of the square; the entries left over, which exist
+    only for odd N and lie in the first and last rows and columns, stay 0.
     Reconstruction failure means the staircase did not come from a TSASM and
     is treated as an internal error.
     """
-    N, eps = arr.N, arr.eps
-    order = 2 * N + 1
-    if len(arr.rows) != N - eps or any(
-            len(row) != (1 + eps + idx) - eps for idx, row in enumerate(arr.rows)):
+    N = arr.N
+    cells = _cells(N)
+    if list(map(len, arr.rows)) != list(map(len, cells)):
         raise RuntimeError("staircase has the wrong shape")
+    order = 2 * N + 1
     m = [[0] * order for _ in range(order)]
-
-    def setval(i, j, v):
-        m[i - 1][j - 1] = v
-
-    def getval(i, j):
-        return m[i - 1][j - 1]
-
-    for idx, row in enumerate(arr.rows):
-        i = 1 + eps + idx
-        for off, v in enumerate(row):
-            setval(i, 2 * (N + 1) - i + off, v)
-    # reflect across the antidiagonal of the upper-right N x N block
-    for i in range(1, N + 1):
-        for j in range(N + 2, 2 * N + 2):
-            c = j - (N + 1)
-            if i + c < N + 1:
-                setval(i, j, getval(N + 1 - c, N + 1 + (N + 1 - i)))
-    # medians
-    for i in range(1, order + 1):
-        setval(i, N + 1, (-1) ** (i + 1))
-        setval(N + 1, i, (-1) ** (i + 1))
-    # vertical-median reflection fills the left half of the top rows
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            setval(i, j, getval(i, 2 * (N + 1) - j))
-    # horizontal-median reflection fills the bottom rows
-    for i in range(N + 2, order + 1):
-        for j in range(1, order + 1):
-            setval(i, j, getval(2 * (N + 1) - i, j))
+    for k in range(order):
+        m[k][N] = m[N][k] = (-1) ** k
+    for row, row_cells in zip(arr.rows, cells):
+        for v, (_, _, i, j) in zip(row, row_cells):
+            for a, b in _orbit(N, i, j):
+                m[a][b] = v
     if not is_tsasm(m):
         raise RuntimeError("staircase does not reconstruct to a valid matrix")
     return m
@@ -165,58 +164,29 @@ _CORNER_VALUE = {"tp": 1, "tm": -1, "s": 0}
 def from_sixvertex(config: SixVertexConfig) -> list:
     """The TSASM corresponding to a staircase configuration with an alternating
     boundary word; raises UsageError for any other boundary word."""
-    n = config.n
-    if config.alpha == alpha_minus(n):
-        N = 2 * n
-    elif config.alpha == alpha_plus(n):
-        N = 2 * n + 1
-    else:
+    N = next((N for N in (2 * config.n, 2 * config.n + 1)
+              if _staircase(N)[1] == config.alpha), None)
+    if N is None:
         raise UsageError("boundary word must be alternating")
-    eps = N % 2
-    rows = []
-    for i in range(1 + eps, N + 1):
-        r = N + 1 - i
-        row = []
-        for j in range(2 * (N + 1) - i, 2 * N + 2 - eps):
-            c = j - (N + 1)
-            if r == c:
-                row.append(_CORNER_VALUE[config.corner_class(r)])
-            else:
-                row.append(_BULK_VALUE[config.bulk_class(r, c)])
-        rows.append(tuple(row))
-    return matrix_from_array(TriangularArray(N, tuple(rows)))
+    rows = tuple(tuple(_CORNER_VALUE[config.corner_class(r)] if r == c
+                       else _BULK_VALUE[config.bulk_class(r, c)] for r, c, _, _ in row)
+                 for row in _cells(N))
+    return matrix_from_array(TriangularArray(N, rows))
 
 
 def config_from_tsasm(m: Matrix) -> SixVertexConfig:
     """Inverse of from_sixvertex, via partial sums of the matrix."""
     if not is_tsasm(m):
         raise UsageError("not a totally symmetric alternating sign matrix")
-    order = len(m)
-    N = (order - 1) // 2
-    n = N // 2
+    N = (len(m) - 1) // 2
+    n, alpha = _staircase(N)
     if n == 0:
         raise UsageError("orders below five have an empty staircase grid")
-    alpha = alpha_minus(n) if N % 2 == 0 else alpha_plus(n)
-    n2 = 2 * n
-    colsum = [[0] * (order + 1) for _ in range(order)]  # colsum[j][i] = sum_{k<=i} m[k][j]
-    for j in range(order):
-        for i in range(1, order + 1):
-            colsum[j][i] = colsum[j][i - 1] + m[i - 1][j]
-    rowsum = [[0] * (order + 1) for _ in range(order)]
-    for i in range(order):
-        for j in range(1, order + 1):
-            rowsum[i][j] = rowsum[i][j - 1] + m[i][j - 1]
-    vedge = {}
-    hedge = {}
-    for c in range(1, n2 + 1):
-        j = N + 1 + c
-        for r in range(1, c + 1):
-            vedge[(r, c)] = "D" if colsum[j - 1][N + 1 - r] == 1 else "U"
-    for r in range(1, n2 + 1):
-        i = N + 1 - r
-        for c in range(r, n2 + 1):
-            j = N + 1 + c
-            hedge[(r, c)] = "L" if rowsum[i - 1][j] == 1 else "R"
+    vedge, hedge = {}, {}
+    for row in _cells(N):
+        for r, c, i, j in row:
+            vedge[(r, c)] = "D" if sum(m[k][j] for k in range(i + 1)) == 1 else "U"
+            hedge[(r, c)] = "L" if sum(m[i][:j + 1]) == 1 else "R"
     return SixVertexConfig(n, alpha, vedge, hedge)
 
 
@@ -226,14 +196,9 @@ def config_from_tsasm(m: Matrix) -> SixVertexConfig:
 
 def enumerate_tsasm(N: int) -> list:
     """All TSASMs of order 2N+1, through the staircase bijection."""
-    if N < 0:
-        raise UsageError("N must be >= 0")
-    if N == 0:
-        return [[[1]]]
-    n = N // 2
-    if n == 0:  # N = 1: the staircase is empty and the symmetries force the matrix
-        return [matrix_from_array(TriangularArray(1, ()))]
-    alpha = alpha_minus(n) if N % 2 == 0 else alpha_plus(n)
+    n, alpha = _staircase(N)
+    if n == 0:  # N = 0, 1: the staircase is empty and the symmetries force the matrix
+        return [matrix_from_array(TriangularArray(N, ()))]
     return [from_sixvertex(c) for c in enumerate_configs(n, alpha)]
 
 
@@ -254,12 +219,7 @@ def genfun(N: int) -> MultiLaurent:
     has int coefficients; it equals the sum over enumerate_tsasm(N) of
     t^mu tau^nu read off triangular_array.
     """
-    if N < 0:
-        raise UsageError("N must be >= 0")
-    n = N // 2
-    if n == 0:  # N = 0, 1: one matrix with an empty staircase
-        return MultiLaurent.const(1, _GF_VARS)
-    alpha = alpha_minus(n) if N % 2 == 0 else alpha_plus(n)
+    _, alpha = _staircase(N)
     mono = {cls: MultiLaurent.monomial(_GF_VARS, e) for cls, e in _GF_EXPONENTS.items()}
     sums = _automaton_sums(tuple(alpha), lambda r, c, cls: mono[cls],
                            MultiLaurent.const(1, _GF_VARS))
@@ -275,14 +235,9 @@ def count_from_partition(N: int) -> int:
     the value at tau = 1.  (tau(s) = tau(1/s) = tau(-s), so the common
     abscissa sweep would repeat points.)
     """
-    from .sixvertex import partition_enum
-
-    if N < 0:
-        raise UsageError("N must be >= 0")
-    n = N // 2
+    n, alpha = _staircase(N)
     if n == 0:
         return 1
-    alpha = alpha_minus(n) if N % 2 == 0 else alpha_plus(n)
     ones = [GaussianRational(1)] * (2 * n)
     one = GaussianRational(1)
 

@@ -10,7 +10,7 @@ import pytest
 from xtl import cli
 from xtl.cli import dispatch
 from xtl.contour import ChainShape, ComponentTable
-from xtl.exact import MultiLaurent
+from xtl.exact import DomainError, MultiLaurent
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -200,6 +200,30 @@ def test_zero_denominators_are_usage_errors(capsys):
         assert "usage error: " in capsys.readouterr().err
 
 
+def test_parameters_that_divide_by_zero_are_usage_errors(monkeypatch, capsys):
+    # x = 0, s in {0, i, -i} (where {s} = s + 1/s = 0) and a zero site value
+    # are refused before any route divides by them
+    pf = ["sixvertex", "pf", "--n", "1", "--alpha", "+", "--t", "3"]
+    refused = [["spinchain", "verify", "--N", "3", "--x", "0"],
+               ["spinchain", "verify", "--N", "3", "--x", "0/5"]]
+    refused += [pf + ["--s=" + s, "--method", m] for s in ("0", "i", "-i", "0/2*i")
+                for m in ("enum", "algebraic")]
+    refused += [pf + ["--s", "2", "--z", z, "--method", m]
+                for z in ("0,1", "1,0", "w,0") for m in ("enum", "algebraic")]
+    for args in refused:
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: " in capsys.readouterr().err
+
+    # a failure inside a route, such as an interpolation window that is too
+    # small, is still a verification failure
+    def too_small(N):
+        raise DomainError("window too small")
+
+    monkeypatch.setattr(cli, "sum_components", too_small)
+    assert run_cli(["sum", "--N", "2"]) == (1, "")
+    assert capsys.readouterr().err == "error: window too small\n"
+
+
 def test_pf_refuses_size_zero_on_both_routes(capsys):
     for method in ("enum", "algebraic"):
         args = ["sixvertex", "pf", "--n", "0", "--alpha", "+", "--s", "2", "--t", "3",
@@ -242,6 +266,30 @@ def test_verify_refuses_requests_that_check_nothing(monkeypatch, capsys):
                         (["--suite", "ybe", "--max-N", "0"], 1)):
         code, out = run_cli(["verify"] + args)
         assert code == 0 and len(out.splitlines()) == lines, args
+
+
+def test_verify_refuses_max_n_that_cannot_finish(monkeypatch, capsys):
+    # no job runs: a refused request fails before any job starts
+    def never(job):
+        raise AssertionError("a refused request must not run a job")
+
+    monkeypatch.setattr(cli, "_run_job", never)
+    limits = {"exchange": 9, "reduction": 9, "zprops": 9, "yandyy": 11,
+              "relationsz": 7, "main": 11, "all": 7}
+    for suite, limit in limits.items():
+        for max_n in (limit + 1, 40):
+            args = ["verify", "--suite", suite, "--max-N", str(max_n), "--trials", "1"]
+            assert run_cli(args) == (2, ""), args
+            assert "usage error: --suite" in capsys.readouterr().err
+
+    # the limits themselves are accepted, and the suites that cap their own
+    # jobs or ignore --max-N take any size
+    monkeypatch.setattr(cli, "_run_job", lambda job: (True, job[0]))
+    accepted = list(limits.items())
+    accepted += [(s, 40) for s in ("gflemma", "corollaries", "ybe")]
+    for suite, max_n in accepted:
+        args = ["verify", "--suite", suite, "--max-N", str(max_n), "--trials", "1"]
+        assert run_cli(args)[0] == 0, args
 
 
 def test_byte_stable_output():

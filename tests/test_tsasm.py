@@ -86,10 +86,9 @@ def test_diamond_matrix():
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_tsasm(N)) for N in range(7)] == [1, 1, 1, 2, 4, 13, 46]
-    for N in range(7):
-        for m in enumerate_tsasm(N):
-            assert is_tsasm(m)
+    listed = [enumerate_tsasm(N) for N in range(9)]
+    assert [len(ms) for ms in listed] == A005164[:9]
+    assert all(is_tsasm(m) for ms in listed for m in ms)
 
 
 def test_counting_routes_agree():
@@ -193,7 +192,34 @@ def test_bijection_figures_correspond():
         == sorted(matrices_to_text([m]) for m in enumerate_tsasm(4))
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("N", range(13))
+def test_staircase_orbits_tile_the_square_off_the_medians(N):
+    # every entry off the medians is the image of at most one staircase entry;
+    # for odd N only first and last rows and columns, which are 0 off the
+    # medians in every TSASM of that order, are the image of none
+    seen = set()
+    for row in tsasm._cells(N):
+        for _, _, i, j in row:
+            orbit = set(tsasm._orbit(N, i, j))
+            assert not orbit & seen and all(N not in e for e in orbit), (i, j)
+            seen |= orbit
+    order = 2 * N + 1
+    missed = {(i, j) for i in range(order) for j in range(order) if N not in (i, j)} - seen
+    if N % 2 == 0:
+        assert not missed
+    else:
+        assert all({0, 2 * N} & {i, j} for i, j in missed)
+
+
+@pytest.mark.parametrize("N", range(8))
+def test_fundamental_domain_round_trip(N):
+    for m in enumerate_tsasm(N):
+        arr = triangular_array(m)
+        assert matrix_from_array(arr) == m
+        assert triangular_array(matrix_from_array(arr)) == arr
+
+
+@pytest.mark.parametrize("N", range(2, 8))
 def test_bijection_round_trip(N):
     for m in enumerate_tsasm(N):
         cfg = config_from_tsasm(m)
