@@ -416,11 +416,30 @@ def _cmd_verify(ns) -> int:
     return 0 if all_ok else 1
 
 
+# argparse takes a token that starts with "-" for an option unless it is a
+# plain number, so a scalar such as -1/2, -i or -1,2 after one of these flags,
+# or after an abbreviation of one (argparse accepts --ta for --tau), is joined
+# to it as --s=-1/2, the form argparse reads as the value
+_SCALAR_FLAGS = ("--x", "--tau", "--z", "--s", "--t")
+
+
+def _join_scalar_values(argv) -> list:
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (len(flag) > 2 and any(f.startswith(flag) for f in _SCALAR_FLAGS)
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def dispatch(argv) -> int:
     """Parse argv and run the mapped operation; returns the exit code."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_scalar_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

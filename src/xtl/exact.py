@@ -26,6 +26,8 @@ __all__ = [
     "DegeneratePointError",
     "GaussianRational",
     "MultiLaurent",
+    "gaussian_ints",
+    "from_gaussian_ints",
     "as_gaussian",
     "inv",
     "bracket",
@@ -236,6 +238,49 @@ def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
     if g == 1:
         return _triple(x, y, d * s)
     return _triple(x // g, y // g, t * (f // g))
+
+
+def gaussian_ints(values: Iterable[Scalar]) -> tuple:
+    """Clear exact scalars to Gaussian integers over one denominator.
+
+    Returns (re, im, d): integer lists and d > 0, the lcm of the values'
+    denominators, with values[k] = (re[k] + im[k]*i)/d.  Anything but an
+    int, Fraction or GaussianRational is a UsageError.
+    """
+    re, im, dens = [], [], []
+    for x in values:
+        if type(x) is GaussianRational:
+            re.append(x._a)
+            im.append(x._b)
+            dens.append(x._d)
+        elif isinstance(x, int):
+            re.append(x)
+            im.append(0)
+            dens.append(1)
+        elif isinstance(x, Fraction):
+            re.append(x.numerator)
+            im.append(0)
+            dens.append(x.denominator)
+        else:
+            raise UsageError(f"not an exact scalar: {x!r}")
+    d = lcm(*dens)
+    for k, e in enumerate(dens):
+        if e != d:
+            re[k] *= d // e
+            im[k] *= d // e
+    return re, im, d
+
+
+def from_gaussian_ints(re: Sequence[int], im: Sequence[int], d: int) -> list:
+    """The GaussianRationals (re[k] + im[k]*i)/d for integers re[k], im[k]
+    and d > 0, each reduced by one gcd."""
+    if d < 1:
+        raise DomainError(f"denominator {d} is not positive")
+    out = []
+    for a, b in zip(re, im):
+        g = gcd(a, b, d)
+        out.append(_triple(a, b, d) if g == 1 else _triple(a // g, b // g, d // g))
+    return out
 
 
 def as_gaussian(x: Scalar) -> GaussianRational:

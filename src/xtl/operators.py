@@ -10,9 +10,11 @@ Two families of 2x2 / 4x4 matrices are used throughout:
 
 Dense state vectors on L sites are plain lists of length 2**L over exact
 scalars; basis index b has the spin of site i (1-indexed, site 1 most
-significant) in bit (L - i), with up = 0 and down = 1.  `SpinVector` is the
-one sparse form, keyed by down-spin position tuples over any exact ring; the
-chain Hamiltonian and the qKZ relation checks act through it.
+significant) in bit (L - i), with up = 0 and down = 1; `act` applies local
+matrices to them in Gaussian integers over one tracked denominator.
+`SpinVector` is the one sparse form, keyed by down-spin position tuples over
+any exact ring; the chain Hamiltonian and the qKZ relation checks act
+through it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .exact import DomainError, GaussianRational, UsageError, bracket, brace, inv
+from .exact import (DomainError, GaussianRational, UsageError, bracket, brace,
+                    from_gaussian_ints, gaussian_ints, inv)
 
 __all__ = [
     "SpinVector", "word_index", "index_word",
-    "apply_one_site", "apply_two_site", "mat2_mul",
+    "act", "apply_one_site", "apply_two_site", "mat2_mul",
     "r_check_exchange", "k_boundary",
     "r_bulk", "r_check_bulk", "k_corner", "det_k_corner", "chi_covector",
     "basis_vector",
@@ -134,51 +137,86 @@ class SpinVector:
 
 
 # ---------------------------------------------------------------------------
-# dense applications
+# dense applications, in Gaussian integers over one tracked denominator
 # ---------------------------------------------------------------------------
 
-def apply_one_site(vec, m2, site: int, L: int):
-    """Apply a 2x2 matrix (rows = out, cols = in) on one site of a dense vector."""
-    shift = L - site
-    mask = 1 << shift
-    out = [0] * len(vec)
-    m00, m01 = m2[0]
-    m10, m11 = m2[1]
-    for b, amp in enumerate(vec):
-        if not amp:
-            continue
-        if b & mask:  # site is down
-            if m01:
-                out[b & ~mask] = out[b & ~mask] + m01 * amp
-            if m11:
-                out[b] = out[b] + m11 * amp
+def act(vec, ops, L: int) -> list:
+    """Apply operators to a dense vector on L sites, the first listed first:
+    (2x2, site) acts on one site and (4x4, i, j) on the pair (i, j); rows are
+    out, cols in, in the order u, d and uu, ud, du, dd.  A list of k * 2**L
+    amplitudes holds k vectors end to end, and each is acted on alone.
+
+    Entries and amplitudes are exact Q(i) scalars.  The vector is cleared to
+    Gaussian integers over one denominator d, and each matrix once to
+    Gaussian integers over the lcm of its entries' denominators; each step
+    multiplies d by that lcm and does only integer multiply-adds.  At the end
+    each amplitude goes back to GaussianRational with one gcd, except that an
+    amplitude the last operator sent no nonzero term stays int 0, as in a sum
+    into a list of int zeros.
+    """
+    re, im, d = gaussian_ints(vec)
+    hit = b"\x01" * len(re)  # with no operator, every amplitude comes back
+    for m, *sites in ops:
+        cols, md = _columns(m)
+        d *= md
+        if len(sites) == 1:
+            re, im, hit = apply_one_site(re, im, cols, sites[0], L)
         else:
-            if m00:
-                out[b] = out[b] + m00 * amp
-            if m10:
-                out[b | mask] = out[b | mask] + m10 * amp
-    return out
+            re, im, hit = apply_two_site(re, im, cols, *sites, L)
+    return [g if h else 0 for g, h in zip(from_gaussian_ints(re, im, d), hit)]
 
 
-def apply_two_site(vec, m4, i: int, j: int, L: int):
-    """Apply a 4x4 matrix on sites (i, j); row/col order uu, ud, du, dd."""
-    si, sj = L - i, L - j
-    cols = [[] for _ in range(4)]
-    for row in range(4):
-        for col in range(4):
-            v = m4[row][col]
-            if v:
-                cols[col].append((row, v))
-    out = [0] * len(vec)
-    for b, amp in enumerate(vec):
-        if not amp:
+def _columns(m):
+    """A square matrix of exact scalars as (cols, d): cols[c] lists (row, re,
+    im) for each nonzero entry of column c, Gaussian integers over d, the lcm
+    of the entries' denominators."""
+    k = len(m)
+    re, im, d = gaussian_ints([v for row in m for v in row])
+    cols = [[] for _ in range(k)]
+    for x, a in enumerate(re):
+        b = im[x]
+        if a or b:
+            cols[x % k].append((x // k, a, b))
+    return cols, d
+
+
+def apply_one_site(re, im, cols, site: int, L: int):
+    """Apply a 2x2 matrix, given as the columns of `_columns`, on one site of
+    a dense vector given by its integer real and imaginary parts.  Returns the
+    parts of the image and a flag per amplitude: did a nonzero term reach it."""
+    return _apply(re, im, cols, (0, 1 << (L - site)))
+
+
+def apply_two_site(re, im, cols, i: int, j: int, L: int):
+    """As apply_one_site, for a 4x4 matrix on sites (i, j)."""
+    bi, bj = 1 << (L - i), 1 << (L - j)
+    return _apply(re, im, cols, (0, bj, bi, bi | bj))
+
+
+def _apply(re, im, cols, offs):
+    """The integer kernel: offs[x] holds the bits of the basis index that
+    row or column x of the matrix sets, so offs[-1] masks the sites."""
+    mask = offs[-1]
+    terms = {offs[c]: [(offs[r], a, b) for r, a, b in col] for c, col in enumerate(cols)}
+    n = len(re)
+    ore, oim, hit = [0] * n, [0] * n, bytearray(n)
+    for src, x in enumerate(re):
+        y = im[src]
+        if not (x or y):
             continue
-        col = (((b >> si) & 1) << 1) | ((b >> sj) & 1)
-        base = b & ~((1 << si) | (1 << sj))
-        for row, v in cols[col]:
-            nb = base | ((row >> 1) << si) | ((row & 1) << sj)
-            out[nb] = out[nb] + v * amp
-    return out
+        base = src & ~mask
+        for off, a, b in terms[src & mask]:
+            t = base | off
+            hit[t] = 1
+            if b:
+                ore[t] += a * x - b * y
+                oim[t] += a * y + b * x
+            elif y:
+                ore[t] += a * x
+                oim[t] += a * y
+            else:
+                ore[t] += a * x
+    return ore, oim, hit
 
 
 def mat2_mul(a, b):

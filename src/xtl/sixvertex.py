@@ -41,9 +41,9 @@ from typing import Mapping, Sequence
 
 from .exact import (DomainError, GaussianRational, UsageError, as_gaussian, bracket,
                     brace, inv)
-from .operators import (apply_one_site, apply_two_site, basis_vector, chi_covector,
-                        det_k_corner, index_word, k_boundary, k_corner, mat2_mul,
-                        r_bulk, r_check_bulk, r_check_exchange, word_index)
+from .operators import (act, basis_vector, chi_covector, det_k_corner, index_word,
+                        k_boundary, k_corner, mat2_mul, r_bulk, r_check_bulk,
+                        r_check_exchange, word_index)
 from .sampling import ExactSampler, half_sites
 
 __all__ = [
@@ -332,14 +332,6 @@ def partition_enum_all_words(n: int, zs: Sequence, s, t) -> dict:
 # the operator stack
 # ---------------------------------------------------------------------------
 
-def _act(vec: list, ops, L: int) -> list:
-    """Apply operators to a dense vector on L sites, the first listed first:
-    (2x2, site) acts on one site and (4x4, i, j) on the pair (i, j)."""
-    for op in ops:
-        vec = apply_one_site(vec, *op, L) if len(op) == 2 else apply_two_site(vec, *op, L)
-    return vec
-
-
 def apply_operator_stack(zs: Sequence, s, t, vec: list) -> list:
     """Apply the full row-transfer operator for site values zs to a dense vector.
 
@@ -348,12 +340,17 @@ def apply_operator_stack(zs: Sequence, s, t, vec: list) -> list:
     the vector right to left, i.e. row 2n first, and within a row the crossing
     with the largest k first.
     """
+    return act(vec, _stack_ops(zs, s, t), len(zs))
+
+
+def _stack_ops(zs: Sequence, s, t) -> list:
+    """The factors of the stack as act operators, in the order they act."""
     L = len(zs)
     ops = []
     for j in range(L, 0, -1):
         ops += [(r_bulk(zs[j - 1] * zs[k - 1], s), j, k) for k in range(L, j, -1)]
         ops.append((k_corner(zs[j - 1], s, t), j))
-    return _act(vec, ops, L)
+    return ops
 
 
 def _stack_column(zs: Sequence, s, t) -> list:
@@ -474,8 +471,8 @@ def _ybe_bulk_trial(rng):
     z, w = rng.nonzero(), rng.nonzero()
     rc = r_check_bulk(z * inv(w), s)
     vec = rng.dense_vector(3)
-    return (_act(vec, [(r_bulk(w, s), 2, 3), (r_bulk(z, s), 1, 3), (rc, 1, 2)], 3),
-            _act(vec, [(rc, 1, 2), (r_bulk(z, s), 2, 3), (r_bulk(w, s), 1, 3)], 3))
+    return (act(vec, [(r_bulk(w, s), 2, 3), (r_bulk(z, s), 1, 3), (rc, 1, 2)], 3),
+            act(vec, [(rc, 1, 2), (r_bulk(z, s), 2, 3), (r_bulk(w, s), 1, 3)], 3))
 
 
 def _bybe_bulk_trial(rng):
@@ -485,8 +482,8 @@ def _bybe_bulk_trial(rng):
     rp = r_bulk(z * w, s)
     vec = rng.dense_vector(2)
     kz, kw = k_corner(z, s, t), k_corner(w, s, t)
-    return (_act(vec, [(kw, 2), (rp, 1, 2), (kz, 1), (rc, 1, 2)], 2),
-            _act(vec, [(rc, 1, 2), (kz, 2), (rp, 1, 2), (kw, 1)], 2))
+    return (act(vec, [(kw, 2), (rp, 1, 2), (kz, 1), (rc, 1, 2)], 2),
+            act(vec, [(rc, 1, 2), (kz, 2), (rp, 1, 2), (kw, 1)], 2))
 
 
 def _ybe_exchange_trial(rng):
@@ -496,8 +493,8 @@ def _ybe_exchange_trial(rng):
     r13 = r_check_exchange(z1 * inv(z3), s)
     r23b = r_check_exchange(z2 * inv(z3), s)
     vec = rng.dense_vector(3)
-    return (_act(vec, [(r23b, 2, 3), (r13, 1, 2), (r12a, 2, 3)], 3),
-            _act(vec, [(r12a, 1, 2), (r13, 2, 3), (r23b, 1, 2)], 3))
+    return (act(vec, [(r23b, 2, 3), (r13, 1, 2), (r12a, 2, 3)], 3),
+            act(vec, [(r12a, 1, 2), (r13, 2, 3), (r23b, 1, 2)], 3))
 
 
 def _bybe_exchange_trial(rng):
@@ -508,8 +505,8 @@ def _bybe_exchange_trial(rng):
     k1 = k_boundary(z1, beta)
     k2 = k_boundary(z2, beta)
     vec = rng.dense_vector(2)
-    return (_act(vec, [(k2, 1), (rb, 1, 2), (k1, 1), (ra, 1, 2)], 2),
-            _act(vec, [(ra, 1, 2), (k1, 1), (rb, 1, 2), (k2, 1)], 2))
+    return (act(vec, [(k2, 1), (rb, 1, 2), (k1, 1), (ra, 1, 2)], 2),
+            act(vec, [(ra, 1, 2), (k1, 1), (rb, 1, 2), (k2, 1)], 2))
 
 
 def _stack_commutation_trial(rng, n):
@@ -524,10 +521,12 @@ def _stack_commutation_trial(rng, n):
     zs_sw[i - 1], zs_sw[i] = zs_sw[i], zs_sw[i - 1]
     vecs = ([rng.dense_vector(n2) for _ in range(3)] if n >= 3 else
             [[GaussianRational(int(j == k)) for j in range(1 << n2)] for k in range(1 << n2)])
-    return ([apply_two_site(apply_operator_stack(zs, s, t, v), rc, i, i + 1, n2)
-             for v in vecs],
-            [apply_operator_stack(zs_sw, s, t, apply_two_site(v, rc, i, i + 1, n2))
-             for v in vecs])
+    swap = [(rc, i, i + 1)]
+    stack, stack_sw = _stack_ops(zs, s, t), _stack_ops(zs_sw, s, t)
+    # one act call per side takes all the vectors end to end
+    flat, size = [x for v in vecs for x in v], 1 << n2
+    sides = act(flat, stack + swap, n2), act(flat, swap + stack_sw, n2)
+    return tuple([w[k:k + size] for k in range(0, len(w), size)] for w in sides)
 
 
 def _chi_exchange_trial(rng):
@@ -583,7 +582,7 @@ def _braid_lowest_trial(rng):
     q = s * s
     vec = basis_vector("dd")
     lam = bracket(q * q * inv(z) * inv(z))
-    return (apply_two_site(vec, r_check_bulk(z * z, s), 1, 2, 2),
+    return (act(vec, [(r_check_bulk(z * z, s), 1, 2)], 2),
             [lam * x for x in vec])
 
 
@@ -617,10 +616,10 @@ def _cov_apply(cov, ops, L):
 
     cov is the dense coefficient list.  Right-multiplication by O is
     left-multiplication by the transpose of O, so each matrix is transposed
-    before _act applies it; the crossing matrices happen to be symmetric, but
+    before act applies it; the crossing matrices happen to be symmetric, but
     the identities must not rest on that (a perturbed matrix need not be).
     """
-    return _act(cov, [(_transpose4(m), i, j) for m, i, j in ops], L)
+    return act(cov, [(_transpose4(m), i, j) for m, i, j in ops], L)
 
 
 def _transpose4(m):

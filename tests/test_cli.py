@@ -224,6 +224,37 @@ def test_parameters_that_divide_by_zero_are_usage_errors(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: window too small\n"
 
 
+_PF = ["sixvertex", "pf", "--n", "1", "--alpha", "+"]
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (_PF + ["--t", "3"], "--s", "-1/2"),
+    (_PF + ["--t", "3", "--method", "algebraic"], "--s", "-1/2"),
+    (_PF + ["--s", "2"], "--t", "-1/2"),
+    (_PF + ["--s", "2", "--t", "3"], "--z", "-1,2"),
+    (_PF + ["--s", "2", "--t", "3", "--method", "algebraic"], "--z", "-1/3,2"),
+    (["spinchain", "verify", "--N", "3"], "--x", "-1/2"),
+    (["psi", "--N", "2"], "--x", "-1/2"),
+    (["psi", "--N", "2"], "--tau", "-1/2"),
+    (["psi", "--N", "2"], "--ta", "-i"),
+], ids=["pf-s", "pf-s-algebraic", "pf-t", "pf-z", "pf-z-algebraic", "spinchain-x",
+        "psi-x", "psi-tau", "psi-tau-abbreviated"])
+def test_negative_scalar_after_a_space(args, flag, value):
+    # a value such as -1/2 is not a plain number, so argparse took it for an
+    # option; it must read as it does in the --flag=value form
+    code, out = run_cli(args + [flag, value])
+    assert (code, out) == run_cli(args + [f"{flag}={value}"])
+    assert code == 0 and out
+
+
+def test_negative_zero_scalars_after_a_space_are_refused(capsys):
+    for args in (_PF + ["--t", "3", "--s", "-i"], _PF + ["--s", "2", "--t", "3", "--z", "-0,1"],
+                 ["spinchain", "verify", "--N", "3", "--x", "-0/5"]):
+        assert run_cli(args) == (2, ""), args
+        err = capsys.readouterr().err
+        assert "usage error: " in err and "expected one argument" not in err, args
+
+
 def test_pf_refuses_size_zero_on_both_routes(capsys):
     for method in ("enum", "algebraic"):
         args = ["sixvertex", "pf", "--n", "0", "--alpha", "+", "--s", "2", "--t", "3",

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,8 @@ from xtl.exact import (
     brace,
     div_exact_univar,
     format_scalar,
+    from_gaussian_ints,
+    gaussian_ints,
     interpolate_along,
     interpolate_laurent,
     parse_scalar,
@@ -117,6 +119,27 @@ def test_gaussian_matches_fraction_pair_model(x, y, k):
         for _ in range(-k):
             ref = model_mul(ref, model_inv(x))
         assert matches(gx ** k, ref)
+
+
+@given(st.lists(pairs | fracs | small, max_size=6), st.integers(1, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_gaussian_ints_clear_and_restore(xs, k):
+    vals = [GaussianRational(*x) if isinstance(x, tuple) else x for x in xs]
+    re, im, d = gaussian_ints(vals)
+    want = [(Fraction(x[0]), Fraction(x[1])) if isinstance(x, tuple) else (Fraction(x), 0)
+            for x in xs]
+    # d is the least common denominator, and a common factor k cancels
+    assert d == lcm(*(Fraction(w).denominator for pair in want for w in pair))
+    for back in (from_gaussian_ints(re, im, d),
+                 from_gaussian_ints([a * k for a in re], [b * k for b in im], d * k)):
+        assert all(matches(g, w) for g, w in zip(back, want)) and len(back) == len(want)
+
+
+def test_gaussian_ints_refuse_what_is_not_an_exact_scalar():
+    with pytest.raises(UsageError):
+        gaussian_ints([1, MultiLaurent.var("z")])
+    with pytest.raises(DomainError):
+        from_gaussian_ints([1], [0], 0)
 
 
 @given(pairs, fracs | small)

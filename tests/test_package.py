@@ -26,6 +26,15 @@ def test_no_assert_statements():
     assert not hits
 
 
+def test_gaussian_triple_is_read_only_in_exact():
+    # GaussianRational's (a, b, d) triple is private to exact.py; other
+    # modules clear scalars to integers through exact.gaussian_ints
+    hits = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+            if path.name != "exact.py" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("_a", "_b", "_d")]
+    assert not hits
+
+
 # public names, and public members of package classes, that only tests
 # call, each kept as the reference its test compares a product route
 # against: (test file, test)

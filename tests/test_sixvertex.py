@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from xtl import sixvertex
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        MultiLaurent as ML, UsageError, abscissa_sweep, bracket, brace,
                        div_exact_univar, interpolate_along, inv)
-from xtl.operators import apply_two_site, r_bulk, r_check_bulk
+from xtl.operators import act, r_bulk, r_check_bulk
 from xtl.sampling import ExactSampler
 from xtl.sixvertex import (_column_steps, _transition_table, alpha_minus, alpha_plus,
                            check_yb_identities, config_weight, enumerate_configs,
@@ -421,14 +422,29 @@ def test_stack_commutation_full_operator_n3():
     s, t = rng.s_value(), rng.nonzero()
     zs = [rng.nonzero() for _ in range(6)]
     i = 3
-    rc = r_check_bulk(zs[i - 1] * inv(zs[i]), s)
+    swap = [(r_check_bulk(zs[i - 1] * inv(zs[i]), s), i, i + 1)]
     zs_sw = list(zs)
     zs_sw[i - 1], zs_sw[i] = zs_sw[i], zs_sw[i - 1]
     for k in range(64):
         vec = [G(int(j == k)) for j in range(64)]
-        lhs = apply_two_site(apply_operator_stack(zs, s, t, vec), rc, i, i + 1, 6)
-        rhs = apply_operator_stack(zs_sw, s, t, apply_two_site(vec, rc, i, i + 1, 6))
+        lhs = act(apply_operator_stack(zs, s, t, vec), swap, 6)
+        rhs = apply_operator_stack(zs_sw, s, t, act(vec, swap, 6))
         assert lhs == rhs, k
+
+
+def test_stack_commutation_trial_builds_each_stack_once(monkeypatch):
+    # one n = 2 trial builds the stack at zs and at the swapped zs once each,
+    # 6 crossing and 4 corner matrices apiece, for all 16 basis vectors
+    built = {"r_bulk": 0, "k_corner": 0}
+    for name in built:
+        def counted(*args, name=name, real=getattr(sixvertex, name)):
+            built[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sixvertex, name, counted)
+    lhs, rhs = sixvertex._stack_commutation_trial(ExactSampler(7), 2)
+    assert len(lhs) == 16 and lhs == rhs
+    assert built == {"r_bulk": 12, "k_corner": 8}
 
 
 def test_negative_control_corrupted_crossing_matrix():
@@ -441,8 +457,111 @@ def test_negative_control_corrupted_crossing_matrix():
                 for r, row in enumerate(rc))
     assert bad != rc
     vec = [G(k % 7 - 3) for k in range(8)]
-    lhs = apply_two_site(apply_two_site(apply_two_site(
-        vec, r_bulk(w, s), 2, 3, 3), r_bulk(z, s), 1, 3, 3), bad, 1, 2, 3)
-    rhs = apply_two_site(apply_two_site(apply_two_site(
-        vec, bad, 1, 2, 3), r_bulk(z, s), 2, 3, 3), r_bulk(w, s), 1, 3, 3)
-    assert lhs != rhs
+    sides = [lambda m: act(vec, [(r_bulk(w, s), 2, 3), (r_bulk(z, s), 1, 3), (m, 1, 2)], 3),
+             lambda m: act(vec, [(m, 1, 2), (r_bulk(z, s), 2, 3), (r_bulk(w, s), 1, 3)], 3)]
+    assert sides[0](rc) == sides[1](rc)
+    assert sides[0](bad) != sides[1](bad)
+
+
+# the GaussianRational loops that act replaced, kept as its reference
+def _reference_one_site(vec, m2, site, L):
+    shift = L - site
+    mask = 1 << shift
+    out = [0] * len(vec)
+    m00, m01 = m2[0]
+    m10, m11 = m2[1]
+    for b, amp in enumerate(vec):
+        if not amp:
+            continue
+        if b & mask:  # site is down
+            if m01:
+                out[b & ~mask] = out[b & ~mask] + m01 * amp
+            if m11:
+                out[b] = out[b] + m11 * amp
+        else:
+            if m00:
+                out[b] = out[b] + m00 * amp
+            if m10:
+                out[b | mask] = out[b | mask] + m10 * amp
+    return out
+
+
+def _reference_two_site(vec, m4, i, j, L):
+    si, sj = L - i, L - j
+    cols = [[] for _ in range(4)]
+    for row in range(4):
+        for col in range(4):
+            v = m4[row][col]
+            if v:
+                cols[col].append((row, v))
+    out = [0] * len(vec)
+    for b, amp in enumerate(vec):
+        if not amp:
+            continue
+        col = (((b >> si) & 1) << 1) | ((b >> sj) & 1)
+        base = b & ~((1 << si) | (1 << sj))
+        for row, v in cols[col]:
+            nb = base | ((row >> 1) << si) | ((row & 1) << sj)
+            out[nb] = out[nb] + v * amp
+    return out
+
+
+def _reference_act(vec, ops, L):
+    for op in ops:
+        vec = (_reference_one_site(vec, *op, L) if len(op) == 2
+               else _reference_two_site(vec, *op, L))
+    return vec
+
+
+def _random_entry(rnd):
+    """0, an int, a Fraction or a Gaussian rational, with mixed denominators."""
+    def frac():
+        return Fraction(rnd.randint(-9, 9), rnd.choice((1, 2, 3, 4, 6, 9, 35)))
+
+    kind = rnd.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rnd.randint(-9, 9)
+    return frac() if kind == 2 else G(frac(), frac())
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_act_equals_the_gaussian_rational_reference(L):
+    rnd = random.Random(1000 + L)
+    sites = [(i,) for i in range(1, L + 1)]
+    sites += [(i, j) for i in range(1, L + 1) for j in range(1, L + 1) if i != j]
+    for _ in range(30):
+        vec = [rnd.choice((0, G(0))) if rnd.random() < 0.3 else G(0) + _random_entry(rnd)
+               for _ in range(1 << L)]
+        ops = []
+        for _ in range(rnd.randint(1, 5)):
+            where = rnd.choice(sites)
+            k = 2 ** len(where)
+            ops.append((tuple(tuple(_random_entry(rnd) for _ in range(k)) for _ in range(k)),)
+                       + where)
+        other = [G(0) + _random_entry(rnd) for _ in range(1 << L)]
+        got = act(vec + other, ops, L)  # two vectors end to end
+        want = _reference_act(vec, ops, L) + _reference_act(other, ops, L)
+        # equal, and in normal form with the same int zeros, so the reprs agree
+        assert got == want
+        assert [hash(x) for x in got] == [hash(x) for x in want]
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+        assert act(vec, ops, L) == got[:1 << L]
+
+
+def test_act_keeps_int_zeros_where_no_term_lands():
+    # a sum that cancels is GaussianRational(0); an amplitude that no term
+    # reaches stays int 0, as in the reference
+    ops = [(((1, 1), (1, 1)), 2)]
+    vec = [G(1), G(-1), 0, G(0)]
+    got = act(vec, ops, 2)
+    assert got == [0, 0, 0, 0] and [type(x) for x in got] == [G, G, int, int]
+    assert [repr(x) for x in got] == [repr(x) for x in _reference_act(vec, ops, 2)]
+
+
+def test_act_refuses_symbolic_values():
+    with pytest.raises(UsageError):
+        act([G(1), ML.var("z")], [(((1, 0), (0, 1)), 1)], 1)
+    with pytest.raises(UsageError):
+        act([G(1), G(0)], [(((1, ML.var("z")), (0, 1)), 1)], 1)
