@@ -1,13 +1,15 @@
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
-from xtl import cli
+from xtl import cli, contour
 from xtl.cli import dispatch
 from xtl.contour import ChainShape, ComponentTable
 from xtl.exact import DomainError, MultiLaurent
@@ -114,7 +116,7 @@ def test_tsasm_refuses_orders_that_cannot_finish(monkeypatch, capsys):
 
     for name in ("enumerate_tsasm", "genfun", "count_from_partition"):
         monkeypatch.setattr(tsasm, name, never)
-    monkeypatch.setattr(cli, "tsasm_count_integral", never)
+    monkeypatch.setattr(contour, "tsasm_count_integral", never)
     refused = [["tsasm", "list", "--order", "21"],
                ["tsasm", "count", "--order", "21", "--method", "enum"],
                ["tsasm", "count", "--max-order", "25", "--method", "integral"],
@@ -129,7 +131,7 @@ def test_tsasm_refuses_orders_that_cannot_finish(monkeypatch, capsys):
     monkeypatch.setattr(tsasm, "enumerate_tsasm", lambda N: [])
     monkeypatch.setattr(tsasm, "genfun", lambda N: MultiLaurent.const(1, ("t", "tau")))
     monkeypatch.setattr(tsasm, "count_from_partition", lambda N: 1)
-    monkeypatch.setattr(cli, "tsasm_count_integral", lambda N: 1)
+    monkeypatch.setattr(contour, "tsasm_count_integral", lambda N: 1)
     for args in (["tsasm", "list", "--order", "19"],
                  ["tsasm", "count", "--order", "19", "--method", "enum"],
                  ["tsasm", "count", "--order", "23", "--method", "integral"],
@@ -143,8 +145,8 @@ def test_psi_and_sum_refuse_sizes_that_cannot_finish(monkeypatch, capsys):
     def never(N, x=None, tau=None):
         raise AssertionError("a refused request must not start its route")
 
-    monkeypatch.setattr(cli, "psi_components", never)
-    monkeypatch.setattr(cli, "sum_components", never)
+    monkeypatch.setattr(contour, "psi_components", never)
+    monkeypatch.setattr(contour, "sum_components", never)
     for args in (["psi", "--N", "12"], ["psi", "--N", "12", "--x", "2", "--tau", "1"],
                  ["sum", "--N", "12"], ["sum", "--N", "40", "--format", "text"]):
         assert run_cli(args) == (2, ""), args
@@ -152,8 +154,8 @@ def test_psi_and_sum_refuse_sizes_that_cannot_finish(monkeypatch, capsys):
 
     # N = 11 (order 23) is accepted
     table = ComponentTable(ChainShape.of(0), {(): 1})
-    monkeypatch.setattr(cli, "psi_components", lambda N, x=None, tau=None: table)
-    monkeypatch.setattr(cli, "sum_components", lambda N: MultiLaurent.const(1, ("x", "tau")))
+    monkeypatch.setattr(contour, "psi_components", lambda N, x=None, tau=None: table)
+    monkeypatch.setattr(contour, "sum_components", lambda N: MultiLaurent.const(1, ("x", "tau")))
     for args in (["psi", "--N", "11"], ["sum", "--N", "11"]):
         assert run_cli(args)[0] == 0, args
 
@@ -219,7 +221,7 @@ def test_parameters_that_divide_by_zero_are_usage_errors(monkeypatch, capsys):
     def too_small(N):
         raise DomainError("window too small")
 
-    monkeypatch.setattr(cli, "sum_components", too_small)
+    monkeypatch.setattr(contour, "sum_components", too_small)
     assert run_cli(["sum", "--N", "2"]) == (1, "")
     assert capsys.readouterr().err == "error: window too small\n"
 
@@ -357,6 +359,21 @@ def test_malformed_env_default_is_a_usage_error(monkeypatch, capsys, var, flag):
     assert run_cli(base + [flag, "1"])[0] == 0
 
 
+def test_nonpositive_worker_count_is_a_usage_error(monkeypatch, capsys):
+    # refused before any job runs, as a malformed XTL_THREADS is
+    def never(job):
+        raise AssertionError("a refused request must not run a job")
+
+    monkeypatch.setattr(cli, "_run_job", never)
+    base = ["verify", "--suite", "yandyy", "--max-N", "1", "--trials", "1"]
+    monkeypatch.setenv("XTL_THREADS", "0")
+    for args in (base, base + ["--threads", "0"], base + ["--threads", "-3"]):
+        assert run_cli(args) == (2, ""), args
+        assert "usage error: --threads must be at least 1" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_run_job", lambda job: (True, job[0]))
+    assert run_cli(base + ["--threads", "1"])[0] == 0
+
+
 def test_out_flag(tmp_path):
     p = tmp_path / "out.json"
     code = dispatch(["--out", str(p), "sum", "--N", "2"])
@@ -390,7 +407,8 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
+    def map(self, fn, jobs, chunksize):
+        assert chunksize == 1   # one job at a time keeps the workers balanced
         return [fn(j) for j in jobs]
 
 
@@ -398,8 +416,11 @@ def test_verify_threads_capped_by_cores_and_jobs(monkeypatch):
     # no process is started: the pool factory is replaced
     seen = []
     monkeypatch.setattr(cli, "_pool", lambda workers: _FakePool(workers, seen))
-    base = ["verify", "--suite", "main", "--max-N", "3"]   # four jobs
+    base = ["verify", "--suite", "main", "--max-N", "4"]   # five jobs
     _, want = run_cli(base + ["--threads", "1"])
+    threshold = cli._POOL_AFTER_S
+    # at a threshold of zero the four jobs left after the first go to the pool
+    monkeypatch.setattr(cli, "_POOL_AFTER_S", 0.0)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run_cli(base + ["--threads", "5000"]) == (0, want)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -407,3 +428,99 @@ def test_verify_threads_capped_by_cores_and_jobs(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run_cli(base + ["--threads", "5000"]) == (0, want)
     assert seen == [3, 4]
+
+    # a fake clock that each job advances by `step`
+    monkeypatch.setattr(cli, "_POOL_AFTER_S", threshold)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    clock = types.SimpleNamespace(perf_counter=lambda: clock.now, now=0.0)
+    monkeypatch.setattr(cli, "time", clock)
+    ran, run_job = [], cli._run_job
+
+    def timed_job(job):
+        ran.append(job[1]["N"])
+        clock.now += clock.step
+        return run_job(job)
+
+    monkeypatch.setattr(cli, "_run_job", timed_job)
+    # tiny jobs never reach the threshold: no pool opens at --threads 2
+    clock.step = threshold / 10
+    assert run_cli(base + ["--threads", "2"]) == (0, want)
+    assert seen == [3, 4] and ran == [0, 1, 2, 3, 4]
+
+    # the clock starts after the first job, which pays for the imports; once
+    # the parent's jobs reach the threshold, the jobs left go to the pool,
+    # largest first
+    base = ["verify", "--suite", "main", "--max-N", "5"]   # six jobs
+    _, want = run_cli(base + ["--threads", "1"])
+    ran.clear()
+    clock.step = threshold / 2.5
+    assert run_cli(base + ["--threads", "2"]) == (0, want)
+    assert seen == [3, 4, 2] and ran == [0, 1, 2, 3, 5, 4]
+
+
+def test_verify_runs_jobs_smallest_first_and_prints_in_suite_order(monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_run_job", lambda job: ran.append(job) or (True, job[0]))
+    args = ["verify", "--max-N", "2", "--trials", "1", "--threads", "1"]
+    code, out = run_cli(args)
+    jobs = cli._suite_jobs(cli._build_parser().parse_args(args))
+    assert code == 0 and out.split() == [kind for kind, _ in jobs]
+    # by size, in suite order within a size; ybe, which has no size, last
+    assert [kind for kind, _ in ran[:4]] == ["yandyy", "relationsz", "main", "corollaries"]
+    assert ran[-1][0] == "ybe" and ran == sorted(jobs, key=cli._job_size)
+
+
+def test_real_pool_keeps_suite_order_and_usage_errors(monkeypatch, capsys):
+    # at a threshold of zero a real 2-worker pool forks after the first job
+    opened, fork_pool = [], cli._pool
+    monkeypatch.setattr(cli, "_pool", lambda workers: opened.append(workers)
+                        or fork_pool(workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    base = ["verify", "--suite", "all", "--max-N", "3", "--trials", "1"]
+    serial = run_cli(base + ["--threads", "1"])
+    assert serial[0] == 0 and opened == []
+    # suite order, although the Yang-Baxter job runs last
+    assert json.loads(serial[1].splitlines()[0])["statement"] == "yang_baxter_identities"
+    monkeypatch.setattr(cli, "_POOL_AFTER_S", 0.0)
+    assert run_cli(base + ["--threads", "2"]) == serial
+    assert opened == [2]
+
+    # a job that raises UsageError gives exit 2 in the parent and in a worker;
+    # the first job always runs in the parent
+    monkeypatch.setattr(cli, "_suite_jobs", lambda ns: [
+        ("main", {"N": 0}), ("bogus", {"N": 1}), ("main", {"N": 2})])
+    capsys.readouterr()
+    for threshold, pools in ((math.inf, [2]), (0.0, [2, 2])):
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", threshold)
+        assert run_cli(["verify", "--threads", "2"]) == (2, "")
+        assert "usage error: unknown job kind 'bogus'" in capsys.readouterr().err
+        assert opened == pools
+
+
+_LOADED_AFTER_EXCHANGE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("make_cli_golden", sys.argv[1])
+gen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gen)
+exchange = gen.run(["verify", "--suite", "exchange", "--max-N", "2", "--trials", "1"])
+modules = sorted(m for m in sys.modules if m.startswith("xtl."))
+blocks = [gen.run(args) for args in gen.COMMANDS if args[0] in ("psi", "sum", "tsasm")]
+print(json.dumps({"exchange": exchange, "modules": modules, "blocks": blocks}))
+"""
+
+
+def test_verify_exchange_loads_only_the_modules_it_runs():
+    # a fresh process, so nothing but the CLI has imported xtl's modules
+    r = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EXCHANGE,
+                        str(DATA / "make_cli_golden.py")],
+                       capture_output=True, text=True, env=cli_env())
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["exchange"].endswith('"pass": true, "statement": "exchange"}\n[exit 0]\n')
+    assert not {"xtl.contour", "xtl.tsasm", "xtl.theorems", "xtl.sixvertex",
+                "xtl.spinchain"} & set(rep["modules"])
+    # psi, sum and tsasm import their routes on demand and still match the golden file
+    golden = (DATA / "cli_golden.txt").read_text()
+    assert len(rep["blocks"]) == 14
+    for block in rep["blocks"]:
+        assert block in golden
