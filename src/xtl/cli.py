@@ -291,17 +291,19 @@ _MIN_MAX_N = {"all": 2, "exchange": 2, "reduction": 2, "zprops": 2,
               "yandyy": 0, "relationsz": 0, "main": 0, "corollaries": 0}
 
 # The largest --max-N each suite accepts: the largest size whose one job
-# takes at most about 30 s at --trials 1 (trials multiply it).  Measured on a
-# 2-vCPU Xeon, Python 3.11.7, one job per size:
+# took at most about 30 s at --trials 1 (trials multiply it) when the limit
+# was set.  Measured on a 2-vCPU Xeon, Python 3.11.7, one job per size:
 #   exchange and reduction run one job over N = 2..max-N: exchange 9 takes
-#     19 s, 10 over 100 s; reduction 9 takes 30 s, 10 over 100 s;
-#   zprops N = 9 takes 15 s, 10 takes 98 s;
+#     2.6 s, 10 takes 22 s; reduction 9 takes 8.5 s, 10 takes 56 s;
+#   zprops N = 9 takes 4.0 s, 10 takes 26 s;
 #   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
-#   relationsz N = 7 takes 2.5 s, 8 takes 37 s;
+#   relationsz N = 7 takes 1.3 s, 8 takes 24 s;
 #   main N = 11 takes 24 s in 0.2 GB, 12 over 100 s (its component sum is
 #     the expansion that psi and sum refuse above N = 11).
-# "all" runs every one of them; gflemma and corollaries cap their own jobs,
-# and ybe ignores --max-N.
+# Since the residue sums run in Gaussian integers, exchange 10, zprops 10
+# and relationsz 8 also fit in 30 s; the limits are kept, so that no request
+# moves between refused and accepted.  "all" runs every one of them;
+# gflemma and corollaries cap their own jobs, and ybe ignores --max-N.
 _MAX_MAX_N = {"exchange": 9, "reduction": 9, "zprops": 9, "yandyy": 11,
               "relationsz": 7, "main": 11}
 _MAX_MAX_N["all"] = min(_MAX_MAX_N.values())

@@ -9,6 +9,15 @@ indices vanish (a cross factor [w_i/w_j] is zero), and at a simple pole of
 minus the remaining integrand at w = z_j.  The per-pole constant is pinned by
 the closed form of the two-site component, which is unit-tested.
 
+The residue sums run in Gaussian integers.  The site values, q and beta are
+cleared once to Gaussian integers over positive integers, and every bracket
+is then a Gaussian-integer difference over a monomial.  A residue term's
+monomials are fixed by the positions it serves, up to one factor per pole
+that the pole's factor absorbs, and the denominator of a partial sum of the
+walk is fixed by its set of poles, so the walk carries no denominator: it
+does integer multiply-adds only, and each component is reduced to a
+GaussianRational once (`_ResidueTables`, `_residue_sums`).
+
 Specializations that collide poles (equal site values up to sign, ratios
 +-q^{+-1}, products +-q^{-2}) raise DegeneratePointError; property checkers
 reach such points through exact one-variable Laurent interpolation instead,
@@ -27,7 +36,8 @@ from typing import Sequence
 
 from .exact import (DegeneratePointError, DomainError, GaussianRational,
                     MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
-                    brace, div_exact_univar, interpolate_along, inv)
+                    brace, div_exact_univar, from_gaussian_ints, gaussian_ints,
+                    interpolate_along, inv)
 from .operators import SpinVector, chi_covector, k_boundary, r_check_exchange
 from .sampling import ExactSampler, half_sites, z_point_degenerate
 
@@ -47,107 +57,224 @@ _I = GaussianRational(0, 1)
 # residue evaluation of the components
 # ---------------------------------------------------------------------------
 
+def _gmul(x: tuple, y: tuple) -> tuple:
+    """The product of two Gaussian integers given as (re, im) pairs."""
+    a, b = x
+    c, d = y
+    return a * c - b * d, a * d + b * c
+
+
+def _gprod(xs) -> tuple:
+    """The product of Gaussian integers given as (re, im) pairs."""
+    out = (1, 0)
+    for x in xs:
+        out = _gmul(out, x)
+    return out
+
+
+def _gpow(x: tuple, k: int) -> tuple:
+    """x^k for a Gaussian integer x and k >= 0, by repeated squaring."""
+    out = (1, 0)
+    while k:
+        if k & 1:
+            out = _gmul(out, x)
+        x = _gmul(x, x)
+        k >>= 1
+    return out
+
+
+def _lin(x: tuple, k: int, y: tuple, m: int) -> tuple:
+    """x*k - y*m for Gaussian integers x, y and integers k, m."""
+    return x[0] * k - y[0] * m, x[1] * k - y[1] * m
+
+
+def _split(x) -> tuple:
+    """A nonzero exact scalar x as (u, e) with x = u/e, u a Gaussian integer
+    (re, im) and e > 0 an integer; DomainError if x is zero."""
+    (a,), (b,), e = gaussian_ints([x])
+    if not (a or b):
+        raise DomainError("division by zero in Q(i)")
+    return (a, b), e
+
+
 class _ResidueTables:
-    """Bracket tables for one site tuple, and the pole and pair factors of the
-    residue sum built from them; raises DegeneratePointError if any
-    denominator bracket vanishes."""
+    """The factors of the residue sum for one site tuple as Gaussian integers
+    (re, im), with every denominator tracked outside them; raises
+    DegeneratePointError if any denominator bracket vanishes.
+
+    Write z_j = u_j/e_j, q = r/f and beta = b/g with Gaussian integers u_j,
+    r, b over positive integers e_j, f, g, and w_j = u_j e_j, rho = r f.
+    Then every bracket is a Gaussian-integer difference over a monomial:
+      [z_j/z_k]     = A_jk / (w_j w_k),       A_jk = u_j^2 e_k^2 - u_k^2 e_j^2,
+      [q z_j/z_k]   = B_jk / (rho w_j w_k),   B_jk = r^2 u_j^2 e_k^2 - f^2 u_k^2 e_j^2,
+      [q z_j z_k]   = C_jk / (rho w_j w_k),   C_jk = r^2 u_j^2 u_k^2 - f^2 e_j^2 e_k^2,
+      [q^2 z_j z_k] = E_jk / (rho^2 w_j w_k), E_jk = r^4 u_j^2 u_k^2 - f^4 e_j^2 e_k^2,
+      [beta z_p]    = F_p / (b g w_p),        F_p = b^2 u_p^2 - g^2 e_p^2,
+    and [q] = G / rho with G = r^2 - f^2, so a bracket vanishes iff its
+    difference does.  Sites j, poles p and pp are 0-based below, positions
+    a 1-based.
+
+    Monomials.  The factor of pole p at position a is [q^2 z_p^2] [beta z_p]
+    over prod_{j<a, j!=p} [z_j/z_p] prod_{j>=a-1} [q z_j/z_p]
+    prod_j [q^2 z_p z_j], 2 brackets over (a-1) + (N-a+1) + N = 2N, so its
+    monomial is rho^(3N-a-1) W^2 w_(a-1) w_p^(2N-4) / (b g) with
+    W = prod_j w_j; the cross factor of poles pp, p has
+    1 / (rho^4 w_pp^4 w_p^4).  A residue term of n poles gives each pole
+    n - 1 cross factors, so w_p keeps the exponent 2N - 4n (0 for even N, 2
+    for odd N) whichever poles the term uses, and every other monomial goes
+    into the global denominator.
+
+    Differences.  The pole factor's differences are num_p c(a, p) / d_p with
+    num_p = E_pp F_p, d_p = prod_{j!=p} A_jp prod_j B_jp prod_j E_pj, which
+    does not depend on a, and c(a, p) = prod_{j>=a} A_jp prod_{j<a-1} B_jp.
+    The cross factor B_p,pp A_pp,p C_pp,p E_pp,p of an earlier pole pp
+    shares A and E with d_p d_pp; cancelling A_yx E_xy (x < y) from every
+    pair leaves +-B_p,pp C_pp,p, with - iff pp < p.  So a partial sum over
+    the set m of used poles is a Gaussian integer X_m over
+    D(m) = prod_{p in m} d_p / prod_{x<y in m} A_yx E_xy, fixed by m.  Then
+      pair[pp][p]  is +-B_p,pp C_pp,p;
+      pole[a][p]   is num_p w_p^(2N-4n) c(a, p) w_(a-1) rho^(N-a), for p < a,
+                   with the monomials that depend on a;
+      rest(m)      is D(all sites) / D(m), a Gaussian integer;
+      den          is D(all sites) over the differences of the global
+                   prefactor prod_{i<j} [q z_j/z_i] [q^2 z_i z_j] (-[q])^n
+                   times the walk's sign (-1)^n, with the monomials left over.
+    Component a is sum_m X_m rest(m) / den over the final pole sets m of
+    its walk.
+    """
 
     def __init__(self, zs: Sequence, s, beta):
         N = len(zs)
         self.N = N
+        n = N // 2
         zs = [as_gaussian(z) for z in zs]
         s, beta = as_gaussian(s), as_gaussian(beta)
-        q = s * s
-        # each bracket [v] = v - 1/v is formed from v and 1/v, both products
-        # of the site values, their inverses and powers of q
-        zinv = [z.inverse() for z in zs]
-        qi = q.inverse()
-        qz = [q * z for z in zs]
-        qzi = [qi * z for z in zinv]
-        q2z = [q * z for z in qz]
-        q2zi = [qi * z for z in qzi]
-        # [z_k/z_j] = -[z_j/z_k]; the product tables are symmetric
-        ratio = [[None] * N for _ in range(N)]      # [z_j / z_k]
-        qratio = [[None] * N for _ in range(N)]     # [q z_j / z_k]
-        qprod = [[None] * N for _ in range(N)]      # [q z_j z_k]
-        q2prod = [[None] * N for _ in range(N)]     # [q^2 z_j z_k]
+        u, e = zip(*(_split(z) for z in zs))
+        r, f = _split(s * s)
+        sq = [_gmul(x, x) for x in u]                 # u_j^2
+        e2 = [x * x for x in e]                       # e_j^2
+        r2 = _gmul(r, r)
+        r4, f2 = _gmul(r2, r2), f * f
+        f4 = f2 * f2
+        r2sq = [_gmul(r2, x) for x in sq]
+        r4sq = [_gmul(r4, x) for x in sq]
+        # C and E are symmetric
+        A = [[None] * N for _ in range(N)]
+        B = [[None] * N for _ in range(N)]
+        C = [[None] * N for _ in range(N)]
+        E = [[None] * N for _ in range(N)]
         for j in range(N):
             for k in range(N):
                 if j != k:
-                    v = -ratio[k][j] if k < j else zs[j] * zinv[k] - zs[k] * zinv[j]
-                    if v.is_zero():
+                    v = _lin(sq[j], e2[k], sq[k], e2[j])
+                    if v == (0, 0):
                         raise DegeneratePointError("site values collide: z_j = +-z_k")
-                    ratio[j][k] = v
-                v = qz[j] * zinv[k] - zs[k] * qzi[j]
-                if v.is_zero():
+                    A[j][k] = v
+                v = _lin(r2sq[j], e2[k], sq[k], f2 * e2[j])
+                if v == (0, 0):
                     raise DegeneratePointError("site ratio hits +-1/q")
-                qratio[j][k] = v
+                B[j][k] = v
                 if k < j:
-                    qprod[j][k], q2prod[j][k] = qprod[k][j], q2prod[k][j]
+                    C[j][k], E[j][k] = C[k][j], E[k][j]
                     continue
-                qprod[j][k] = qz[j] * zs[k] - qzi[j] * zinv[k]
-                v = q2z[j] * zs[k] - q2zi[j] * zinv[k]
-                if v.is_zero():
+                x, y = _gmul(r2sq[j], sq[k])
+                C[j][k] = (x - f2 * e2[j] * e2[k], y)
+                x, y = _gmul(r4sq[j], sq[k])
+                v = (x - f4 * e2[j] * e2[k], y)
+                if v == (0, 0):
                     raise DegeneratePointError("site product hits +-1/q^2")
-                q2prod[j][k] = v
-        self.qratio, self.q2prod = qratio, q2prod
-        # pair[pp][p]: the cross factor an earlier pole pp gives to pole p
-        self.pair = [[qratio[p][pp] * ratio[pp][p] * qprod[pp][p] * q2prod[pp][p]
-                      if p != pp else None for p in range(N)] for pp in range(N)]
-        # pole[p][a] for p < a: [q^2 z_p^2] [beta z_p] over the three
-        # denominator groups prod_{j<=a, j!=p} [z_j/z_p], prod_{j>=a} [q z_j/z_p]
-        # and prod_j [q^2 z_p z_j] (positions 1-based, poles 0-based)
-        self.pole = []
+                E[j][k] = v
+        b, g = _split(beta)
+        w = [(x * k, y * k) for (x, y), k in zip(u, e)]
+        rho = (r[0] * f, r[1] * f)
+        self.pair = [[None] * N for _ in range(N)]
+        for pp in range(N):
+            for p in range(N):
+                if p != pp:
+                    x, y = _gmul(B[p][pp], C[pp][p])
+                    self.pair[pp][p] = (x, y) if pp > p else (-x, -y)
+        b2, g2 = _gmul(b, b), g * g
+        col = [None] + [_gmul(w[a - 1], _gpow(rho, N - a)) for a in range(1, N + 1)]
+        self.pole = [None] + [[None] * a for a in range(1, N + 1)]
         for p in range(N):
-            num = q2prod[p][p] * bracket(beta * zs[p])
-            d3 = _ONE
-            for j in range(N):
-                d3 = d3 * q2prod[p][j]
-            d2 = [None] * (N + 2)
-            acc = d3
+            x, y = _gmul(b2, sq[p])
+            num = _gmul(_gmul(E[p][p], (x - g2 * e2[p], y)), _gpow(w[p], 2 * N - 4 * n))
+            suf = [None] * (N + 1)                   # suf[a] = prod_{j>=a} A_jp
+            acc = (1, 0)
             for a in range(N, p, -1):
-                acc = acc * qratio[a - 1][p]
-                d2[a] = acc
-            row = [None] * (N + 1)
-            acc = _ONE
+                suf[a] = acc
+                if a - 1 > p:
+                    acc = _gmul(acc, A[a - 1][p])
+            acc = (1, 0)                             # prod_{j<a-1} B_jp
             for a in range(1, N + 1):
-                if a - 1 != p:
-                    acc = acc * ratio[a - 1][p]
                 if a > p:
-                    row[a] = num * (acc * d2[a]).inverse()
-            self.pole.append(row)
+                    self.pole[a][p] = _gmul(_gmul(num, col[a]), _gmul(suf[a], acc))
+                acc = _gmul(acc, B[a - 1][p])
+        # rest(m) = +-prod_{p not in m} site[p] prod_{x<y not in m} both[x][y]
+        self.site = [_gprod([E[p][p]] + [B[j][p] for j in range(N)]) for p in range(N)]
+        self.both = [[_gmul(A[x][y], E[x][y]) if x < y else None for y in range(N)]
+                     for x in range(N)]
+        self._rest: dict = {}
+        # D(all sites) = prod_{x<y} A_xy E_xy prod_p site[p] over the
+        # prefactor's differences prod_{i<j} B_ji E_ij G^n is
+        # G^(N-n) W^2 prod_{x<y} A_xy B_xy prod_p E_pp, since B_pp = G w_p^2;
+        # the monomials left over are rho^(3N(N-1)/2 - 2n(N-n))
+        # W^(2(N-n-1)) (b g)^n
+        self.den = _gprod(
+            [_gpow((r2[0] - f2, r2[1]), N - n),
+             _gpow(rho, 3 * N * (N - 1) // 2 - 2 * n * (N - n)),
+             _gpow(_gprod(w), 2 * (N - n)), _gpow((b[0] * g, b[1] * g), n)]
+            + [E[x][x] for x in range(N)]
+            + [_gmul(A[x][y], B[x][y]) for x in range(N) for y in range(x + 1, N)])
 
-
-def _prefactor(t: _ResidueTables, n: int) -> GaussianRational:
-    p = _ONE
-    for i in range(t.N):
-        for j in range(i + 1, t.N):
-            p = p * t.qratio[j][i] * t.q2prod[i][j]
-    return p * (-t.qratio[0][0]) ** n  # qratio[j][j] is [q]
+    def rest(self, mask: int) -> tuple:
+        """D(all sites) / D(mask) as a Gaussian integer."""
+        v = self._rest.get(mask)
+        if v is None:
+            N = self.N
+            free = [p for p in range(N) if not mask >> p & 1]
+            v = (1, 0)
+            for i, x in enumerate(free):
+                v = _gmul(v, self.site[x])
+                for y in free[i + 1:]:
+                    v = _gmul(v, self.both[x][y])
+            # A_yx = -A_xy for each x < y with x in mask and y not
+            flips = sum(1 for x in range(N) if mask >> x & 1
+                        for y in free if y > x)
+            if flips % 2:
+                v = (-v[0], -v[1])
+            self._rest[mask] = v
+        return v
 
 
 def _residue_sums(t: _ResidueTables, tuples: Sequence[tuple]) -> dict:
-    """Residue sums, without the global prefactor, for position tuples of one
-    length given in lexicographic order.
+    """Residue sums, as Gaussian integers (re, im) to be divided by t.den,
+    for position tuples of one length given in lexicographic order.
 
     An assignment sends variable i to a distinct pole p_i < a_i and weighs
-    prod_i pole[p_i][a_i] * prod_{ii<i} pair[p_ii][p_i].  The pair factors of
+    prod_i pole[a_i][p_i] * prod_{ii<i} pair[p_ii][p_i].  The pair factors of
     variable i depend only on the set of earlier poles, so after level i the
     walk keeps one partial sum per set of used poles (a bitmask), summed over
     the orderings of that set.  Tuples sharing a prefix share its states.
+
+    Every term of a set's partial sum divides by d_p once for each pole p
+    of the set, so the sum's denominator D(m) of _ResidueTables is fixed by
+    the set: the walk carries no denominator and does integer multiply-adds
+    only.  At the last level each final set's sum is brought over the common
+    denominator by t.rest.
     """
     N, pole, pair = t.N, t.pole, t.pair
     n = len(tuples[0])
-    cross = {0: [_ONE] * N}   # mask -> [prod_{pp in mask} pair[pp][p] for p]
-    steps: dict = {}          # (mask, a) -> [(mask | p, cross * pole[p][a])]
-    ends: dict = {}           # (mask, a) -> sum of those factors
+    cross = {0: [(1, 0)] * N}  # mask -> [prod_{pp in mask} pair[pp][p] for p]
+    steps: dict = {}           # (mask, a) -> [(mask | p, *(cross * pole[a][p]))]
+    ends: dict = {}            # (mask, a) -> sum of those factors times t.rest
 
     def cross_of(mask: int) -> list:
         c = cross.get(mask)
         if c is None:
             top = mask.bit_length() - 1
             prev, row = cross_of(mask ^ (1 << top)), pair[top]
-            c = [None if mask >> p & 1 else prev[p] * row[p] for p in range(N)]
+            c = [None if mask >> p & 1 else _gmul(prev[p], row[p]) for p in range(N)]
             cross[mask] = c
         return c
 
@@ -155,32 +282,34 @@ def _residue_sums(t: _ResidueTables, tuples: Sequence[tuple]) -> dict:
         key = (mask, a)
         fs = steps.get(key)
         if fs is None:
-            c = cross_of(mask)
-            fs = [(mask | 1 << p, c[p] * pole[p][a])
+            c, col = cross_of(mask), pole[a]
+            fs = [(mask | 1 << p, *_gmul(c[p], col[p]))
                   for p in range(a) if not mask >> p & 1]
             steps[key] = fs
         return fs
 
     def step(state: dict, a: int) -> dict:
         out: dict = {}
-        for mask, v in state.items():
-            for m2, f in factors(mask, a):
-                w = v * f
+        for mask, (vr, vi) in state.items():
+            for m2, fr, fi in factors(mask, a):
+                wr, wi = vr * fr - vi * fi, vr * fi + vi * fr
                 u = out.get(m2)
-                out[m2] = w if u is None else u + w
+                out[m2] = (wr, wi) if u is None else (u[0] + wr, u[1] + wi)
         return out
 
-    def finish(state: dict, a: int) -> GaussianRational:
-        total = _ZERO
-        for mask, v in state.items():
+    def finish(state: dict, a: int) -> tuple:
+        tr = ti = 0
+        for mask, (vr, vi) in state.items():
             e = ends.get((mask, a))
             if e is None:
-                e = _ZERO
-                for _, f in factors(mask, a):
-                    e = e + f
-                ends[(mask, a)] = e
-            total = total + v * e
-        return total if n % 2 == 0 else -total
+                er = ei = 0
+                for m2, fr, fi in factors(mask, a):
+                    x, y = _gmul((fr, fi), t.rest(m2))
+                    er, ei = er + x, ei + y
+                e = ends[(mask, a)] = (er, ei)
+            tr += vr * e[0] - vi * e[1]
+            ti += vr * e[1] + vi * e[0]
+        return tr, ti
 
     out = {}
 
@@ -192,7 +321,10 @@ def _residue_sums(t: _ResidueTables, tuples: Sequence[tuple]) -> dict:
         for ai, sub in groupby(group, key=itemgetter(i)):
             descend(i + 1, list(sub), step(state, ai))
 
-    descend(0, list(tuples), {0: _ONE})
+    descend(0, list(tuples), {0: (1, 0)})
+    # the recursive closures are reference cycles: empty their cells, so
+    # the tables go now rather than at the next cyclic garbage collection
+    del cross_of, descend
     return out
 
 
@@ -205,13 +337,12 @@ def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
     if len(zs) != N:
         raise UsageError(f"need {N} site values")
     t = _ResidueTables(zs, s, beta)
-    n = N // 2
-    pref = _prefactor(t, n)
+    dr, di = t.den
+    norm = dr * dr + di * di
     amps = {}
-    for a, v in _residue_sums(t, list(combinations(range(1, N + 1), n))).items():
-        v = pref * v
-        if not v.is_zero():
-            amps[a] = v
+    for a, (vr, vi) in _residue_sums(t, list(combinations(range(1, N + 1), N // 2))).items():
+        if vr or vi:  # (vr + vi i) / den = (vr + vi i) conj(den) / |den|^2
+            amps[a], = from_gaussian_ints([vr * dr + vi * di], [vi * dr - vr * di], norm)
     return SpinVector(N, amps)
 
 
@@ -288,13 +419,14 @@ def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
     # every bracket [v] = v - 1/v is odd in v, so a bracket with z_i to the
     # first power ([z_j/z_i], [q z_j/z_i], [q z_j z_i], [q^2 z_j z_i] for
     # j != i, and [beta z_i]) changes sign, while [q^2 z_i^2] and [q] do not.
-    # In _ResidueTables (sites p, positions a, both 1-based here) the pair
-    # factor of sites p != pp holds four such brackets when z_i is z_p or z_pp
-    # and none otherwise, and the prefactor holds two per pair (j, i).  The
-    # pole factor of site p at position a holds 1 + (a-1) + (N-a+1-[p=a]) +
-    # (N-1) of them when i = p and [i<=a] + [i>=a] + 1 otherwise, so it flips
-    # sign iff a = i.  Each residue term of component a has one pole factor
-    # per position of a.
+    # In the residue sum (sites p, positions a, both 1-based here; counted in
+    # brackets, which _ResidueTables holds split into differences and
+    # monomials) the pair factor of sites p != pp holds four such brackets
+    # when z_i is z_p or z_pp and none otherwise, and the prefactor holds two
+    # per pair (j, i).  The pole factor of site p at position a holds
+    # 1 + (a-1) + (N-a+1-[p=a]) + (N-1) of them when i = p and
+    # [i<=a] + [i>=a] + 1 otherwise, so it flips sign iff a = i.  Each
+    # residue term of component a has one pole factor per position of a.
     return _psi_along("z", N, at, s, beta, N - 1, lambda a: int(i in a), 2)
 
 

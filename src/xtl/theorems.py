@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .contour import ChainShape, sum_components, tsasm_count_integral
 from .exact import (GaussianRational, MultiLaurent, UsageError, as_gaussian,
                     bracket, brace, inv)
-from .qkz import gen_sum_Z, rescaled_Y
 from .sampling import ExactSampler
 from .sixvertex import partition_enum, rescaled_YY
 from .tsasm import _staircase, enumerate_tsasm, genfun
@@ -58,6 +57,8 @@ def _xtau(s, beta):
 def check_relation_SZ(N: int, trials: int = 20, seed: int = 42) -> TheoremReport:
     """The homogeneous generalized sum reproduces the component-sum polynomial
     after the elementary rescaling, with x and tau induced by (q, beta)."""
+    from .qkz import gen_sum_Z
+
     rep, rng = _sampled("relation_sum_generalized_sum", trials, seed, N=N)
     shape = ChainShape.of(N)
     n, npr = shape.n, shape.nprime
@@ -80,6 +81,8 @@ def check_Y_equals_YY(N: int, trials: int = 20, seed: int = 42) -> TheoremReport
     """The rescaled generalized sum equals the rescaled overlap once the corner
     weight is set to -{beta q^{1/2}}/{q^{1/2}} and the pairing parameter to q
     (even size) or 1/q (odd size)."""
+    from .qkz import rescaled_Y
+
     rep, rng = _sampled("rescaled_sum_equals_rescaled_overlap", trials, seed, N=N)
     n = N // 2
     for _ in range(trials):

@@ -1,5 +1,7 @@
 import json
 import pathlib
+from itertools import combinations, count, groupby, islice
+from operator import itemgetter
 
 import pytest
 
@@ -66,10 +68,27 @@ def test_single_site_vector():
 
 
 def test_degenerate_point_raises():
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePointError, match="site values collide"):
         psi_vector(2, (G(2), G(2)), S, BETA)
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePointError, match="site ratio hits"):
         psi_vector(2, (G(2), Q * 2), S, BETA)
+    with pytest.raises(DegeneratePointError, match="site product hits"):
+        psi_vector(2, (G(2), inv(2 * Q * Q)), S, BETA)
+
+
+@pytest.mark.parametrize("message,partner", [
+    ("site values collide", lambda z: -z),            # z_k = -z_j
+    ("site ratio hits", lambda z: Q * z),             # q z_j / z_k = 1
+    ("site product hits", lambda z: -inv(Q * Q * z)),  # q^2 z_j z_k = -1
+], ids=["collision", "ratio", "product"])
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_each_guard_raises_among_generic_sites(N, message, partner):
+    # the last site value meets the first one at a pole collision; the
+    # others are a nondegenerate draw, so only that guard can fire
+    zs = list(ExactSampler(7708 + N).z_point(N, S, BETA))
+    zs[-1] = partner(zs[0])
+    with pytest.raises(DegeneratePointError, match=message):
+        psi_vector(N, zs, S, BETA)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +123,197 @@ def test_psi_vector_matches_golden_strings(point):
     vec = psi_vector(N, zs, s, beta)
     got = {",".join(map(str, k)): format_scalar(v) for k, v in sorted(vec.amps.items())}
     assert got == point["amps"]
+
+
+# ---------------------------------------------------------------------------
+# the Q(i) residue kernel that the Gaussian-integer one replaced, kept as its
+# reference
+# ---------------------------------------------------------------------------
+
+_ONE, _ZERO = G(1), G(0)
+
+
+class _ReferenceTables:
+    """Bracket tables for one site tuple, and the pole and pair factors of the
+    residue sum built from them; raises DegeneratePointError if any
+    denominator bracket vanishes."""
+
+    def __init__(self, zs, s, beta):
+        N = len(zs)
+        self.N = N
+        zs = [as_gaussian(z) for z in zs]
+        s, beta = as_gaussian(s), as_gaussian(beta)
+        q = s * s
+        # each bracket [v] = v - 1/v is formed from v and 1/v, both products
+        # of the site values, their inverses and powers of q
+        zinv = [z.inverse() for z in zs]
+        qi = q.inverse()
+        qz = [q * z for z in zs]
+        qzi = [qi * z for z in zinv]
+        q2z = [q * z for z in qz]
+        q2zi = [qi * z for z in qzi]
+        # [z_k/z_j] = -[z_j/z_k]; the product tables are symmetric
+        ratio = [[None] * N for _ in range(N)]      # [z_j / z_k]
+        qratio = [[None] * N for _ in range(N)]     # [q z_j / z_k]
+        qprod = [[None] * N for _ in range(N)]      # [q z_j z_k]
+        q2prod = [[None] * N for _ in range(N)]     # [q^2 z_j z_k]
+        for j in range(N):
+            for k in range(N):
+                if j != k:
+                    v = -ratio[k][j] if k < j else zs[j] * zinv[k] - zs[k] * zinv[j]
+                    if v.is_zero():
+                        raise DegeneratePointError("site values collide: z_j = +-z_k")
+                    ratio[j][k] = v
+                v = qz[j] * zinv[k] - zs[k] * qzi[j]
+                if v.is_zero():
+                    raise DegeneratePointError("site ratio hits +-1/q")
+                qratio[j][k] = v
+                if k < j:
+                    qprod[j][k], q2prod[j][k] = qprod[k][j], q2prod[k][j]
+                    continue
+                qprod[j][k] = qz[j] * zs[k] - qzi[j] * zinv[k]
+                v = q2z[j] * zs[k] - q2zi[j] * zinv[k]
+                if v.is_zero():
+                    raise DegeneratePointError("site product hits +-1/q^2")
+                q2prod[j][k] = v
+        self.qratio, self.q2prod = qratio, q2prod
+        # pair[pp][p]: the cross factor an earlier pole pp gives to pole p
+        self.pair = [[qratio[p][pp] * ratio[pp][p] * qprod[pp][p] * q2prod[pp][p]
+                      if p != pp else None for p in range(N)] for pp in range(N)]
+        # pole[p][a] for p < a: [q^2 z_p^2] [beta z_p] over the three
+        # denominator groups prod_{j<=a, j!=p} [z_j/z_p], prod_{j>=a} [q z_j/z_p]
+        # and prod_j [q^2 z_p z_j] (positions 1-based, poles 0-based)
+        self.pole = []
+        for p in range(N):
+            num = q2prod[p][p] * bracket(beta * zs[p])
+            d3 = _ONE
+            for j in range(N):
+                d3 = d3 * q2prod[p][j]
+            d2 = [None] * (N + 2)
+            acc = d3
+            for a in range(N, p, -1):
+                acc = acc * qratio[a - 1][p]
+                d2[a] = acc
+            row = [None] * (N + 1)
+            acc = _ONE
+            for a in range(1, N + 1):
+                if a - 1 != p:
+                    acc = acc * ratio[a - 1][p]
+                if a > p:
+                    row[a] = num * (acc * d2[a]).inverse()
+            self.pole.append(row)
+
+
+def _reference_prefactor(t, n):
+    p = _ONE
+    for i in range(t.N):
+        for j in range(i + 1, t.N):
+            p = p * t.qratio[j][i] * t.q2prod[i][j]
+    return p * (-t.qratio[0][0]) ** n  # qratio[j][j] is [q]
+
+
+def _reference_residue_sums(t, tuples):
+    """Residue sums, without the global prefactor, for position tuples of one
+    length given in lexicographic order.
+
+    An assignment sends variable i to a distinct pole p_i < a_i and weighs
+    prod_i pole[p_i][a_i] * prod_{ii<i} pair[p_ii][p_i].  The pair factors of
+    variable i depend only on the set of earlier poles, so after level i the
+    walk keeps one partial sum per set of used poles (a bitmask), summed over
+    the orderings of that set.  Tuples sharing a prefix share its states.
+    """
+    N, pole, pair = t.N, t.pole, t.pair
+    n = len(tuples[0])
+    cross = {0: [_ONE] * N}   # mask -> [prod_{pp in mask} pair[pp][p] for p]
+    steps: dict = {}          # (mask, a) -> [(mask | p, cross * pole[p][a])]
+    ends: dict = {}           # (mask, a) -> sum of those factors
+
+    def cross_of(mask: int) -> list:
+        c = cross.get(mask)
+        if c is None:
+            top = mask.bit_length() - 1
+            prev, row = cross_of(mask ^ (1 << top)), pair[top]
+            c = [None if mask >> p & 1 else prev[p] * row[p] for p in range(N)]
+            cross[mask] = c
+        return c
+
+    def factors(mask: int, a: int) -> list:
+        key = (mask, a)
+        fs = steps.get(key)
+        if fs is None:
+            c = cross_of(mask)
+            fs = [(mask | 1 << p, c[p] * pole[p][a])
+                  for p in range(a) if not mask >> p & 1]
+            steps[key] = fs
+        return fs
+
+    def step(state: dict, a: int) -> dict:
+        out: dict = {}
+        for mask, v in state.items():
+            for m2, f in factors(mask, a):
+                w = v * f
+                u = out.get(m2)
+                out[m2] = w if u is None else u + w
+        return out
+
+    def finish(state: dict, a: int) :
+        total = _ZERO
+        for mask, v in state.items():
+            e = ends.get((mask, a))
+            if e is None:
+                e = _ZERO
+                for _, f in factors(mask, a):
+                    e = e + f
+                ends[(mask, a)] = e
+            total = total + v * e
+        return total if n % 2 == 0 else -total
+
+    out = {}
+
+    def descend(i: int, group: list, state: dict):
+        if i == n - 1:
+            for a in group:
+                out[a] = finish(state, a[i])
+            return
+        for ai, sub in groupby(group, key=itemgetter(i)):
+            descend(i + 1, list(sub), step(state, ai))
+
+    descend(0, list(tuples), {0: _ONE})
+    return out
+
+
+def reference_amps(N, zs, s, beta):
+    """psi_vector(N, zs, s, beta).amps by the GaussianRational residue walk."""
+    t = _ReferenceTables(zs, s, beta)
+    n = N // 2
+    pref = _reference_prefactor(t, n)
+    amps = {}
+    for a, v in _reference_residue_sums(t, list(combinations(range(1, N + 1), n))).items():
+        v = pref * v
+        if not v.is_zero():
+            amps[a] = v
+    return amps
+
+
+def _points_with_gaussian_sites(N, k, start):
+    """Points (s, beta, zs) of size N, one from each of the seeds start,
+    start + 1, ... whose draw has exactly k site values off the real line."""
+    for seed in count(start):
+        rng = ExactSampler(seed)
+        s, beta = rng.s_value(), rng.beta_value()
+        zs = rng.z_point(N, s, beta)
+        if sum(not z.is_rational() for z in zs) == k:
+            yield s, beta, zs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
+def test_psi_vector_matches_the_gaussian_rational_reference(N, k):
+    # n = N // 2 takes both parities, so the walk's sign (-1)^n is covered;
+    # dict equality compares normalized triples, so an amplitude left
+    # unreduced, or a zero kept, fails too
+    for s, beta, zs in islice(_points_with_gaussian_sites(N, k, 7900 + 100 * N + 10 * k), 3):
+        assert psi_vector(N, zs, s, beta).amps == reference_amps(N, zs, s, beta)
 
 
 # ---------------------------------------------------------------------------

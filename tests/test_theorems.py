@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -168,3 +172,16 @@ def test_report_json_lines():
     rep = check_main_theorem(2)
     obj = json.loads(rep.to_json_line())
     assert obj["pass"] and obj["statement"]
+
+
+def test_importing_theorems_leaves_the_residue_route_unloaded():
+    # verify --suite main, corollaries and gflemma import theorems only; the
+    # two checkers that run the residue route import qkz when they are called
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, xtl.theorems as t; print('xtl.qkz' in sys.modules); "
+            "t.check_Y_equals_YY(2, trials=1); print('xtl.qkz' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]
