@@ -173,16 +173,18 @@ def _order_to_N(order: int) -> int:
 # Measured on a 2-vCPU Xeon, Python 3.11.7:
 #   enum (list, count --method enum) builds every matrix: order 19 takes 6 s
 #     and 0.17 GB, order 21 has 142,873 matrices (ten times as many);
-#   integral: order 23 takes 6 s, order 25 takes 88 s;
+#   integral: order 23 takes 0.8 s, order 25 takes 19 s in 84 MB (it took
+#     88 s when the limit was set, and the limit is kept);
 #   partition and genfun walk the column automaton of size n = N//2: at order
 #     27 (n = 6) partition takes 5 s and genfun 3 s, both in 0.3 GB; at order
 #     29 (n = 7) genfun alone takes 35 s and 3 GB;
-#   psi and sum expand the contour series once over packed ints: at N = 11
-#     psi takes 8.5 s in 0.16 GB and sum 11 s in 0.19 GB; at N = 12 the
-#     truncated series has up to twelve times as many terms (665,280 against
-#     55,440) with wider ints, and even its plain-int count (integral, order
-#     25) takes 88 s.  spinchain verify --N expands psi, so it shares the psi
-#     limit (at N = 40 it was killed by SIGKILL before it finished);
+#   psi and sum expand the contour series once on packed keys with x and
+#     tau both packed: at N = 11 psi takes 8.1 s in 0.16 GB and sum 12.7 s
+#     in 0.19 GB; N = 12 was not run: its truncated series has up to twelve
+#     times as many terms (665,280 against 55,440), with wider ints.
+#     spinchain verify --N expands psi at a given x and tau = 1, over plain
+#     ints (1.7 s at N = 11), and shares the psi limit (at N = 40 it was
+#     killed by SIGKILL before it finished);
 #   sixvertex pf --n n is checked at order 4n + 1, the order whose count runs
 #     the same 2n-site automaton; --alpha + --s 2 --t 3 at unit sites:
 #     pf_enum takes 2.8 s in 0.27 GB at n = 6 and 34 s in 2.5 GB at n = 7,

@@ -1,13 +1,14 @@
 import json
 import pathlib
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from xtl import contour
 from xtl.cli import serialize
 from xtl.contour import ChainShape, psi_components, sum_components, tsasm_count_integral
-from xtl.exact import DomainError, MultiLaurent
+from xtl.exact import DomainError, GaussianRational, MultiLaurent
 
 X = MultiLaurent.var("x")
 T = MultiLaurent.var("tau")
@@ -109,8 +110,8 @@ def test_tsasm_count_integral_small_orders():
 
 def test_tsasm_count_integral_rejects_non_integer_count(monkeypatch):
     # a real exception, so the guard also holds under python -O
-    monkeypatch.setattr(contour, "_mul_factor",
-                        lambda series, factor, caps: {caps: Fraction(1, 2)})
+    monkeypatch.setattr(contour, "_expand",
+                        lambda shape, factors, targets: [Fraction(1, 2)] * len(targets))
     with pytest.raises(DomainError):
         tsasm_count_integral(4)
 
@@ -146,3 +147,108 @@ def test_golden_replay_catches_a_too_narrow_digit_width(monkeypatch):
     assert _psi_json(8) == psi_row["psi"]
     monkeypatch.setattr(contour, "_digit_bits", lambda factors: 7)
     assert _psi_json(8) != psi_row["psi"]
+
+
+# ---------------------------------------------------------------------------
+# the tuple-key expansion that the packed-key one replaced, kept as its
+# reference: it packs both x and tau whatever is given, and evaluates a given
+# value at decode
+# ---------------------------------------------------------------------------
+
+def _reference_mul_factor(series, factor, caps):
+    out = {}
+    for e, c in series.items():
+        for de, fc in factor:
+            ne = tuple(a + b for a, b in zip(e, de))
+            if any(v > cap for v, cap in zip(ne, caps)):
+                continue
+            s = out.get(ne, 0) + c * fc
+            if s:
+                out[ne] = s
+            else:
+                out.pop(ne, None)
+    return out
+
+
+def _reference_digit_bits(factors):
+    bound = 1
+    for f in factors:
+        bound *= sum(abs(c) for _, c in f)
+    return bound.bit_length() + 1
+
+
+def _reference_decode(packed, B, W, x, tau):
+    terms = {}
+    k = 0
+    while packed:
+        d = packed & ((1 << B) - 1)
+        if d >> (B - 1):
+            d -= 1 << B
+        packed = (packed - d) >> B
+        if d:
+            i, j = divmod(k, W)
+            if x is not None:
+                d, i = d * x ** i, 0
+            if tau is not None:
+                d, j = d * tau ** j, 0
+            terms[i, j] = terms.get((i, j), 0) + d
+        k += 1
+    if x is not None and tau is not None:
+        return terms.get((0, 0), 0)
+    return MultiLaurent(("x", "tau"), terms)
+
+
+def reference_extract(shape, geometric, targets, points):
+    """contour._extract at each (x, tau) of points by one (x, tau)-packed
+    expansion, decoded at each point."""
+    n, caps = shape.n, contour._caps(shape)
+    B = _reference_digit_bits(contour._factors(shape, 1, 1, geometric))
+    W = n * shape.eps + n * (n - 1) + 1
+    series = {(0,) * n: 1}
+    for f in contour._factors(shape, 1 << (B * W), 1 << B, geometric):
+        series = _reference_mul_factor(series, f, caps)
+    return [[_reference_decode(series.get(t, 0), B, W, x, tau) for t in targets]
+            for x, tau in points]
+
+
+_EXTRACT_POINTS = [
+    (None, None), (Fraction(7, 5), 1), (None, 1), (None, Fraction(-2, 3)),
+    (Fraction(-1, 2), None), (1, 1), (0, 1), (Fraction(3, 7), Fraction(5, 2)),
+    (GaussianRational(1, 1), 2), (None, 0),
+    # a real GaussianRational is put into the factors, a non-real one packed
+    (GaussianRational(Fraction(3, 2)), Fraction(1)), (GaussianRational(1, 1), None),
+]
+
+
+@pytest.mark.parametrize("geometric", [False, True])
+@pytest.mark.parametrize("N", range(10))
+def test_extract_matches_the_tuple_key_reference(N, geometric):
+    # every component target and the sum target, at each point; the type is
+    # compared too, since the CLI formats an int, Fraction and
+    # GaussianRational by type
+    shape = ChainShape.of(N)
+    n = shape.n
+    targets = [tuple(N - a[n - k] for k in range(1, n + 1))
+               for a in combinations(range(1, N + 1), n)] + [contour._caps(shape)]
+    wants = reference_extract(shape, geometric, targets, _EXTRACT_POINTS)
+    for (x, tau), want in zip(_EXTRACT_POINTS, wants):
+        got = contour._extract(shape, geometric, targets, x, tau)
+        assert [type(v) for v in got] == [type(v) for v in want], (x, tau)
+        assert got == want, (x, tau)
+
+
+@pytest.mark.parametrize("N", range(8))
+def test_packed_keys_keep_a_monomial_at_its_cap_and_drop_one_past_it(N):
+    shape = ChainShape.of(N)
+    caps, n = contour._caps(shape), shape.n
+    assert contour._expand(shape, [[(caps, 3)]], [caps]) == [3]
+    inside = list(product(*(range(cap + 1) for cap in caps)))
+    for k in range(n):
+        past = tuple(c + (i == k) for i, c in enumerate(caps))
+        assert contour._expand(shape, [[(caps, 1), (past, 1)]], [caps, past]) == [1, 0]
+        # a step far past every cap is dropped, not carried into the next
+        # field: the constant term is the only coefficient left
+        far = 2 ** (max(caps).bit_length() + 1) + 1
+        step = tuple(far * (i == k) for i in range(n))
+        got = contour._expand(shape, [[((0,) * n, 1), (step, 1)]], inside)
+        assert got == [int(not any(t)) for t in inside]
