@@ -728,24 +728,27 @@ def interpolate_along(var: str, samples: Iterable, lo: int, hi: int, spare: int)
     return out[None] if scalar else out
 
 
-_SWEEP_PATIENCE = 120  # rejections in a row before abscissa_sweep gives up
+_SWEEP_PATIENCE = 120  # skips in a row before abscissa_sweep gives up
 
 
-def abscissa_sweep(accept):
-    """Distinct exact abscissae 3/2, 2/3, -3/2, 4/3, 3/4, -4/3, ... for which
-    accept(x) is true, as a lazy iterator; raises DomainError once accept has
-    rejected _SWEEP_PATIENCE candidates in a row."""
+def abscissa_sweep(sample):
+    """The pairs (x, sample(x)) at the distinct exact abscissae 3/2, 2/3,
+    -3/2, 4/3, 3/4, -4/3, ..., as a lazy iterator.  An x where sample raises
+    DegeneratePointError is skipped; any other exception propagates, and
+    _SWEEP_PATIENCE skips in a row raise DomainError."""
     misses = 0
     for k in count(2):
         for cand in (Fraction(k + 1, k), Fraction(k, k + 1), Fraction(-k - 1, k)):
             x = GaussianRational(cand)
-            if accept(x):
-                misses = 0
-                yield x
-            else:
+            try:
+                y = sample(x)
+            except DegeneratePointError:
                 misses += 1
                 if misses >= _SWEEP_PATIENCE:
                     raise DomainError("could not find enough nondegenerate sample points")
+                continue
+            misses = 0
+            yield x, y
 
 
 def div_exact_univar(p: MultiLaurent, d: MultiLaurent, var: str) -> MultiLaurent:

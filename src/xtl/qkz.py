@@ -21,7 +21,10 @@ GaussianRational once (`_ResidueTables`, `_residue_sums`).
 Specializations that collide poles (equal site values up to sign, ratios
 +-q^{+-1}, products +-q^{-2}) raise DegeneratePointError; property checkers
 reach such points through exact one-variable Laurent interpolation instead,
-using the stated degree-width bounds.
+using the stated degree-width bounds.  A curve is sampled at the abscissae of
+`exact.abscissa_sweep`, which skips those where the evaluation raises, so the
+residue tables are the only degeneracy test along it, and
+`exact.interpolate_along` makes every spare check.
 
 The vectors are `operators.SpinVector`s: the exchange, reflection and
 reduction checks act on them with the local matrices of `operators`, and the
@@ -30,7 +33,7 @@ generalized sum pairs them with its two-site covector `chi_covector`.
 
 from __future__ import annotations
 
-from itertools import combinations, groupby, islice
+from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Sequence
 
@@ -39,7 +42,7 @@ from .exact import (DegeneratePointError, DomainError, GaussianRational,
                     brace, div_exact_univar, from_gaussian_ints, gaussian_ints,
                     interpolate_along, inv)
 from .operators import SpinVector, chi_covector, k_boundary, r_check_exchange
-from .sampling import ExactSampler, half_sites, z_point_degenerate
+from .sampling import ExactSampler, half_sites
 
 __all__ = [
     "psi_vector",
@@ -350,53 +353,31 @@ def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
 # interpolation along a curve through degenerate specializations
 # ---------------------------------------------------------------------------
 
-def _along(var: str, value, sites, s, h: int, spare: int):
-    """value(x) as an exact Laurent polynomial in var with exponents in
-    [-h, h], sampled at the sweep's abscissae x whose site tuple sites(x) is
-    nondegenerate and cross-validated at `spare` more."""
-    xs = abscissa_sweep(lambda x: not z_point_degenerate(sites(x), s))
-    return interpolate_along(var, ((x, value(x)) for x in xs), -h, h, spare)
-
-
 def _psi_along(var: str, N: int, sites, s, beta, h: int, parity, spare: int) -> dict:
     """The components of psi_vector(N, sites(x), s, beta) as exact Laurent
     polynomials in var with exponents in [-h, h], given that component a is
     x^parity(a) times a polynomial P_a in y = x^2.
 
     P_a has exponents in [-((h+1)//2), h//2], so it is interpolated in y at
-    h + 1 abscissae of distinct squares (not 2h + 1 in x) whose site tuples
-    are nondegenerate.  The `spare` pairs are direct evaluations at further
-    such abscissae, compared with the rebuilt polynomials in var: a wrong
-    parity or a too-small window raises DomainError.
+    h + 1 abscissae of distinct squares (not 2h + 1 in x), and checked at
+    `spare` more: a wrong parity or a too-small window raises DomainError.
+    The fit in y carries the name var, so that error names the curve.
     """
     squares: set = set()
 
-    def fresh(x) -> bool:
+    def sample(x) -> dict:
         y = x * x
-        if y in squares or z_point_degenerate(sites(x), s):
-            return False
+        if y in squares:
+            raise DegeneratePointError("repeated square")
+        amps = psi_vector(N, sites(x), s, beta).amps
         squares.add(y)
-        return True
-
-    lo, hi = -((h + 1) // 2), h // 2
-    m = hi - lo + 1
-    pts = [(x, psi_vector(N, sites(x), s, beta).amps)
-           for x in islice(abscissa_sweep(fresh), m + spare)]
-
-    def fit_sample(x, amps):
         xi = x.inverse()
-        return x * x, {a: v * xi if parity(a) else v for a, v in amps.items()}
+        return {a: v * xi if parity(a) else v for a, v in amps.items()}
 
-    fits = interpolate_along("y", (fit_sample(x, amps) for x, amps in pts[:m]), lo, hi, 0)
-    polys = {a: MultiLaurent((var,), {(2 * e + parity(a),): c for (e,), c in p.terms.items()})
-             for a, p in fits.items()}
-    for x, amps in pts[m:]:
-        for a in polys.keys() | amps.keys():
-            p = polys.get(a)
-            if (p.eval_at({var: x}) if p else 0) != amps.get(a, 0):
-                raise DomainError(f"interpolation window [{-h}, {h}] in {var} with "
-                                  "the sign rule does not fit")
-    return polys
+    fits = interpolate_along(var, ((x * x, v) for x, v in abscissa_sweep(sample)),
+                             -((h + 1) // 2), h // 2, spare)
+    return {a: MultiLaurent((var,), {(2 * e + parity(a),): c for (e,), c in p.terms.items()})
+            for a, p in fits.items()}
 
 
 def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
@@ -433,6 +414,8 @@ def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
 def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
     """The vector with every site value specialized to 1, via exact
     interpolation along the curve z_k = lambda^(k-1)."""
+    if N < 0:
+        raise UsageError("N must be >= 0")
     if N <= 1:
         return SpinVector.make(N, {(): _ONE})
     s = as_gaussian(s)
@@ -492,20 +475,17 @@ def gen_sum_Z(N: int, ws: Sequence, s, beta) -> GaussianRational:
 def gen_sum_Z_homogeneous(N: int, s, beta) -> GaussianRational:
     """The generalized component sum at w = (1, ..., 1), by interpolation in
     lambda along w_i = lambda^i."""
+    if N < 0:
+        raise UsageError("N must be >= 0")
     if N <= 1:
         return _ONE
     n = N // 2
-    s = as_gaussian(s)
-
-    def at(lam) -> list:
-        return [lam ** (i + 1) for i in range(n)]
-
     # the sum is centred of halfwidth 2N-3 in each w_i (gen_sum_Z_poly_in_w),
     # so |exponent of lambda| <= (2N-3) * sum_i i
-    poly = _along("l", lambda lam: _gen_sum_at(N, at(lam), s, beta),
-                  lambda lam: half_sites(at(lam), N % 2), s,
-                  (2 * N - 3) * (n * (n + 1) // 2), 1)
-    return as_gaussian(poly.eval_at({"l": _ONE}))
+    h = (2 * N - 3) * (n * (n + 1) // 2)
+    samples = abscissa_sweep(
+        lambda lam: _gen_sum_at(N, [lam ** i for i in range(1, n + 1)], s, beta))
+    return as_gaussian(interpolate_along("l", samples, -h, h, 1).eval_at({"l": _ONE}))
 
 
 def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:
@@ -514,17 +494,11 @@ def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:
     if not 1 <= i <= N // 2:
         raise UsageError("variable index out of range")
     ws = [as_gaussian(w) for w in ws]
-    s = as_gaussian(s)
-
-    def at(x) -> list:
-        pt = list(ws)
-        pt[i - 1] = x
-        return pt
-
     # the stated bound: centred in w_i of width at most 2(2N-3), which
     # check_Z_properties records as "degree_width"
-    return _along("w", lambda x: _gen_sum_at(N, at(x), s, beta),
-                  lambda x: half_sites(at(x), N % 2), s, 2 * N - 3, 2)
+    h = 2 * N - 3
+    samples = abscissa_sweep(lambda x: _gen_sum_at(N, ws[:i - 1] + [x] + ws[i:], s, beta))
+    return interpolate_along("w", samples, -h, h, 2)
 
 
 def y_divisor(N: int, ws: Sequence, s):

@@ -36,6 +36,11 @@ def half_sites(ws, odd: bool) -> list:
 
 
 def z_point_degenerate(zs, s) -> bool:
+    """Whether the site values zs meet a pole collision at s: the sampler's
+    copy of the set on which `qkz._ResidueTables` raises DegeneratePointError
+    (for two or more sites and q^2 != 1).  The sampler draws its points with
+    it; curves through degenerate points leave the test to the residue
+    evaluation itself."""
     q = s * s
     q2i = (q * q).inverse()
     for j, zj in enumerate(zs):

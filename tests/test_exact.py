@@ -318,13 +318,16 @@ def _line(p, xs):
     return ((x, p.eval_at({"w": x})) for x in xs)
 
 
+def _evaluate(p):
+    return lambda x: p.eval_at({"w": x})
+
+
 def test_interpolate_along_recovers_and_checks_spare_points():
     p = MultiLaurent(("w",), {(-2,): Fraction(3, 5), (0,): -1, (3,): 7})
-    xs = abscissa_sweep(lambda x: True)
-    assert interpolate_along("w", _line(p, xs), -2, 3, 2) == p
+    assert interpolate_along("w", abscissa_sweep(_evaluate(p)), -2, 3, 2) == p
     # the window [-2, 2] misses w^3: both spare points disagree
     with pytest.raises(DomainError):
-        interpolate_along("w", _line(p, abscissa_sweep(lambda x: True)), -2, 2, 2)
+        interpolate_along("w", abscissa_sweep(_evaluate(p)), -2, 2, 2)
 
 
 def test_interpolate_along_spare_zero_takes_exactly_the_window():
@@ -359,22 +362,60 @@ def test_interpolate_along_needs_enough_samples():
         interpolate_along("w", [(2, 1), (3, 1)], 0, 1, 1)
 
 
+def _skipping(keep):
+    """A sample that is x itself where keep(x), and degenerate elsewhere."""
+    def sample(x):
+        if not keep(x):
+            raise DegeneratePointError("skip")
+        return x
+    return sample
+
+
 def test_abscissa_sweep_order_and_filter():
-    xs = abscissa_sweep(lambda x: x != Fraction(2, 3))
-    got = [next(xs) for _ in range(5)]
-    assert got == [Fraction(3, 2), Fraction(-3, 2), Fraction(4, 3), Fraction(3, 4),
-                   Fraction(-4, 3)]
-    assert all(isinstance(x, GaussianRational) for x in got)
+    pairs = abscissa_sweep(_skipping(lambda x: x != Fraction(2, 3)))
+    got = [next(pairs) for _ in range(5)]
+    assert [x for x, _ in got] == [Fraction(3, 2), Fraction(-3, 2), Fraction(4, 3),
+                                   Fraction(3, 4), Fraction(-4, 3)]
+    assert all(isinstance(x, GaussianRational) and y is x for x, y in got)
 
 
-def test_abscissa_sweep_raises_when_accept_keeps_rejecting():
-    with pytest.raises(DomainError):
-        next(abscissa_sweep(lambda x: False))
-    # accepts the first few points, then nothing more
-    xs = abscissa_sweep(lambda x: x.re > 0 and x.re.denominator < 5)
-    with pytest.raises(DomainError):
-        for _ in xs:
+def test_abscissa_sweep_raises_when_sample_keeps_degenerating():
+    with pytest.raises(DomainError, match="nondegenerate sample points"):
+        next(abscissa_sweep(_skipping(lambda x: False)))
+    # samples the first few points, then nothing more
+    pairs = abscissa_sweep(_skipping(lambda x: x.re > 0 and x.re.denominator < 5))
+    with pytest.raises(DomainError, match="nondegenerate sample points"):
+        for _ in pairs:
             pass
+
+
+def test_abscissa_sweep_skips_only_degenerate_points():
+    # any other error, a DomainError included, propagates at the first abscissa
+    seen = []
+
+    def failing(error):
+        def sample(x):
+            seen.append(x)
+            raise error
+        return sample
+
+    for error in (DomainError("division by zero in Q(i)"), UsageError("bad"),
+                  ZeroDivisionError()):
+        seen.clear()
+        with pytest.raises(type(error)) as info:
+            next(abscissa_sweep(failing(error)))
+        assert info.value is error and seen == [Fraction(3, 2)]
+    # the patience counts skips in a row: one success restarts it
+    calls = []
+
+    def every_hundredth(x):
+        calls.append(x)
+        if len(calls) % 100:
+            raise DegeneratePointError("skip")
+        return x
+
+    pairs = abscissa_sweep(every_hundredth)
+    assert [next(pairs)[1] for _ in range(3)] == [calls[99], calls[199], calls[299]]
 
 
 def test_div_exact_univar():

@@ -249,3 +249,17 @@ def test_sampling_imports_only_exact():
         elif isinstance(n, ast.Import):
             imported |= {a.name[4:] for a in n.names if a.name.startswith("xtl.")}
     assert imported == {"exact"}
+
+
+def test_qkz_leaves_the_collision_test_to_its_residue_tables():
+    # a curve's abscissae are filtered by the residue evaluation alone, so
+    # qkz must not reach the sampler's copy of the pole-collision set
+    names = set()
+    for n in ast.walk(ast.parse((SRC / "qkz.py").read_text())):
+        if isinstance(n, ast.ImportFrom):
+            names |= {a.name for a in n.names}
+        elif isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    assert "z_point_degenerate" not in names

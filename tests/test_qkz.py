@@ -11,8 +11,8 @@ from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        inv)
 from xtl.operators import SpinVector, r_check_exchange
 from xtl.qkz import (check_exchange_and_reflection, check_psi_reduction,
-                     check_Z_properties, gen_sum_Z, gen_sum_Z_poly_in_w,
-                     psi_vector, psi_vector_homogeneous, psi_vector_poly_in_z,
+                     check_Z_properties, gen_sum_Z, gen_sum_Z_homogeneous,
+                     gen_sum_Z_poly_in_w, psi_vector, psi_vector_homogeneous, psi_vector_poly_in_z,
                      rescaled_Y, y_divisor)
 from xtl.sampling import ExactSampler, half_sites, z_point_degenerate
 
@@ -89,6 +89,86 @@ def test_each_guard_raises_among_generic_sites(N, message, partner):
     zs[-1] = partner(zs[0])
     with pytest.raises(DegeneratePointError, match=message):
         psi_vector(N, zs, S, BETA)
+
+
+def _collisions(zs, s):
+    """One site tuple per kind of pole collision, made from zs by replacing
+    one value: z_k = +-z_j, z_k = +-q^{+-1} z_j, z_j z_k = +-q^-2 and
+    z_j^2 = +-q^-2."""
+    q = s * s
+    qi, q2i = q.inverse(), (q * q).inverse()
+    j, k = 0, len(zs) - 1
+    partners = [zs[j], -zs[j], q * zs[j], -q * zs[j], qi * zs[j], -qi * zs[j],
+                q2i * zs[j].inverse(), -q2i * zs[j].inverse(), qi, I * qi]
+    return [zs[:k] + [z] for z in partners]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_sampler_collision_set_is_the_residue_tables_set(N):
+    # the sampler's z_point_degenerate and the residue evaluation state the
+    # same set: a point is degenerate for one exactly when it is for the other
+    rng = ExactSampler(7790 + N)
+    degenerate = generic = 0
+    for _ in range(3):
+        s, beta = rng.s_value(), rng.beta_value()
+        base = [rng.nonzero() for _ in range(N)]
+        for zs in [list(rng.z_point(N, s)), base] + _collisions(base, s):
+            try:
+                psi_vector(N, zs, s, beta)
+                raised = False
+            except DegeneratePointError:
+                raised = True
+            assert z_point_degenerate(zs, s) == raised, (zs, s)
+            degenerate += raised
+            generic += not raised
+    # every constructed collision is degenerate, and every z_point draw is not
+    assert degenerate >= 3 * 10 and generic >= 3
+
+
+def test_homogeneous_curves_refuse_negative_sizes():
+    for N in (-1, -2):
+        with pytest.raises(UsageError, match="N must be >= 0"):
+            psi_vector_homogeneous(N, S, BETA)
+        with pytest.raises(UsageError, match="N must be >= 0"):
+            gen_sum_Z_homogeneous(N, S, BETA)
+
+
+def _counting_psi(monkeypatch) -> list:
+    from xtl import qkz
+    real, calls = qkz.psi_vector, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qkz, "psi_vector", counted)
+    return calls
+
+
+def test_curve_errors_other_than_degeneracy_propagate_at_the_first_abscissa(monkeypatch):
+    calls = _counting_psi(monkeypatch)
+    zs = list(ExactSampler(7795).z_point(3, S))
+    with pytest.raises(DomainError, match="division by zero in Q\\(i\\)"):
+        psi_vector_poly_in_z(3, zs, 1, S, 0)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(UsageError, match="need 3 site values"):
+        psi_vector_poly_in_z(3, zs[:2], 1, S, BETA)
+    assert len(calls) == 1
+
+
+def test_curve_through_colliding_fixed_sites_runs_out_of_patience(monkeypatch):
+    # z_3 = -z_2 collides at every abscissa of z_1: the sweep skips each one
+    # and gives up after _SWEEP_PATIENCE in a row
+    from xtl.exact import _SWEEP_PATIENCE
+    calls = _counting_psi(monkeypatch)
+    zs = list(ExactSampler(7796).z_point(3, S))
+    zs[2] = -zs[1]
+    with pytest.raises(DomainError, match="could not find enough nondegenerate"):
+        psi_vector_poly_in_z(3, zs, 1, S, BETA)
+    # no abscissa is ever used, so no square repeats: each skip is a residue
+    # evaluation that raised
+    assert len(calls) == _SWEEP_PATIENCE
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +477,7 @@ def test_sign_rule_on_the_homogeneous_curve(N):
 def test_interpolation_in_z_squared_costs_N_plus_2_evaluations(monkeypatch, N):
     # N abscissae fit the polynomials in z_i^2 and two more cross-validate;
     # the full window in z_i took 2N + 1
-    from xtl import qkz
-    real, calls = qkz.psi_vector, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(qkz, "psi_vector", counted)
+    calls = _counting_psi(monkeypatch)
     rng = ExactSampler(7760 + N)
     s, beta = rng.s_value(), rng.beta_value()
     psi_vector_poly_in_z(N, rng.z_point(N, s, beta), 1, s, beta)

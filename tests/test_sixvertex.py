@@ -294,8 +294,7 @@ def overlap_ZZ_poly_in_w(n, ws, i, s, t, b):
     # every path through the stack meets 2(2n-2) crossings and 2 corners whose
     # entries have w_i-exponents in [-1, 1], and the covector adds one more
     h = 4 * n - 1
-    return interpolate_along("w", ((x, value(x)) for x in abscissa_sweep(lambda x: True)),
-                             -h, h, 2)
+    return interpolate_along("w", abscissa_sweep(value), -h, h, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
