@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError,
@@ -42,16 +43,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="eigenvector component table")
+    p.set_defaults(run=_cmd_psi)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--x", help="exact value for x (default: symbolic)")
     p.add_argument("--tau", help="exact value for tau (default: symbolic)")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("sum", help="component-sum polynomial")
+    p.set_defaults(run=_cmd_sum)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("tsasm", help="totally-symmetric ASM operations")
+    p.set_defaults(run=_cmd_tsasm)
     tsub = p.add_subparsers(dest="tsasm_command", required=True)
     pc = tsub.add_parser("count", help="count matrices of one or more odd orders")
     pc.add_argument("--order", type=int, help="odd order 2N+1")
@@ -69,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("sixvertex", help="staircase six-vertex operations")
+    p.set_defaults(run=_cmd_sixvertex)
     ssub = p.add_subparsers(dest="sixvertex_command", required=True)
     pf = ssub.add_parser("pf", help="partition function at an exact point")
     pf.add_argument("--n", type=int, required=True)
@@ -80,15 +85,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--method", choices=("enum", "algebraic"), default="enum")
 
     p = sub.add_parser("spinchain", help="spin-chain operations")
+    p.set_defaults(run=_cmd_spinchain)
     csub = p.add_subparsers(dest="spinchain_command", required=True)
     pv = csub.add_parser("verify", help="exact eigenpair verification")
     pv.add_argument("--N", type=int, required=True)
     pv.add_argument("--x", required=True, help="exact rational, e.g. 3/7")
 
     p = sub.add_parser("verify", help="theorem and property suites")
-    p.add_argument("--suite", default="all",
-                   choices=("all", "ybe", "exchange", "reduction", "zprops",
-                            "yandyy", "gflemma", "main", "corollaries", "relationsz"))
+    p.set_defaults(run=_cmd_verify)
+    p.add_argument("--suite", default="all", choices=("all", *_SUITES))
     p.add_argument("--max-N", type=int, dest="max_n", default=6)
     p.add_argument("--trials", type=int, default=20)
     # argparse applies type=int to a string default only when the flag is absent,
@@ -287,97 +292,24 @@ def _cmd_spinchain(ns) -> int:
     return 0 if rep.passed else 1
 
 
-# the smallest --max-N at which a suite checks something (ybe ignores it and
-# gflemma always checks n = 1); "all" needs what exchange and zprops need
-_MIN_MAX_N = {"all": 2, "exchange": 2, "reduction": 2, "zprops": 2,
-              "yandyy": 0, "relationsz": 0, "main": 0, "corollaries": 0}
-
-# The largest --max-N each suite accepts: the largest size whose one job
-# took at most about 30 s at --trials 1 (trials multiply it) when the limit
-# was set.  Measured on a 2-vCPU Xeon, Python 3.11.7, one job per size:
-#   exchange and reduction run one job over N = 2..max-N: exchange 9 takes
-#     2.6 s, 10 takes 22 s; reduction 9 takes 8.5 s, 10 takes 56 s;
-#   zprops N = 9 takes 4.0 s, 10 takes 26 s;
-#   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
-#   relationsz N = 7 takes 1.3 s, 8 takes 24 s;
-#   main N = 11 takes 24 s in 0.2 GB, 12 over 100 s (its component sum is
-#     the expansion that psi and sum refuse above N = 11).
-# Since the residue sums run in Gaussian integers, exchange 10, zprops 10
-# and relationsz 8 also fit in 30 s; the limits are kept, so that no request
-# moves between refused and accepted.  "all" runs every one of them;
-# gflemma and corollaries cap their own jobs, and ybe ignores --max-N.
-_MAX_MAX_N = {"exchange": 9, "reduction": 9, "zprops": 9, "yandyy": 11,
-              "relationsz": 7, "main": 11}
-_MAX_MAX_N["all"] = min(_MAX_MAX_N.values())
+def _dict_line(statement: str, p: dict, passed: bool, failures: list):
+    """(passed, report line) of a check that reports a plain dict."""
+    return passed, json.dumps({"statement": statement, "params": p, "pass": passed,
+                               "failures": failures[:5]}, sort_keys=True, default=repr)
 
 
-def _suite_jobs(ns):
-    """Declarative (kind, params) job specs for the requested suite; specs are
-    plain data so they can cross process boundaries.  A request that would
-    check nothing, and so pass vacuously, is a usage error."""
-    max_n, trials, seed = ns.max_n, ns.trials, ns.seed
-    if trials < 1:
-        raise UsageError("--trials must be at least 1")
-    if max_n < _MIN_MAX_N.get(ns.suite, max_n):
-        raise UsageError(f"--suite {ns.suite} checks nothing below "
-                         f"--max-N {_MIN_MAX_N[ns.suite]}")
-    if max_n > _MAX_MAX_N.get(ns.suite, max_n):
-        raise UsageError(f"--suite {ns.suite} cannot finish above "
-                         f"--max-N {_MAX_MAX_N[ns.suite]}")
-    jobs = []
-    if ns.suite in ("all", "ybe"):
-        jobs.append(("ybe", {"trials": max(trials, 20), "seed": seed}))
-    if ns.suite in ("all", "exchange"):
-        jobs.append(("exchange", {"max_n": max_n, "trials": trials, "seed": seed}))
-    if ns.suite in ("all", "reduction"):
-        jobs.append(("reduction", {"max_n": max_n, "trials": trials, "seed": seed + 1}))
-    if ns.suite in ("all", "zprops"):
-        jobs.extend(("zprops", {"N": N, "trials": trials, "seed": seed})
-                    for N in range(2, max_n + 1))
-    if ns.suite in ("all", "yandyy"):
-        jobs.extend(("yandyy", {"N": N, "trials": trials, "seed": seed})
-                    for N in range(0, max_n + 1))
-    if ns.suite in ("all", "gflemma"):
-        jobs.extend(("gflemma", {"n": n, "trials": trials, "seed": seed})
-                    for n in range(1, min(3, max(1, max_n // 2)) + 1))
-    if ns.suite in ("all", "relationsz"):
-        jobs.extend(("relationsz", {"N": N, "trials": trials if N <= 4 else
-                                    min(trials, 3), "seed": seed})
-                    for N in range(0, max_n + 1))
-    if ns.suite in ("all", "main"):
-        jobs.extend(("main", {"N": N}) for N in range(0, max_n + 1))
-    if ns.suite in ("all", "corollaries"):
-        jobs.extend(("corollaries", {"N": N}) for N in range(0, min(max_n, 6) + 1))
-    return jobs
+def _run_ybe(p):
+    from . import sixvertex
+
+    rep = sixvertex.check_yb_identities(**p)
+    fails = [f for v in rep.values() if isinstance(v, dict) for f in v["failures"]]
+    return _dict_line("yang_baxter_identities", p, rep["passed"], fails)
 
 
-def _job_size(job):
-    """The size parameter a job scales with; ybe has none and sorts last."""
-    p = job[1]
-    return next((p[k] for k in ("N", "n", "max_n") if k in p), math.inf)
-
-
-def _run_job(job):
-    """Execute one verification job; returns (passed, json line).  Top-level so worker
-    processes can import and run it.  Each kind imports only the modules it runs."""
-    kind, p = job
-
-    def dict_result(name, rep):
-        passed = bool(rep.get("pass"))
-        line = json.dumps({"statement": name, "params": p, "pass": passed,
-                           "failures": rep.get("failures", [])[:5]},
-                          sort_keys=True, default=repr)
-        return passed, line
-
-    if kind == "ybe":
-        from . import sixvertex
-
-        rep = sixvertex.check_yb_identities(trials=p["trials"], seed=p["seed"])
-        fails = [f for v in rep.values() if isinstance(v, dict)
-                 for f in v["failures"]]
-        return dict_result("yang_baxter_identities",
-                           {"pass": rep["passed"], "failures": fails})
-    if kind in ("exchange", "reduction"):
+def _sweep(kind: str, check: str):
+    """The runner of one qkz.<check> job over N = 2..max_n: one (s, beta) draw
+    per N, then `trials` site draws, each checked at every i < N."""
+    def run(p):
         from . import qkz
         from .sampling import ExactSampler
 
@@ -388,32 +320,109 @@ def _run_job(job):
             for _ in range(p["trials"]):
                 zs = rng.z_point(N, s, beta)
                 for i in range(1, N):
-                    if kind == "exchange":
-                        r = qkz.check_exchange_and_reflection(N, i, zs, s, beta)
-                    else:
-                        r = qkz.check_psi_reduction(N, i, zs, s, beta)
-                    fails.extend(r["failures"])
-        return dict_result(kind, {"pass": not fails, "failures": fails})
-    if kind == "zprops":
-        from . import qkz
+                    fails.extend(getattr(qkz, check)(N, i, zs, s, beta)["failures"])
+        return _dict_line(kind, p, not fails, fails)
+    return run
 
-        rep = qkz.check_Z_properties(p["N"], trials=p["trials"], seed=p["seed"])
-        return dict_result(f"generalized_sum_properties_N{p['N']}", rep)
-    from . import theorems
 
-    if kind == "yandyy":
-        rep = theorems.check_Y_equals_YY(p["N"], p["trials"], p["seed"])
-    elif kind == "gflemma":
-        rep = theorems.check_gf_lemma(p["n"], p["trials"], p["seed"])
-    elif kind == "relationsz":
-        rep = theorems.check_relation_SZ(p["N"], p["trials"], p["seed"])
-    elif kind == "main":
-        rep = theorems.check_main_theorem(p["N"])
-    elif kind == "corollaries":
-        rep = theorems.check_corollaries(p["N"])
-    else:
+def _run_zprops(p):
+    from . import qkz
+
+    rep = qkz.check_Z_properties(**p)
+    return _dict_line(f"generalized_sum_properties_N{p['N']}", p, rep["pass"],
+                      rep["failures"])
+
+
+def _theorem(check: str):
+    """The runner of theorems.<check>: its report's line."""
+    def run(p):
+        from . import theorems
+
+        rep = getattr(theorems, check)(**p)
+        return rep.passed, rep.to_json_line()
+    return run
+
+
+# One `xtl verify` suite: the smallest --max-N at which it checks something,
+# the largest at which its jobs can finish (-inf and inf where there is no
+# such limit), its jobs' params for (max_n, trials, seed), and the runner of
+# one job, which returns (passed, report line) and imports only the modules
+# it runs.
+_Suite = namedtuple("_Suite", "min_n max_n jobs run")
+
+# The suites in the order `--suite all` runs and prints them.  Each --max-N
+# limit is the largest size whose one job took at most about 30 s at
+# --trials 1 (trials multiply it) when the limit was set.  Measured on a
+# 2-vCPU Xeon, Python 3.11.7, one job per size:
+#   exchange and reduction run one job over N = 2..max-N: exchange 9 takes
+#     2.6 s, 10 takes 22 s; reduction 9 takes 8.5 s, 10 takes 56 s;
+#   zprops N = 9 takes 4.0 s, 10 takes 26 s;
+#   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
+#   relationsz N = 7 takes 1.3 s, 8 takes 24 s;
+#   main N = 11 takes 24 s in 0.2 GB, 12 over 100 s (its component sum is
+#     the expansion that psi and sum refuse above N = 11).
+# Since the residue sums run in Gaussian integers, exchange 10, zprops 10
+# and relationsz 8 also fit in 30 s; the limits are kept, so that no request
+# moves between refused and accepted.  ybe ignores --max-N and runs at least
+# 20 trials; gflemma always checks n = 1 and caps its own jobs at n = 3,
+# corollaries at N = 6, and relationsz runs at most 3 trials above N = 4.
+_SUITES = {
+    "ybe": _Suite(-math.inf, math.inf,
+                  lambda m, t, s: [{"trials": max(t, 20), "seed": s}], _run_ybe),
+    "exchange": _Suite(2, 9, lambda m, t, s: [{"max_n": m, "trials": t, "seed": s}],
+                       _sweep("exchange", "check_exchange_and_reflection")),
+    "reduction": _Suite(2, 9, lambda m, t, s: [{"max_n": m, "trials": t, "seed": s + 1}],
+                        _sweep("reduction", "check_psi_reduction")),
+    "zprops": _Suite(2, 9, lambda m, t, s: [{"N": N, "trials": t, "seed": s}
+                                            for N in range(2, m + 1)], _run_zprops),
+    "yandyy": _Suite(0, 11, lambda m, t, s: [{"N": N, "trials": t, "seed": s}
+                                             for N in range(m + 1)],
+                     _theorem("check_Y_equals_YY")),
+    "gflemma": _Suite(-math.inf, math.inf,
+                      lambda m, t, s: [{"n": n, "trials": t, "seed": s}
+                                       for n in range(1, min(3, max(1, m // 2)) + 1)],
+                      _theorem("check_gf_lemma")),
+    "relationsz": _Suite(0, 7, lambda m, t, s: [{"N": N, "trials": t if N <= 4 else min(t, 3),
+                                                 "seed": s} for N in range(m + 1)],
+                         _theorem("check_relation_SZ")),
+    "main": _Suite(0, 11, lambda m, t, s: [{"N": N} for N in range(m + 1)],
+                   _theorem("check_main_theorem")),
+    "corollaries": _Suite(0, math.inf,
+                          lambda m, t, s: [{"N": N} for N in range(min(m, 6) + 1)],
+                          _theorem("check_corollaries")),
+}
+
+
+def _suite_jobs(ns):
+    """Declarative (kind, params) job specs for the requested suite; specs are
+    plain data so they can cross process boundaries.  A request that would
+    check nothing, and so pass vacuously, or that cannot finish is a usage
+    error; `all` takes the tightest limits of its suites."""
+    if ns.trials < 1:
+        raise UsageError("--trials must be at least 1")
+    kinds = list(_SUITES) if ns.suite == "all" else [ns.suite]
+    low = max(_SUITES[k].min_n for k in kinds)
+    high = min(_SUITES[k].max_n for k in kinds)
+    if ns.max_n < low:
+        raise UsageError(f"--suite {ns.suite} checks nothing below --max-N {low}")
+    if ns.max_n > high:
+        raise UsageError(f"--suite {ns.suite} cannot finish above --max-N {high}")
+    return [(k, p) for k in kinds for p in _SUITES[k].jobs(ns.max_n, ns.trials, ns.seed)]
+
+
+def _job_size(job):
+    """The size parameter a job scales with; ybe has none and sorts last."""
+    p = job[1]
+    return next((p[k] for k in ("N", "n", "max_n") if k in p), math.inf)
+
+
+def _run_job(job):
+    """Execute one verification job; returns (passed, json line).  Top-level so
+    worker processes can import and run it."""
+    kind, p = job
+    if kind not in _SUITES:
         raise UsageError(f"unknown job kind {kind!r}")
-    return rep.passed, rep.to_json_line()
+    return _SUITES[kind].run(p)
 
 
 def _pool(workers: int):
@@ -493,19 +502,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if ns.command == "psi":
-            return _cmd_psi(ns)
-        if ns.command == "sum":
-            return _cmd_sum(ns)
-        if ns.command == "tsasm":
-            return _cmd_tsasm(ns)
-        if ns.command == "sixvertex":
-            return _cmd_sixvertex(ns)
-        if ns.command == "spinchain":
-            return _cmd_spinchain(ns)
-        if ns.command == "verify":
-            return _cmd_verify(ns)
-        raise UsageError(f"unknown command {ns.command!r}")
+        return ns.run(ns)
     except (UsageError, ValueError) as exc:
         if isinstance(exc, DomainError):
             print(f"error: {exc}", file=sys.stderr)

@@ -335,10 +335,10 @@ def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
     """The eigenvector-family vector at the given site values (exact)."""
     if N < 0:
         raise UsageError("N must be >= 0")
-    if N <= 1:
-        return SpinVector.make(N, {(): _ONE})
     if len(zs) != N:
         raise UsageError(f"need {N} site values")
+    if N <= 1:
+        return SpinVector.make(N, {(): _ONE})
     t = _ResidueTables(zs, s, beta)
     dr, di = t.den
     norm = dr * dr + di * di
@@ -461,11 +461,11 @@ def gen_sum_Z(N: int, ws: Sequence, s, beta) -> GaussianRational:
     """
     if N < 0:
         raise UsageError("N must be >= 0")
-    if N <= 1:
-        return _ONE
     n = N // 2
     if len(ws) != n:
         raise UsageError(f"need {n} w values")
+    if N <= 1:
+        return _ONE
     ws = [as_gaussian(w) for w in ws]
     if all(w == 1 for w in ws):
         return gen_sum_Z_homogeneous(N, s, beta)

@@ -48,6 +48,10 @@ COMMANDS = [
                 "relationsz")),
     ["verify", "--suite", "main", "--max-N", "6"],
     ["verify", "--suite", "corollaries", "--max-N", "5"],
+    ["verify", "--suite", "ybe", "--trials", "1"],
+    ["verify", "--suite", "all", "--max-N", "4", "--trials", "2"],
+    # above N = 4 relationsz runs at most 3 trials
+    ["verify", "--suite", "relationsz", "--max-N", "5", "--trials", "4"],
 ]
 
 

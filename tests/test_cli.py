@@ -282,13 +282,20 @@ def test_verify_refuses_requests_that_check_nothing(monkeypatch, capsys):
     refused = [["verify", "--suite", s, "--trials", t]
                for s in ("all", "exchange", "zprops", "yandyy", "relationsz", "main")
                for t in ("0", "-3")]
-    refused += [["verify", "--suite", s, "--max-N", "1", "--trials", "2"]
-                for s in ("all", "exchange", "reduction", "zprops")]
-    refused += [["verify", "--suite", s, "--max-N", "-1"]
-                for s in ("yandyy", "relationsz", "main", "corollaries")]
     for args in refused:
         assert run_cli(args) == (2, ""), args
-        assert "usage error: " in capsys.readouterr().err
+        assert capsys.readouterr().err == "usage error: --trials must be at least 1\n"
+
+    # one below each smallest --max-N, with the exact line; --trials is checked first
+    lows = {"all": 2, "exchange": 2, "reduction": 2, "zprops": 2,
+            "yandyy": 0, "relationsz": 0, "main": 0, "corollaries": 0}
+    for suite, low in lows.items():
+        args = ["verify", "--suite", suite, "--max-N", str(low - 1), "--trials", "2"]
+        assert run_cli(args) == (2, ""), args
+        assert capsys.readouterr().err == (f"usage error: --suite {suite} checks "
+                                           f"nothing below --max-N {low}\n")
+        assert run_cli(args[:-1] + ["0"]) == (2, ""), args
+        assert capsys.readouterr().err == "usage error: --trials must be at least 1\n"
 
     # the smallest accepted requests run their jobs
     monkeypatch.setattr(cli, "_run_job", lambda job: (True, job[0]))
@@ -313,7 +320,11 @@ def test_verify_refuses_max_n_that_cannot_finish(monkeypatch, capsys):
         for max_n in (limit + 1, 40):
             args = ["verify", "--suite", suite, "--max-N", str(max_n), "--trials", "1"]
             assert run_cli(args) == (2, ""), args
-            assert "usage error: --suite" in capsys.readouterr().err
+            assert capsys.readouterr().err == (f"usage error: --suite {suite} cannot "
+                                               f"finish above --max-N {limit}\n")
+            # --trials is checked first
+            assert run_cli(args[:-1] + ["0"]) == (2, ""), args
+            assert capsys.readouterr().err == "usage error: --trials must be at least 1\n"
 
     # the limits themselves are accepted, and the suites that cap their own
     # jobs or ignore --max-N take any size

@@ -63,8 +63,16 @@ def test_three_site_components():
 
 
 def test_single_site_vector():
-    v = psi_vector(1, (), S, BETA)
+    v = psi_vector(1, (G(2),), S, BETA)
     assert v.amps.get((), 0) == 1
+
+
+@pytest.mark.parametrize("N,zs", [(1, [G(2), G(3), G(5)]), (0, [G(7)]),
+                                  (1, []), (2, [G(2)])])
+def test_psi_vector_refuses_a_wrong_number_of_sites(N, zs):
+    # also for N <= 1, whose vector is constant
+    with pytest.raises(UsageError, match=f"need {N} site values"):
+        psi_vector(N, zs, S, BETA)
 
 
 def test_degenerate_point_raises():
@@ -537,6 +545,13 @@ def test_gen_sum_closed_forms():
     assert got == want
     assert gen_sum_Z(0, [], S, BETA) == 1
     assert gen_sum_Z(1, [], S, BETA) == 1
+
+
+@pytest.mark.parametrize("N,ws", [(1, [G(4), G(5)]), (0, [G(7)]), (3, [])])
+def test_gen_sum_refuses_a_wrong_number_of_w_values(N, ws):
+    # also for N <= 1, whose sum is 1
+    with pytest.raises(UsageError, match=f"need {N // 2} w values"):
+        gen_sum_Z(N, ws, S, BETA)
 
 
 def test_gen_sum_homogeneous_matches_sum_polynomial():
