@@ -35,8 +35,7 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping
 
-from .exact import (DomainError, GaussianRational, MultiLaurent, Scalar, UsageError,
-                    as_gaussian)
+from .exact import DomainError, GaussianRational, MultiLaurent, Scalar, UsageError
 
 __all__ = ["ChainShape", "ComponentTable", "psi_components", "sum_components",
            "tsasm_count_integral"]
@@ -64,8 +63,10 @@ class ComponentTable:
     """All nontrivial eigenvector components of a chain, indexed by the strictly
     increasing tuples of down-spin positions.  Entries come from one
     expansion on packed u-keys with only the unknowns packed: MultiLaurent
-    in (x, tau), a given x or tau having exponent 0; with both given they
-    are scalars."""
+    in (x, tau), a given x or tau having exponent 0.  With both given they
+    are scalars as the arithmetic gives them: int or Fraction when both
+    values are real, GaussianRational when one is not (a zero entry may
+    still be an int or Fraction)."""
 
     shape: ChainShape
     entries: Mapping[tuple, MultiLaurent | Scalar]
@@ -206,15 +207,6 @@ def _rational(v):
     return None
 
 
-def _like(value, given):
-    """A scalar as the type that evaluating at the given values yields:
-    GaussianRational if one of them is, else Fraction if one of them is."""
-    types = {type(v) for v in given}
-    if GaussianRational in types:
-        return as_gaussian(value)
-    return Fraction(value) if Fraction in types else value
-
-
 def _decode(packed: int, B: int, W: int, x_packed: bool, x, tau) -> dict:
     """Read packed as balanced base-2^B digits: digit k is the coefficient of
     x^(k // W) tau^(k % W) when x is packed, else of tau^k.  A given x or
@@ -275,7 +267,7 @@ def _extract(shape: ChainShape, geometric: bool, targets, x, tau) -> list:
         polys = [{(0, 0): c} for c in coeffs]
     scale = 1 if D == 1 else Fraction(1, D)
     if x is not None and tau is not None:
-        return [_like(p.get((0, 0), 0) * scale, (x, tau)) for p in polys]
+        return [p.get((0, 0), 0) * scale for p in polys]
     return [MultiLaurent(("x", "tau"), {e: c * scale for e, c in p.items()})
             for p in polys]
 

@@ -64,7 +64,8 @@ class GaussianRational:
     The value is stored as one integer triple (a + b*i)/d with d > 0 and
     gcd(a, b, d) = 1, so each operation is plain integer arithmetic followed
     by at most one gcd.  `re` and `im` are read-only Fraction views; the
-    triple is never written after construction.
+    triple is never written after construction.  Each part given must be an
+    int or a Fraction; anything else is a UsageError.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -73,6 +74,8 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise UsageError(f"parts must be int or Fraction: {re!r}, {im!r}")
         re, im = Fraction(re), Fraction(im)
         # over the lcm of two reduced denominators, gcd(a, b, d) is already 1
         d = lcm(re.denominator, im.denominator)
@@ -89,9 +92,6 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     # -- predicates --------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self._a and not self._b
-
     def is_rational(self) -> bool:
         return not self._b
 
@@ -389,7 +389,7 @@ class MultiLaurent:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Scalar] | None = None):
-        object.__setattr__(self, "vars", tuple(vars))
+        self.vars = tuple(vars)
         nv = len(self.vars)
         if len(set(self.vars)) != nv:
             raise UsageError(f"duplicate variable names in {self.vars}")
@@ -402,10 +402,7 @@ class MultiLaurent:
                 c = _normcoef(c)
                 if c != 0:
                     tm[e] = c
-        object.__setattr__(self, "terms", tm)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("MultiLaurent is immutable")
+        self.terms = tm
 
     # -- constructors ----------------------------------------------------------
     @staticmethod
@@ -422,9 +419,6 @@ class MultiLaurent:
         return MultiLaurent(vars, {tuple(exps): c})
 
     # -- basic structure -------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -442,9 +436,6 @@ class MultiLaurent:
             return NotImplemented
         _, a, b = self._aligned(other)
         return a == b
-
-    def __hash__(self):  # canonical form makes this well-defined but costly; unused
-        raise TypeError("MultiLaurent is not hashable")
 
     # -- ring operations ---------------------------------------------------------
     def __add__(self, other):
@@ -544,18 +535,6 @@ class MultiLaurent:
         exps = [e[ax] for e in self.terms]
         return min(exps), max(exps)
 
-    def degree_width(self, var: str):
-        """max exponent minus min exponent; -inf for the zero polynomial."""
-        r = self.degree_range(var)
-        if r is None:
-            return float("-inf")
-        return r[1] - r[0]
-
-    def is_centred(self, var: str) -> bool:
-        """True iff leading plus trailing degree is zero (zero polynomial counts)."""
-        r = self.degree_range(var)
-        return r is None or r[0] + r[1] == 0
-
     def eval_at(self, point: Mapping[str, Scalar]):
         """Exact full evaluation; every variable must be assigned.
 
@@ -576,7 +555,7 @@ class MultiLaurent:
                     continue
                 p = powcache[ax].get(k)
                 if p is None:
-                    if vals[ax].is_zero() and k < 0:
+                    if not vals[ax] and k < 0:
                         raise DomainError(
                             f"zero assigned to {self.vars[ax]!r} with negative exponent")
                     p = vals[ax] ** k
@@ -584,37 +563,6 @@ class MultiLaurent:
                 term = term * p
             total = total + term
         return _normcoef(total)
-
-    def substitute(self, repl: Mapping[str, "MultiLaurent | Scalar"]) -> "MultiLaurent":
-        """Substitute values or polynomials for a subset of the variables.
-
-        A polynomial replacement is only valid for variables occurring with
-        nonnegative exponents, unless the replacement is an invertible monomial.
-        """
-        keep = [v for v in self.vars if v not in repl]
-        out = MultiLaurent.const(0, tuple(keep))
-        cache: dict[tuple[str, int], MultiLaurent | Scalar] = {}
-
-        def _power(v: str, k: int):
-            key = (v, k)
-            if key not in cache:
-                r = repl[v]
-                if isinstance(r, MultiLaurent):
-                    cache[key] = r ** k
-                else:
-                    cache[key] = as_gaussian(r) ** k
-            return cache[key]
-
-        for e, c in self.terms.items():
-            term = MultiLaurent.monomial(
-                keep, [e[self.vars.index(v)] for v in keep], c)
-            for v in self.vars:
-                if v in repl:
-                    k = e[self.vars.index(v)]
-                    if k:
-                        term = term * _power(v, k)
-            out = out + term
-        return out
 
     # -- serialization ------------------------------------------------------------
     def sorted_terms(self):
@@ -649,9 +597,8 @@ class MultiLaurent:
 
 def _raw(vars: tuple, terms: dict) -> MultiLaurent:
     """Internal constructor skipping revalidation (terms already canonical)."""
-    p = MultiLaurent.__new__(MultiLaurent)
-    object.__setattr__(p, "vars", vars)
-    object.__setattr__(p, "terms", terms)
+    p = _new(MultiLaurent)
+    p.vars, p.terms = vars, terms
     return p
 
 
@@ -755,9 +702,9 @@ def div_exact_univar(p: MultiLaurent, d: MultiLaurent, var: str) -> MultiLaurent
     """Exact division of univariate Laurent polynomials in `var`; raises if inexact."""
     if p.vars != (var,) or d.vars != (var,):
         raise UsageError("div_exact_univar expects univariate polynomials in the same variable")
-    if d.is_zero():
+    if not d:
         raise DomainError("division by the zero polynomial")
-    if p.is_zero():
+    if not p:
         return p
     rem = dict(p.terms)
     dmin, dmax = d.degree_range(var)

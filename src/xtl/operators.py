@@ -150,20 +150,18 @@ def act(vec, ops, L: int) -> list:
     Gaussian integers over one denominator d, and each matrix once to
     Gaussian integers over the lcm of its entries' denominators; each step
     multiplies d by that lcm and does only integer multiply-adds.  At the end
-    each amplitude goes back to GaussianRational with one gcd, except that an
-    amplitude the last operator sent no nonzero term stays int 0, as in a sum
-    into a list of int zeros.
+    every amplitude, zeros included, goes back to GaussianRational with one
+    gcd.
     """
     re, im, d = gaussian_ints(vec)
-    hit = b"\x01" * len(re)  # with no operator, every amplitude comes back
     for m, *sites in ops:
         cols, md = _columns(m)
         d *= md
         if len(sites) == 1:
-            re, im, hit = apply_one_site(re, im, cols, sites[0], L)
+            re, im = apply_one_site(re, im, cols, sites[0], L)
         else:
-            re, im, hit = apply_two_site(re, im, cols, *sites, L)
-    return [g if h else 0 for g, h in zip(from_gaussian_ints(re, im, d), hit)]
+            re, im = apply_two_site(re, im, cols, *sites, L)
+    return from_gaussian_ints(re, im, d)
 
 
 def _columns(m):
@@ -183,7 +181,7 @@ def _columns(m):
 def apply_one_site(re, im, cols, site: int, L: int):
     """Apply a 2x2 matrix, given as the columns of `_columns`, on one site of
     a dense vector given by its integer real and imaginary parts.  Returns the
-    parts of the image and a flag per amplitude: did a nonzero term reach it."""
+    real and imaginary parts of the image."""
     return _apply(re, im, cols, (0, 1 << (L - site)))
 
 
@@ -199,7 +197,7 @@ def _apply(re, im, cols, offs):
     mask = offs[-1]
     terms = {offs[c]: [(offs[r], a, b) for r, a, b in col] for c, col in enumerate(cols)}
     n = len(re)
-    ore, oim, hit = [0] * n, [0] * n, bytearray(n)
+    ore, oim = [0] * n, [0] * n
     for src, x in enumerate(re):
         y = im[src]
         if not (x or y):
@@ -207,7 +205,6 @@ def _apply(re, im, cols, offs):
         base = src & ~mask
         for off, a, b in terms[src & mask]:
             t = base | off
-            hit[t] = 1
             if b:
                 ore[t] += a * x - b * y
                 oim[t] += a * y + b * x
@@ -216,7 +213,7 @@ def _apply(re, im, cols, offs):
                 oim[t] += a * y
             else:
                 ore[t] += a * x
-    return ore, oim, hit
+    return ore, oim
 
 
 def mat2_mul(a, b):

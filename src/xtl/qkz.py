@@ -518,7 +518,7 @@ def y_divisor(N: int, ws: Sequence, s):
 def _rescale(N: int, z: GaussianRational, ws: Sequence, s) -> GaussianRational:
     """z divided by y_divisor(N, ws, s); DomainError if the divisor vanishes."""
     d = y_divisor(N, ws, s)
-    if d.is_zero():
+    if not d:
         raise DomainError("rescaling divisor vanishes at this point")
     return z * d.inverse()
 
@@ -586,8 +586,20 @@ def check_psi_reduction(N: int, i: int, zs: Sequence, s, beta) -> dict:
             "failures": [] if ok else [{"relation": "reduction", "i": i}]}
 
 
-def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
-                       interp_trials: int = 2) -> dict:
+# check_Z_properties runs its interpolation subchecks on this many trials
+_INTERP_TRIALS = 2
+
+
+def _centred_within(degrees, width: int) -> bool:
+    """A degree_range (lo, hi) has lo = -hi and hi - lo <= width, or is None
+    (the zero polynomial)."""
+    if degrees is None:
+        return True
+    lo, hi = degrees
+    return lo == -hi and hi - lo <= width
+
+
+def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
     """All stated properties of the generalized sum for one chain size.
 
     Covers: symmetry under adjacent swaps, the sign flip under w -> -w, the
@@ -595,13 +607,12 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
     the centred degree-width bound by interpolation, the rescaled sum being an
     even inversion-symmetric polynomial of width at most 8(n-1), and the two
     reduction relations.  A trial that meets a degenerate point is counted in
-    "skipped"; the interpolation subchecks run on the first interp_trials
+    "skipped"; the interpolation subchecks run on the first _INTERP_TRIALS
     trials that were not skipped, and the check fails if every trial was.  A
-    request that would check nothing (N < 2, or no trials or interpolation
-    trials) is refused.
+    request that would check nothing (N < 2, or no trials) is refused.
     """
-    if N < 2 or trials < 1 or interp_trials < 1:
-        raise UsageError("need N >= 2, trials >= 1 and interp_trials >= 1")
+    if N < 2 or trials < 1:
+        raise UsageError("need N >= 2 and trials >= 1")
     n = N // 2
     rng = ExactSampler(seed)
     sub: dict[str, int] = {}
@@ -638,13 +649,11 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
             continue
         ran += 1
 
-        if ran <= interp_trials:
+        if ran <= _INTERP_TRIALS:
             poly = gen_sum_Z_poly_in_w(N, ws, 1, s, beta)
-            width = poly.degree_width("w")
-            record("degree_width",
-                   poly.is_centred("w") and (width == float("-inf")
-                                             or width <= 2 * (2 * N - 3)),
-                   {"width": str(width)})
+            rng_w = poly.degree_range("w")
+            record("degree_width", _centred_within(rng_w, 2 * (2 * N - 3)),
+                   {"range": str(rng_w)})
             for z in (s, -s):
                 record("zero_at_sqrt_q", not poly.eval_at({"w": z}))
             if N % 2:
@@ -658,9 +667,7 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42,
             record("y_inversion",
                    all(ypoly.terms.get((-e[0],), 0) == c
                        for e, c in ypoly.terms.items()))
-            record("y_width", rng_y is None
-                   or (ypoly.is_centred("w") and rng_y[1] - rng_y[0] <= 8 * (n - 1)),
-                   {"range": str(rng_y)})
+            record("y_width", _centred_within(rng_y, 8 * (n - 1)), {"range": str(rng_y)})
 
             # reduction at w_1 = i q^{1/2}
             wi = _I * s

@@ -27,7 +27,7 @@ def half_sites(ws, odd: bool) -> list:
     zs = []
     for w in ws:
         w = as_gaussian(w)
-        if w.is_zero():
+        if not w:
             raise DegeneratePointError("w values must be nonzero")
         zs += [w, w.inverse()]
     if odd:
@@ -78,7 +78,7 @@ class ExactSampler:
         while True:
             im = self.fraction() if self.rng.random() < _GAUSSIAN_PROB else 0
             v = GaussianRational(self.fraction(), im)
-            if not v.is_zero():
+            if v:
                 return v
 
     def s_value(self) -> GaussianRational:

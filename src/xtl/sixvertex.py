@@ -363,15 +363,14 @@ def partition_algebraic(n: int, alpha: str, zs: Sequence, s, t):
     """Partition function as the matrix element <alpha| stack |dd...d>."""
     _check_sites(n, zs)
     alpha = _check_alpha(n, alpha)
-    return as_gaussian(_stack_column(zs, s, t)[word_index(alpha)])
+    return _stack_column(zs, s, t)[word_index(alpha)]
 
 
 def partition_algebraic_all_words(n: int, zs: Sequence, s, t) -> dict:
     """Matrix elements <word| stack |dd...d> for every word, from one stack
     application."""
     _check_sites(n, zs)
-    return {index_word(b, 2 * n): as_gaussian(v)
-            for b, v in enumerate(_stack_column(zs, s, t))}
+    return {index_word(b, 2 * n): v for b, v in enumerate(_stack_column(zs, s, t))}
 
 
 def overlap_ZZ(n: int, ws: Sequence, s, t, b):
@@ -408,7 +407,7 @@ def rescaled_YY(n: int, ws: Sequence, s, t, b):
     if n == 0:
         return z
     den = yy_divisor(ws, s)
-    if den.is_zero():
+    if not den:
         raise DomainError("rescaling undefined: [q^2/w_i^2] = 0")
     sign = -1 if (n * (n + 1) // 2) % 2 else 1
     return z * (bracket(as_gaussian(s)) ** n * den).inverse() * sign

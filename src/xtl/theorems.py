@@ -13,11 +13,10 @@ import json
 from dataclasses import dataclass, field
 
 from .contour import ChainShape, sum_components, tsasm_count_integral
-from .exact import (GaussianRational, MultiLaurent, UsageError, as_gaussian,
-                    bracket, brace, inv)
+from .exact import GaussianRational, MultiLaurent, UsageError, bracket, brace, inv
 from .sampling import ExactSampler
-from .sixvertex import partition_enum, rescaled_YY
-from .tsasm import _staircase, enumerate_tsasm, genfun
+from .sixvertex import rescaled_YY
+from .tsasm import _lemma_point, _staircase, enumerate_tsasm, genfun
 
 __all__ = ["TheoremReport", "check_relation_SZ", "check_Y_equals_YY",
            "check_gf_lemma", "check_main_theorem", "check_corollaries"]
@@ -72,7 +71,7 @@ def check_relation_SZ(N: int, trials: int = 20, seed: int = 42) -> TheoremReport
         if (npr * (npr - 1) // 2) % 2:
             resc = -resc
         lhs = spoly.eval_at({"x": x, "tau": tau})
-        if as_gaussian(lhs) != resc * zval:
+        if lhs != resc * zval:
             rep.fail(point={"s": s, "beta": beta}, lhs=lhs, rhs=resc * zval)
     return rep
 
@@ -104,20 +103,28 @@ def check_gf_lemma(n: int, trials: int = 20, seed: int = 42) -> TheoremReport:
     if n < 1:
         raise UsageError("n must be >= 1")
     rep, rng = _sampled("generating_function_from_partition", trials, seed, n=n)
-    ones = [GaussianRational(1)] * (2 * n)
     cases = [(N, _staircase(N)[1]) for N in (2 * n, 2 * n + 1)]
     gfs = {N: genfun(N) for N, _ in cases}
     for _ in range(trials):
         s, t = rng.s_value(), rng.nonzero()
-        q = s * s
-        tau = -brace(q)
-        norm = inv(bracket(q)) ** (n * (2 * n - 1))
         for N, alpha in cases:
+            tau, rhs = _lemma_point(n, alpha, s, t)
             lhs = gfs[N].eval_at({"t": t, "tau": tau})
-            rhs = partition_enum(n, alpha, ones, s, t) * norm
-            if as_gaussian(lhs) != rhs:
+            if lhs != rhs:
                 rep.fail(point={"s": s, "t": t, "N": N}, lhs=lhs, rhs=rhs)
     return rep
+
+
+def _replace_t(gf: MultiLaurent, t_power, tau, vars=("x", "tau")) -> MultiLaurent:
+    """The generating function gf in (t, tau) with each t^mu replaced by
+    t_power(mu) and tau by the given (symbolic or exact) tau, summed from the
+    zero polynomial over vars.  A negative exponent is an internal error."""
+    out = MultiLaurent.const(0, vars)
+    for (mu, nu), c in gf.sorted_terms():
+        if mu < 0 or nu < 0:
+            raise RuntimeError(f"generating-function exponent negative: {(mu, nu)}")
+        out = out + c * t_power(mu) * tau ** nu
+    return out
 
 
 def _weighted_enumeration(gf: MultiLaurent, n: int, tau) -> MultiLaurent:
@@ -129,12 +136,13 @@ def _weighted_enumeration(gf: MultiLaurent, n: int, tau) -> MultiLaurent:
     """
     x = MultiLaurent.var("x")
     base = 1 + x * (x - tau)
-    rhs = MultiLaurent.const(0, ("x", "tau"))
-    for (mu, nu), c in gf.sorted_terms():
-        if (n - mu) % 2 or not 0 <= mu <= n or nu < 0:
-            raise RuntimeError(f"generating-function exponent parity violated: {(mu, nu)}")
-        rhs = rhs + c * (1 + x) ** mu * base ** ((n - mu) // 2) * tau ** nu
-    return rhs
+
+    def t_power(mu):
+        if (n - mu) % 2 or mu > n:
+            raise RuntimeError(f"generating-function exponent parity violated: mu = {mu}")
+        return (1 + x) ** mu * base ** ((n - mu) // 2)
+
+    return _replace_t(gf, t_power, tau)
 
 
 def check_main_theorem(N: int) -> TheoremReport:
@@ -184,8 +192,8 @@ def check_corollaries(N: int) -> TheoremReport:
 
     if N <= _SHIFT_MAX:
         tau = MultiLaurent.var("tau")
-        lhs_d = gf.substitute({"t": 1 + tau})
-        rhs_d = genfun(N + 1).substitute({"t": 1})
+        lhs_d = _replace_t(gf, lambda mu: (1 + tau) ** mu, tau, ("tau",))
+        rhs_d = _replace_t(genfun(N + 1), lambda mu: 1, tau, ("tau",))
         if lhs_d != rhs_d:
             rep.fail(part="d_shift", lhs=lhs_d.to_json(), rhs=rhs_d.to_json())
     return rep

@@ -30,7 +30,7 @@ from itertools import count
 from typing import Iterable, Sequence
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
-                    interpolate_along)
+                    brace, interpolate_along)
 from .sixvertex import (SixVertexConfig, _automaton_sums, alpha_minus, alpha_plus,
                         enumerate_configs, partition_enum)
 
@@ -226,31 +226,33 @@ def genfun(N: int) -> MultiLaurent:
     return sums[alpha]
 
 
+def _lemma_point(n: int, alpha, s, t) -> tuple:
+    """(tau, value): tau = -{q} with q = s^2, and value the homogeneous
+    staircase partition function Z_n(1, ..., 1; s, t) on boundary word alpha
+    times [q]^(-n(2n-1)).  For (n, alpha) = _staircase(N), the
+    generating-function lemma says genfun(N) at (t, tau) equals value."""
+    q = s * s
+    z = partition_enum(n, alpha, [GaussianRational(1)] * (2 * n), s, t)
+    return -brace(q), z * (bracket(q) ** (n * (2 * n - 1))).inverse()
+
+
 def count_from_partition(N: int) -> int:
     """|TSASM(2N+1)| from the homogeneous staircase partition function.
 
     The partition function at unit site values and t = 1 equals [q]^{n(2n-1)}
-    times the generating function evaluated at tau = -(q + 1/q); sampling
-    q = s^2 for s = 2, 3, ... and interpolating the polynomial in tau recovers
-    the value at tau = 1.  (tau(s) = tau(1/s) = tau(-s), so the common
-    abscissa sweep would repeat points.)
+    times the generating function evaluated at tau = -(q + 1/q) (see
+    _lemma_point); sampling q = s^2 for s = 2, 3, ... and interpolating the
+    polynomial in tau recovers the value at tau = 1.  (tau(s) = tau(1/s) =
+    tau(-s), so the common abscissa sweep would repeat points.)
     """
     n, alpha = _staircase(N)
     if n == 0:
         return 1
-    ones = [GaussianRational(1)] * (2 * n)
     one = GaussianRational(1)
-
-    def samples():
-        for k in count(2):
-            sv = GaussianRational(k)
-            q = sv * sv
-            z = partition_enum(n, alpha, ones, sv, one)
-            yield -(q + q.inverse()), z * (bracket(q) ** (n * (2 * n - 1))).inverse()
-
+    samples = (_lemma_point(n, alpha, GaussianRational(k), one) for k in count(2))
     # tau counts the nonzero entries below the staircase diagonal: at most
     # n(n'-1), with n' = N - n
-    poly = interpolate_along("tau", samples(), 0, n * (N - n - 1), 0)
+    poly = interpolate_along("tau", samples, 0, n * (N - n - 1), 0)
     val = poly.eval_at({"tau": one})  # an int exactly when the value is integral
     if not isinstance(val, int):
         raise DomainError(f"partition-function route gave a non-integer count {val}")

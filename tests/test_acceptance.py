@@ -109,7 +109,7 @@ def test_criterion_08_sum_property_suite():
     from xtl.qkz import check_Z_properties
     t0 = time.time()
     for N in range(2, 7):
-        rep = check_Z_properties(N, trials=20, seed=42, interp_trials=2)
+        rep = check_Z_properties(N, trials=20, seed=42)
         assert rep["pass"], (N, rep["failures"][:2])
     _report(8, "generalized-sum property suite, N <= 6", t0, 300)
 
