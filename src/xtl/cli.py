@@ -106,8 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(ns, text: str) -> None:
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {ns.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -241,7 +244,7 @@ def _cmd_tsasm(ns) -> int:
 def _scalar_or_var(token: str):
     """Parse an exact scalar; a bare identifier becomes a symbolic variable."""
     try:
-        return GaussianRational(0) + parse_scalar(token)
+        return parse_scalar(token)
     except (ValueError, UsageError):
         if token.isidentifier():
             return MultiLaurent.var(token)
@@ -252,7 +255,7 @@ def _cmd_sixvertex(ns) -> int:
     from .sixvertex import partition_algebraic, partition_enum
 
     _check_order(4 * ns.n + 1, f"pf_{ns.method}")
-    s = GaussianRational(0) + parse_scalar(ns.s)
+    s = parse_scalar(ns.s)
     # both routes divide by {s} = s + 1/s and by every site value
     if s == 0 or s * s == -1:
         raise UsageError(f"--s {ns.s!r} makes s or {{s}} zero")

@@ -35,7 +35,7 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping
 
-from .exact import DomainError, GaussianRational, MultiLaurent, Scalar, UsageError
+from .exact import DomainError, MultiLaurent, Scalar, UsageError, gaussian_ints
 
 __all__ = ["ChainShape", "ComponentTable", "psi_components", "sum_components",
            "tsasm_count_integral"]
@@ -199,12 +199,13 @@ def _digit_bits(factors) -> int:
 
 
 def _rational(v):
-    """A given value as an int or Fraction when it is real, else None."""
-    if isinstance(v, (int, Fraction)):
+    """A given value as an int or Fraction when it is real, else None (an
+    unknown, or a value that is not real).  A value that is not an exact
+    scalar is a UsageError."""
+    if v is None or isinstance(v, (int, Fraction)):
         return v
-    if type(v) is GaussianRational and v.is_rational():
-        return v.re
-    return None
+    (_,), (im,), _ = gaussian_ints([v])
+    return None if im else v.re
 
 
 def _decode(packed: int, B: int, W: int, x_packed: bool, x, tau) -> dict:

@@ -11,6 +11,11 @@ Everything downstream is built on two value types:
 
 All values are immutable after construction and all operations are pure, so
 they are safe to share between threads or processes.
+
+The routes built on this layer take int, Fraction and GaussianRational
+scalars as given and leave the types to the arithmetic here: `inv`, the one
+place any route inverts a value, and `gaussian_ints` refuse anything else
+with UsageError.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ __all__ = [
     "MultiLaurent",
     "gaussian_ints",
     "from_gaussian_ints",
-    "as_gaussian",
     "inv",
     "bracket",
     "brace",
@@ -283,17 +287,10 @@ def from_gaussian_ints(re: Sequence[int], im: Sequence[int], d: int) -> list:
     return out
 
 
-def as_gaussian(x: Scalar) -> GaussianRational:
-    """Coerce an exact scalar to GaussianRational."""
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise UsageError(f"not an exact scalar: {x!r}")
-
-
 def inv(x):
-    """Multiplicative inverse of an exact scalar or an invertible MultiLaurent."""
+    """Multiplicative inverse of an exact scalar or an invertible MultiLaurent.
+    Every route inverts through here, so anything else (a float, say) is a
+    UsageError here rather than an error deeper in the arithmetic."""
     if type(x) is GaussianRational:
         return x.inverse()
     if isinstance(x, int):
@@ -304,7 +301,14 @@ def inv(x):
         if not x:
             raise DomainError("division by zero")
         return 1 / x
-    return x.inverse()
+    if isinstance(x, MultiLaurent):
+        return x.inverse()
+    raise UsageError(f"not an exact scalar: {x!r}")
+
+
+def _power(x, k: int):
+    """x^k for an exact scalar x and any integer k."""
+    return x ** k if k >= 0 else inv(x) ** -k
 
 
 def bracket(v):
@@ -545,11 +549,11 @@ class MultiLaurent:
         for v in self.vars:
             if v not in point:
                 raise UsageError(f"no value for variable {v!r}")
-            vals.append(as_gaussian(point[v]))
+            vals.append(point[v])
         total = GaussianRational(0)
-        powcache: list[dict[int, GaussianRational]] = [dict() for _ in self.vars]
+        powcache: list[dict] = [dict() for _ in self.vars]
         for e, c in self.terms.items():
-            term = as_gaussian(c)
+            term = c
             for ax, k in enumerate(e):
                 if k == 0:
                     continue
@@ -558,7 +562,7 @@ class MultiLaurent:
                     if not vals[ax] and k < 0:
                         raise DomainError(
                             f"zero assigned to {self.vars[ax]!r} with negative exponent")
-                    p = vals[ax] ** k
+                    p = _power(vals[ax], k)
                     powcache[ax][k] = p
                 term = term * p
             total = total + term
@@ -629,15 +633,16 @@ def interpolate_laurent(var: str, xs: Sequence[Scalar], ys: Sequence, min_exp: i
     m = max_exp - min_exp + 1
     if len(xs) != m or len(ys) != m:
         raise UsageError(f"need exactly {m} sample points, got {len(xs)}")
-    pts = [as_gaussian(x) for x in xs]
-    if len({(p._a, p._b, p._d) for p in pts}) != m:
+    pts = list(xs)
+    # equal exact scalars hash alike whatever their types
+    if len(set(pts)) != m:
         raise UsageError("interpolation abscissae must be distinct")
-    shifted = [as_gaussian(y) * (p ** (-min_exp)) for p, y in zip(pts, ys)]
+    shifted = [y * _power(p, -min_exp) for p, y in zip(pts, ys)]
     # divided differences
     dd = list(shifted)
     for j in range(1, m):
         for k in range(m - 1, j - 1, -1):
-            dd[k] = (dd[k] - dd[k - 1]) * (pts[k] - pts[k - j]).inverse()
+            dd[k] = (dd[k] - dd[k - 1]) * inv(pts[k] - pts[k - j])
     # expand Newton form to monomial coefficients: p <- p*(x - x_j) + dd[j]
     coeffs = [GaussianRational(0)] * m
     for j in range(m - 1, -1, -1):
@@ -710,14 +715,14 @@ def div_exact_univar(p: MultiLaurent, d: MultiLaurent, var: str) -> MultiLaurent
     dmin, dmax = d.degree_range(var)
     pmin, _ = p.degree_range(var)
     qlow = pmin - dmin  # lowest exponent any exact quotient can contain
-    lead_inv = as_gaussian(d.terms[(dmax,)]).inverse()
+    lead_inv = inv(d.terms[(dmax,)])
     out = {}
     while rem:
         rmax = max(e[0] for e in rem)
         k = rmax - dmax
         if k < qlow:
             raise DomainError("inexact Laurent division")
-        c = as_gaussian(rem[(rmax,)]) * lead_inv
+        c = rem[(rmax,)] * lead_inv
         out[(k,)] = _normcoef(c)
         for (e,), dc in d.terms.items():
             key = (e + k,)

@@ -239,11 +239,10 @@ def r_check_exchange(z, s):
     a = bracket(q * z) * di
     b = bracket(q) * di
     c = bracket(z) * di
-    zero = a * 0
-    return ((a, zero, zero, zero),
-            (zero, b, c, zero),
-            (zero, c, b, zero),
-            (zero, zero, zero, a))
+    return ((a, 0, 0, 0),
+            (0, b, c, 0),
+            (0, c, b, 0),
+            (0, 0, 0, a))
 
 
 def k_boundary(z, beta):
@@ -251,8 +250,7 @@ def k_boundary(z, beta):
     den = bracket(beta * inv(z))
     if not den:
         raise DomainError("boundary matrix undefined: [beta/z] = 0")
-    one = den * inv(den)
-    return ((one, one * 0), (one * 0, bracket(beta * z) * inv(den)))
+    return ((1, 0), (0, bracket(beta * z) * inv(den)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +263,10 @@ def r_bulk(z, s):
     a = bracket(q * inv(z))
     b = bracket(q * z)
     c = -bracket(q * q)
-    zero = a * 0
-    return ((a, zero, zero, zero),
-            (zero, b, c, zero),
-            (zero, c, b, zero),
-            (zero, zero, zero, a))
+    return ((a, 0, 0, 0),
+            (0, b, c, 0),
+            (0, c, b, 0),
+            (0, 0, 0, a))
 
 
 def r_check_bulk(z, s):
@@ -296,5 +293,4 @@ def chi_covector(w, s):
     """Dense coefficients [uu, ud, du, dd] of the two-site covector chi;
     aligned spins weigh {sw}/{s}, the corner matrix's off-diagonal entry."""
     c = brace(s * w) * inv(brace(s))
-    one = c * 0 + 1
-    return [c, one, one, c]
+    return [c, 1, 1, c]

@@ -38,9 +38,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from .exact import (DegeneratePointError, DomainError, GaussianRational,
-                    MultiLaurent, UsageError, abscissa_sweep, as_gaussian, bracket,
-                    brace, div_exact_univar, from_gaussian_ints, gaussian_ints,
-                    interpolate_along, inv)
+                    MultiLaurent, Scalar, UsageError, abscissa_sweep, bracket, brace,
+                    div_exact_univar, from_gaussian_ints, gaussian_ints, interpolate_along,
+                    inv)
 from .operators import SpinVector, chi_covector, k_boundary, r_check_exchange
 from .sampling import ExactSampler, half_sites
 
@@ -150,8 +150,6 @@ class _ResidueTables:
         N = len(zs)
         self.N = N
         n = N // 2
-        zs = [as_gaussian(z) for z in zs]
-        s, beta = as_gaussian(s), as_gaussian(beta)
         u, e = zip(*(_split(z) for z in zs))
         r, f = _split(s * s)
         sq = [_gmul(x, x) for x in u]                 # u_j^2
@@ -371,7 +369,7 @@ def _psi_along(var: str, N: int, sites, s, beta, h: int, parity, spare: int) -> 
             raise DegeneratePointError("repeated square")
         amps = psi_vector(N, sites(x), s, beta).amps
         squares.add(y)
-        xi = x.inverse()
+        xi = inv(x)
         return {a: v * xi if parity(a) else v for a, v in amps.items()}
 
     fits = interpolate_along(var, ((x * x, v) for x, v in abscissa_sweep(sample)),
@@ -386,8 +384,6 @@ def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
     more."""
     if not 1 <= i <= N:
         raise UsageError("variable index out of range")
-    zs = [as_gaussian(z) for z in zs]
-    s = as_gaussian(s)
 
     def at(x) -> list:
         pt = list(zs)
@@ -418,7 +414,6 @@ def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
         raise UsageError("N must be >= 0")
     if N <= 1:
         return SpinVector.make(N, {(): _ONE})
-    s = as_gaussian(s)
 
     def at(lam) -> list:
         return [lam ** k for k in range(N)]
@@ -440,7 +435,6 @@ def _gen_sum_at(N: int, ws: Sequence, s, beta) -> GaussianRational:
     """The generalized sum at nondegenerate w values: the vector at sites
     (w_1, 1/w_1, ..., w_n, 1/w_n[, 1]) paired with the covector that weighs
     every site pair (2i-1, 2i) whose spins agree by {s w_i}/{s}."""
-    s = as_gaussian(s)
     zs = half_sites(ws, N % 2)   # first: it refuses a zero w
     cs = [chi_covector(w, s)[0] for w in ws]
     total = _ZERO
@@ -452,7 +446,7 @@ def _gen_sum_at(N: int, ws: Sequence, s, beta) -> GaussianRational:
     return total
 
 
-def gen_sum_Z(N: int, ws: Sequence, s, beta) -> GaussianRational:
+def gen_sum_Z(N: int, ws: Sequence, s, beta) -> Scalar:
     """The generalized component sum at exact w values.
 
     The all-ones point (the homogeneous limit) is evaluated through the
@@ -466,13 +460,12 @@ def gen_sum_Z(N: int, ws: Sequence, s, beta) -> GaussianRational:
         raise UsageError(f"need {n} w values")
     if N <= 1:
         return _ONE
-    ws = [as_gaussian(w) for w in ws]
     if all(w == 1 for w in ws):
         return gen_sum_Z_homogeneous(N, s, beta)
     return _gen_sum_at(N, ws, s, beta)
 
 
-def gen_sum_Z_homogeneous(N: int, s, beta) -> GaussianRational:
+def gen_sum_Z_homogeneous(N: int, s, beta) -> Scalar:
     """The generalized component sum at w = (1, ..., 1), by interpolation in
     lambda along w_i = lambda^i."""
     if N < 0:
@@ -485,7 +478,7 @@ def gen_sum_Z_homogeneous(N: int, s, beta) -> GaussianRational:
     h = (2 * N - 3) * (n * (n + 1) // 2)
     samples = abscissa_sweep(
         lambda lam: _gen_sum_at(N, [lam ** i for i in range(1, n + 1)], s, beta))
-    return as_gaussian(interpolate_along("l", samples, -h, h, 1).eval_at({"l": _ONE}))
+    return interpolate_along("l", samples, -h, h, 1).eval_at({"l": _ONE})
 
 
 def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:
@@ -493,11 +486,10 @@ def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:
     at nondegenerate abscissae and cross-validated at two more."""
     if not 1 <= i <= N // 2:
         raise UsageError("variable index out of range")
-    ws = [as_gaussian(w) for w in ws]
     # the stated bound: centred in w_i of width at most 2(2N-3), which
     # check_Z_properties records as "degree_width"
     h = 2 * N - 3
-    samples = abscissa_sweep(lambda x: _gen_sum_at(N, ws[:i - 1] + [x] + ws[i:], s, beta))
+    samples = abscissa_sweep(lambda x: _gen_sum_at(N, [*ws[:i - 1], x, *ws[i:]], s, beta))
     return interpolate_along("w", samples, -h, h, 2)
 
 
@@ -505,7 +497,6 @@ def y_divisor(N: int, ws: Sequence, s):
     """The elementary product dividing the sum: prod [w_i/q^{1/2}] and, for odd
     size, also prod [q w_i][q/w_i].  A w may be a MultiLaurent variable; then
     so is the product."""
-    s = as_gaussian(s)
     q = s * s
     d = _ONE
     for w in ws:
@@ -520,7 +511,7 @@ def _rescale(N: int, z: GaussianRational, ws: Sequence, s) -> GaussianRational:
     d = y_divisor(N, ws, s)
     if not d:
         raise DomainError("rescaling divisor vanishes at this point")
-    return z * d.inverse()
+    return z * inv(d)
 
 
 def rescaled_Y(N: int, ws: Sequence, s, beta) -> GaussianRational:
@@ -538,19 +529,18 @@ def check_exchange_and_reflection(N: int, i: int, zs: Sequence, s, beta) -> dict
     """Exchange at (i, i+1) and the left boundary reflection, both exact."""
     if not 1 <= i <= N - 1:
         raise UsageError("need 1 <= i <= N-1")
-    zs = [as_gaussian(z) for z in zs]
     base = psi_vector(N, zs, s, beta)
     fails = []
 
     swapped = list(zs)
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    lhs = base.apply_two_site(r_check_exchange(zs[i - 1] * zs[i].inverse(), s), i)
+    lhs = base.apply_two_site(r_check_exchange(zs[i - 1] * inv(zs[i]), s), i)
     rhs = psi_vector(N, swapped, s, beta)
     if lhs != rhs:
         fails.append({"relation": "exchange", "i": i})
 
-    reflected = [zs[0].inverse()] + list(zs[1:])
-    lhs2 = base.apply_one_site(k_boundary(zs[0].inverse(), beta), 1)
+    reflected = [inv(zs[0])] + list(zs[1:])
+    lhs2 = base.apply_one_site(k_boundary(inv(zs[0]), beta), 1)
     rhs2 = psi_vector(N, reflected, s, beta)
     if lhs2 != rhs2:
         fails.append({"relation": "left_reflection"})
@@ -563,20 +553,18 @@ def check_psi_reduction(N: int, i: int, zs: Sequence, s, beta) -> dict:
     insertion with an explicit elementary prefactor."""
     if N < 2 or not 1 <= i <= N - 1:
         raise UsageError("need N >= 2 and 1 <= i <= N-1")
-    zs = [as_gaussian(z) for z in zs]
-    s, beta = as_gaussian(s), as_gaussian(beta)
     q = s * s
     zi = zs[i - 1]
-    special = zi * q.inverse()
+    special = zi * inv(q)
 
     polys = psi_vector_poly_in_z(N, zs, i + 1, s, beta)
     lhs = SpinVector.make(N, {k: p.eval_at({"z": special}) for k, p in polys.items()})
 
     pref = bracket(beta * zi)
     for j in range(1, i):
-        pref = pref * bracket(q * zi * zs[j - 1].inverse()) * bracket(q * zi * zs[j - 1])
+        pref = pref * bracket(q * zi * inv(zs[j - 1])) * bracket(q * zi * zs[j - 1])
     for j in range(i + 2, N + 1):
-        pref = pref * bracket(q * q * zi.inverse() * zs[j - 1]) * bracket(q * zi * zs[j - 1])
+        pref = pref * bracket(q * q * inv(zi) * zs[j - 1]) * bracket(q * zi * zs[j - 1])
     if (N // 2 + i + 1) % 2:
         pref = -pref
     inner = psi_vector(N - 2, zs[:i - 1] + zs[i + 1:], s, beta)
@@ -641,9 +629,9 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
             flipped = [-ws[0]] + ws[1:]
             zf = gen_sum_Z(N, flipped, s, beta)
             record("sign_flip", zf == -z0, {"lhs": repr(zf), "rhs": repr(-z0)})
-            inverted = [ws[0].inverse()] + ws[1:]
+            inverted = [inv(ws[0])] + ws[1:]
             lhs = bracket(inv(s) * ws[0]) * gen_sum_Z(N, inverted, s, beta)
-            rhs = bracket(inv(s) * ws[0].inverse()) * z0
+            rhs = bracket(inv(s) * inv(ws[0])) * z0
             record("inversion", lhs == rhs, {"lhs": repr(lhs), "rhs": repr(rhs)})
         except DegeneratePointError:
             continue
@@ -657,7 +645,7 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
             for z in (s, -s):
                 record("zero_at_sqrt_q", not poly.eval_at({"w": z}))
             if N % 2:
-                for z in (q.inverse(), -q.inverse()):
+                for z in (inv(q), -inv(q)):
                     record("zero_at_inv_q", not poly.eval_at({"w": z}))
 
             # rescaled sum: even inversion-symmetric polynomial of width <= 8(n-1)
@@ -679,21 +667,21 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
             if n % 2 == 0:
                 yrhs = -yrhs
             for w in ws[1:]:
-                yrhs = yrhs * brace(s ** 3 * w) ** 2 * brace(s ** 3 * w.inverse()) ** 2
+                yrhs = yrhs * brace(s ** 3 * w) ** 2 * brace(s ** 3 * inv(w)) ** 2
             yrhs = yrhs * rescaled_Y(N - 2, ws[1:], s, beta)
             record("reduction_half_turn", ylhs == yrhs,
                    {"lhs": repr(ylhs), "rhs": repr(yrhs)})
 
             if N >= 4 and n >= 2:
                 poly2 = gen_sum_Z_poly_in_w(N, ws, 2, s, beta)
-                w2 = q.inverse() * ws[0]
+                w2 = inv(q) * ws[0]
                 zval2 = poly2.eval_at({"w": w2})
                 ylhs2 = _rescale(N, zval2, [ws[0], w2] + ws[2:], s)
                 f = _f_reduction(N, ws[0], s, beta)
                 for w in ws[2:]:
-                    f = f * (bracket(q * ws[0] * w) * bracket(q * ws[0] * w.inverse())
-                             * bracket(q * q * w * ws[0].inverse())
-                             * bracket(q * q * ws[0].inverse() * w.inverse())) ** 2
+                    f = f * (bracket(q * ws[0] * w) * bracket(q * ws[0] * inv(w))
+                             * bracket(q * q * w * inv(ws[0]))
+                             * bracket(q * q * inv(ws[0]) * inv(w))) ** 2
                 yrhs2 = f * rescaled_Y(N - 4, ws[2:], s, beta)
                 record("reduction_pair", ylhs2 == yrhs2,
                        {"lhs": repr(ylhs2), "rhs": repr(yrhs2)})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exact import DegeneratePointError, GaussianRational, as_gaussian
+from .exact import DegeneratePointError, GaussianRational, inv
 
 __all__ = ["ExactSampler", "half_sites", "z_point_degenerate"]
 
@@ -26,10 +26,9 @@ def half_sites(ws, odd: bool) -> list:
     boundary overlap are both evaluated.  A zero w raises DegeneratePointError."""
     zs = []
     for w in ws:
-        w = as_gaussian(w)
         if not w:
             raise DegeneratePointError("w values must be nonzero")
-        zs += [w, w.inverse()]
+        zs += [w, inv(w)]
     if odd:
         zs.append(GaussianRational(1))
     return zs
@@ -42,7 +41,7 @@ def z_point_degenerate(zs, s) -> bool:
     it; curves through degenerate points leave the test to the residue
     evaluation itself."""
     q = s * s
-    q2i = (q * q).inverse()
+    q2i = inv(q * q)
     for j, zj in enumerate(zs):
         zz = zj * zj
         if zz == q2i or zz == -q2i:
@@ -51,8 +50,8 @@ def z_point_degenerate(zs, s) -> bool:
             zk = zs[k]
             if zj == zk or zj == -zk:
                 return True
-            r = zj * zk.inverse()
-            if r == q or r == -q or r.inverse() == q or r.inverse() == -q:
+            r = zj * inv(zk)
+            if r == q or r == -q or inv(r) == q or inv(r) == -q:
                 return True
             p = zj * zk
             if p == q2i or p == -q2i:
@@ -104,7 +103,7 @@ class ExactSampler:
             zs = tuple(self.nonzero() for _ in range(N))
             if z_point_degenerate(zs, s):
                 continue
-            if z_point_degenerate((zs[0].inverse(),) + zs[1:], s):
+            if z_point_degenerate((inv(zs[0]),) + zs[1:], s):
                 continue
             if beta is not None and any((beta * z) ** 2 == 1 for z in zs):
                 continue

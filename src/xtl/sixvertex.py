@@ -39,8 +39,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
-from .exact import (DomainError, GaussianRational, UsageError, as_gaussian, bracket,
-                    brace, inv)
+from .exact import DomainError, GaussianRational, UsageError, bracket, brace, inv
 from .operators import (act, basis_vector, chi_covector, det_k_corner, index_word,
                         k_boundary, k_corner, mat2_mul, r_bulk, r_check_bulk,
                         r_check_exchange, word_index)
@@ -355,8 +354,7 @@ def _stack_ops(zs: Sequence, s, t) -> list:
 
 def _stack_column(zs: Sequence, s, t) -> list:
     """The stack applied to |dd...d>: entry b is <b| stack |dd...d>."""
-    return apply_operator_stack([as_gaussian(z) for z in zs], as_gaussian(s),
-                                as_gaussian(t), basis_vector("d" * len(zs)))
+    return apply_operator_stack(zs, s, t, basis_vector("d" * len(zs)))
 
 
 def partition_algebraic(n: int, alpha: str, zs: Sequence, s, t):
@@ -384,7 +382,6 @@ def overlap_ZZ(n: int, ws: Sequence, s, t, b):
     if len(ws) != n:
         raise UsageError(f"need {n} site values")
     zs = half_sites(ws, False)
-    s, t, b = as_gaussian(s), as_gaussian(t), as_gaussian(b)
     cov = [GaussianRational(1)]
     for w in zs[::2]:  # w_1, ..., w_n
         cov = _tensor_cov(cov, _nu_cov(w, s, b))
@@ -394,10 +391,10 @@ def overlap_ZZ(n: int, ws: Sequence, s, t, b):
 
 def yy_divisor(ws: Sequence, s) -> GaussianRational:
     """The w-dependent normalization prod [q^2/w_i^2] of rescaled_YY."""
-    q = as_gaussian(s) ** 2
+    q = s * s
     d = GaussianRational(1)
     for w in ws:
-        d = d * bracket(q * q * as_gaussian(w).inverse() ** 2)
+        d = d * bracket(q * q * inv(w) ** 2)
     return d
 
 
@@ -410,7 +407,7 @@ def rescaled_YY(n: int, ws: Sequence, s, t, b):
     if not den:
         raise DomainError("rescaling undefined: [q^2/w_i^2] = 0")
     sign = -1 if (n * (n + 1) // 2) % 2 else 1
-    return z * (bracket(as_gaussian(s)) ** n * den).inverse() * sign
+    return z * inv(bracket(s) ** n * den) * sign
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,6 @@ from .operators import SpinVector
 __all__ = ["apply_hamiltonian_sector", "eigenvalue_E", "verify_eigenpair", "EigenReport"]
 
 
-def _as_x(x):
-    """x as a ring element (an int becomes a Fraction); DomainError at x = 0."""
-    return inv(inv(x))
-
-
 def _boundary_fields(x):
     half = Fraction(1, 2)
     return half * (half - x), half * (half - inv(x))
@@ -97,7 +92,6 @@ def verify_eigenpair(N: int, x) -> EigenReport:
     magnetization sector eps/2, and that the lowest position tuple has
     amplitude 1 (the empty tuple labels the all-up state of one site).
     """
-    x = _as_x(x)
     shape = ChainShape.of(N)
     table = psi_components(N, x=x, tau=Fraction(1))
     amps = {a: v for a, v in table.entries.items() if v}

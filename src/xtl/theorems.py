@@ -88,7 +88,7 @@ def check_Y_equals_YY(N: int, trials: int = 20, seed: int = 42) -> TheoremReport
         s, beta = rng.s_value(), rng.beta_value()
         q = s * s
         t = -brace(beta * s) * inv(brace(s))
-        b = q if N % 2 == 0 else q.inverse()
+        b = q if N % 2 == 0 else inv(q)
         ws = list(rng.w_point(N, s))
         lhs = rescaled_Y(N, ws, s, beta)
         rhs = rescaled_YY(n, ws, s, t, b)

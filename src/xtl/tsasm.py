@@ -30,7 +30,7 @@ from itertools import count
 from typing import Iterable, Sequence
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
-                    brace, interpolate_along)
+                    brace, interpolate_along, inv)
 from .sixvertex import (SixVertexConfig, _automaton_sums, alpha_minus, alpha_plus,
                         enumerate_configs, partition_enum)
 
@@ -233,7 +233,7 @@ def _lemma_point(n: int, alpha, s, t) -> tuple:
     generating-function lemma says genfun(N) at (t, tau) equals value."""
     q = s * s
     z = partition_enum(n, alpha, [GaussianRational(1)] * (2 * n), s, t)
-    return -brace(q), z * (bracket(q) ** (n * (2 * n - 1))).inverse()
+    return -brace(q), z * inv(bracket(q) ** (n * (2 * n - 1)))
 
 
 def count_from_partition(N: int) -> int:

@@ -392,6 +392,15 @@ def test_out_flag(tmp_path):
     assert json.loads(p.read_text())["vars"] == ["x", "tau"]
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_is_one_usage_error_line(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "f.json" if where == "missing-directory" else tmp_path
+    assert dispatch(["--out", str(path), "psi", "--N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write --out {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_console_entry_point():
     r = subprocess.run([sys.executable, "-m", "xtl.cli", "tsasm", "count",
                         "--order", "7", "--method", "partition"],

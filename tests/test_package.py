@@ -38,6 +38,16 @@ def test_gaussian_triple_is_read_only_in_exact():
     assert not hits
 
 
+def test_inversion_goes_through_exact_inv():
+    # exact.inv is the one entry point that inverts a value and refuses one
+    # that is not exact, so no other module calls an .inverse() method
+    hits = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+            if path.name != "exact.py" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "inverse"]
+    assert not hits
+
+
 # public names, and public members of package classes, that only tests
 # call, each kept as the reference its test compares a product route
 # against: (test file, test)

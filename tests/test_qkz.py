@@ -7,8 +7,7 @@ import pytest
 
 from xtl.contour import psi_components, sum_components
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
-                       MultiLaurent, UsageError, as_gaussian, bracket, brace, format_scalar,
-                       inv)
+                       MultiLaurent, UsageError, bracket, brace, format_scalar, inv)
 from xtl.operators import SpinVector, r_check_exchange
 from xtl.qkz import (check_exchange_and_reflection, check_psi_reduction,
                      check_Z_properties, gen_sum_Z, gen_sum_Z_homogeneous,
@@ -229,13 +228,11 @@ class _ReferenceTables:
     def __init__(self, zs, s, beta):
         N = len(zs)
         self.N = N
-        zs = [as_gaussian(z) for z in zs]
-        s, beta = as_gaussian(s), as_gaussian(beta)
         q = s * s
         # each bracket [v] = v - 1/v is formed from v and 1/v, both products
         # of the site values, their inverses and powers of q
-        zinv = [z.inverse() for z in zs]
-        qi = q.inverse()
+        zinv = [inv(z) for z in zs]
+        qi = inv(q)
         qz = [q * z for z in zs]
         qzi = [qi * z for z in zinv]
         q2z = [q * z for z in qz]
@@ -288,7 +285,7 @@ class _ReferenceTables:
                 if a - 1 != p:
                     acc = acc * ratio[a - 1][p]
                 if a > p:
-                    row[a] = num * (acc * d2[a]).inverse()
+                    row[a] = num * inv(acc * d2[a])
             self.pole.append(row)
 
 
@@ -506,7 +503,7 @@ def test_wrong_parity_term_fails_the_spare_pairs(monkeypatch, N):
             return vec
         amps = dict(vec.amps)
         a = min(key for key in amps if k in key)
-        amps[a] = amps[a] + as_gaussian(zs[k - 1]) ** 2
+        amps[a] = amps[a] + zs[k - 1] ** 2
         return SpinVector.make(n, amps)
 
     monkeypatch.setattr(qkz, "psi_vector", perturbed)
