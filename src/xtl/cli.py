@@ -186,13 +186,13 @@ def _order_to_N(order: int) -> int:
 #   partition and genfun walk the column automaton of size n = N//2: at order
 #     27 (n = 6) partition takes 5 s and genfun 3 s, both in 0.3 GB; at order
 #     29 (n = 7) genfun alone takes 35 s and 3 GB;
-#   psi and sum expand the contour series once on packed keys with x and
-#     tau both packed: at N = 11 psi takes 8.1 s in 0.16 GB and sum 12.7 s
-#     in 0.19 GB; N = 12 was not run: its truncated series has up to twelve
-#     times as many terms (665,280 against 55,440), with wider ints.
-#     spinchain verify --N expands psi at a given x and tau = 1, over plain
-#     ints (1.7 s at N = 11), and shares the psi limit (at N = 40 it was
-#     killed by SIGKILL before it finished);
+#   psi and sum expand the x-free part of the contour integrand once, on
+#     packed keys with only tau packed, and apply x to its reads: at N = 11
+#     psi takes 1.6 s in 47 MB and sum 1.3 s in 50 MB (8.3 s and 10.0 s,
+#     0.17 and 0.19 GB, when x was packed beside tau); the limit is kept
+#     until N = 12 is measured.  spinchain verify --N expands psi at a given
+#     x and tau = 1, over plain ints (0.6 s at N = 11), and shares the psi
+#     limit (at N = 40 it was killed by SIGKILL before it finished);
 #   sixvertex pf --n n is checked at order 4n + 1, the order whose count runs
 #     the same 2n-site automaton; --alpha + --s 2 --t 3 at unit sites:
 #     pf_enum takes 2.8 s in 0.27 GB at n = 6 and 34 s in 2.5 GB at n = 7,

@@ -12,19 +12,26 @@ expansion of the integrand at 0:
   only finitely many terms can reach the wanted monomial;
 * truncation caps on every u-exponent keep the intermediate expansion small.
 
-The series runs over one coefficient ring, Python int, on packed integer
+x enters the integrand only through the n factors (u_k + x).  So the
+coefficient of u^c is the sum over S in {1..n} of x^(n - |S|) times the
+coefficient of u^(c - e_S) in F, the integrand without those factors (e_S
+has a 1 at each k in S; a negative exponent reads 0).  F is expanded once
+and x is applied to its reads afterwards: an unknown x keeps them apart by
+its power, a given real x = p/q weighs x^i by the int p^i q^(n-i) over q^n,
+and a given non-real x is evaluated after the decode.  At x = 0 each target
+reads one coefficient, u^(c - (1, ..., 1)).
+
+F's series runs over one coefficient ring, Python int, on packed integer
 keys: a u-monomial is one int with a fixed-width field per exponent, biased
 so that the top bit of a field is set exactly when its exponent passes its
 cap, so a product of monomials is one addition and the cap test one AND.
-Every factor coefficient is 1, -1, x or tau.  Only the unknowns are packed
-into the coefficients: a given real x or tau is put into the factors, each
-cleared to ints over its own denominator, and an unknown becomes a power of
-two (Kronecker substitution, with the digit width B derived from the
-factors).  Each wanted coefficient decodes as balanced base-2^B digits into
-a MultiLaurent in (x, tau), over the product of the denominators; a given
-non-real value is packed like an unknown and evaluated into the digits.
-With both values given and real (the counting integral: x = 0, tau = 1) the
-expansion runs over plain ints and nothing is decoded.
+Every coefficient of F's factors is 1, -1 or tau.  A given real tau is put
+into the factors, each cleared to ints over its own denominator; an unknown
+or non-real tau becomes a power of two (Kronecker substitution, with the
+digit width B derived from the factors), and each read decodes as balanced
+base-2^B digits, the coefficients of tau^j, into which a given non-real tau
+is evaluated.  With both values given and real (the counting integral:
+x = 0, tau = 1) the expansion runs over plain ints and nothing is decoded.
 """
 
 from __future__ import annotations
@@ -62,11 +69,11 @@ class ChainShape:
 class ComponentTable:
     """All nontrivial eigenvector components of a chain, indexed by the strictly
     increasing tuples of down-spin positions.  Entries come from one
-    expansion on packed u-keys with only the unknowns packed: MultiLaurent
-    in (x, tau), a given x or tau having exponent 0.  With both given they
-    are scalars as the arithmetic gives them: int or Fraction when both
-    values are real, GaussianRational when one is not (a zero entry may
-    still be an int or Fraction)."""
+    expansion of the x-free part of the integrand, with x applied to its
+    reads: MultiLaurent in (x, tau), a given x or tau having exponent 0.
+    With both given they are scalars as the arithmetic gives them: int or
+    Fraction when both values are real, GaussianRational when one is not (a
+    zero entry may still be an int or Fraction)."""
 
     shape: ChainShape
     entries: Mapping[tuple, MultiLaurent | Scalar]
@@ -117,36 +124,29 @@ def _caps(shape: ChainShape) -> tuple:
     return tuple(shape.nprime + k for k in range(shape.n))
 
 
-def _factors(shape: ChainShape, x, tau, geometric: bool) -> list:
-    """The polynomial factors shared by the component and sum integrands; with
-    geometric, then the n geometric series 1/(1 - u_1...u_k) cut at the caps."""
+def _factors(shape: ChainShape, tau, geometric: bool, caps) -> list:
+    """The factors of the integrand other than the n factors (u_k + x); with
+    geometric, also the n geometric series 1/(1 - u_1...u_k) cut at caps.
+    They come ordered by the highest u-index each touches, so the series
+    takes on one variable at a time."""
     n = shape.n
     zero = (0,) * n
     fs = []
-    for k in range(n):
-        fs.append([(_unit(k, n), 1), (zero, x)])
+    for j in range(n):
+        ej = _unit(j, n)
         if shape.eps:
-            fs.append([(zero, 1), (_unit(k, n), tau), (_unit(k, n, 2), 1)])
-    for i in range(n):
-        for j in range(i, n):
+            fs.append([(zero, 1), (ej, tau), (_unit(j, n, 2), 1)])
+        for i in range(j + 1):
             # (1 - u_i u_j), including i == j
-            e = list(zero)
-            e[i] += 1
-            e[j] += 1
-            fs.append([(zero, 1), (tuple(e), -1)])
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = _unit(i, n), _unit(j, n)
+            fs.append([(zero, 1), (tuple(a + b for a, b in zip(_unit(i, n), ej)), -1)])
+        for i in range(j):
+            ei = _unit(i, n)
             eij = tuple(a + b for a, b in zip(ei, ej))
-            fs.append([(ej, 1), (ei, -1)])
-            fs.append([(zero, 1), (ej, tau), (eij, 1)])
-            fs.append([(zero, tau), (ei, 1), (ej, 1)])
-    if geometric:
-        caps = _caps(shape)
-        for k in range(n):
-            step = tuple(1 if i <= k else 0 for i in range(n))
-            fs.append([(tuple(m * s for s in step), 1)
-                       for m in range(min(caps[: k + 1]) + 1)])
+            fs += [[(ej, 1), (ei, -1)], [(zero, 1), (ej, tau), (eij, 1)],
+                   [(zero, tau), (ei, 1), (ej, 1)]]
+        if geometric:
+            fs.append([(tuple(m * (i <= j) for i in range(n)), 1)
+                       for m in range(min(caps[: j + 1]) + 1)])
     return fs
 
 
@@ -162,9 +162,9 @@ def _cleared(factors) -> tuple:
     return out, D
 
 
-def _expand(shape: ChainShape, factors, targets) -> list:
+def _expand(caps: tuple, factors, targets) -> list:
     """The coefficients of the u-monomials targets in the product of integer
-    factors, truncated at the caps.
+    factors, truncated at caps.
 
     A monomial's key is one int: field k holds e_k + bias_k in w bits, with
     bias_k = 2^(w-1) - 1 - cap_k, so e_k <= cap_k exactly when the top bit
@@ -173,12 +173,11 @@ def _expand(shape: ChainShape, factors, targets) -> list:
     of a field, and one AND with the top bits (guard) finds every exponent
     past its cap.  The targets lie within the caps and are packed alike.
     """
-    caps = _caps(shape)
     step = max((v for f in factors for e, _ in f for v in e), default=0)
     w = (max(caps, default=0) + step).bit_length() + 1
     top = 1 << (w - 1)
     bias = sum((top - 1 - cap) << (w * k) for k, cap in enumerate(caps))
-    guard = sum(top << (w * k) for k in range(shape.n))
+    guard = sum(top << (w * k) for k in range(len(caps)))
 
     def key(e) -> int:
         return sum(v << (w * k) for k, v in enumerate(e))
@@ -189,10 +188,11 @@ def _expand(shape: ChainShape, factors, targets) -> list:
     return [series.get(key(t) + bias, 0) for t in targets]
 
 
-def _digit_bits(factors) -> int:
+def _digit_bits(factors, weight: int) -> int:
     """Digit width B for the packed expansion of integer factors, given with
-    the packed variables set to 1 (see the derivation in _extract)."""
-    bound = 1
+    tau set to 1, whose reads are summed with weights of 1-norm at most
+    weight (see the derivation in _extract)."""
+    bound = weight
     for f in factors:
         bound *= sum(abs(c) for _, c in f)
     return bound.bit_length() + 1
@@ -208,12 +208,9 @@ def _rational(v):
     return None if im else v.re
 
 
-def _decode(packed: int, B: int, W: int, x_packed: bool, x, tau) -> dict:
-    """Read packed as balanced base-2^B digits: digit k is the coefficient of
-    x^(k // W) tau^(k % W) when x is packed, else of tau^k.  A given x or
-    tau (packed because it is not real) is evaluated into the digit and its
-    exponent folds to 0."""
-    terms: dict = {}
+def _decode(packed: int, B: int) -> dict:
+    """packed read as balanced base-2^B digits: the nonzero digits, by place."""
+    digits = {}
     k = 0
     while packed:
         d = packed & ((1 << B) - 1)
@@ -221,56 +218,67 @@ def _decode(packed: int, B: int, W: int, x_packed: bool, x, tau) -> dict:
             d -= 1 << B
         packed = (packed - d) >> B
         if d:
-            i, j = divmod(k, W) if x_packed else (0, k)
-            if x is not None:
-                d, i = d * x ** i, 0
-            if tau is not None:
-                d, j = d * tau ** j, 0
-            terms[i, j] = terms.get((i, j), 0) + d
+            digits[k] = d
         k += 1
-    return terms
+    return digits
 
 
 def _extract(shape: ChainShape, geometric: bool, targets, x, tau) -> list:
     """The coefficients of the u-monomials targets in the expanded integrand,
     as polynomials in (x, tau), or evaluated at a given x and/or tau."""
-    # Only the unknowns are packed.  A given real x or tau is put into the
-    # factors, each factor is cleared to ints over its own denominator, and
-    # the product D of those denominators divides each coefficient once, at
-    # decode.  The rest (unknowns, and a given non-real value, evaluated at
-    # decode) go through Kronecker substitution: expand once over Z and read
-    # each wanted coefficient as base-2^B digits.  With both packed, tau ->
-    # T = 2^B and x -> T^W: tau occurs in n eps + n(n-1) factors, each of
-    # degree 1, so with W one more than that the digit of x^i tau^j is
-    # i W + j, one per monomial (x, in the first n factors only, takes the
-    # wide power while the series is still short).  With one packed, it
-    # becomes 2^B and W = 1; with none, the expansion runs over plain ints.
-    # Every coefficient of the cleared product, truncated or not, as a
-    # polynomial in the packed variables, is at most the product of the
-    # cleared factors' coefficient 1-norms taken with the packed variables
-    # set to 1 (a product's 1-norm is at most the product of its factors'
-    # 1-norms; each geometric factor gives mmax + 1), so B = bit length of
-    # that bound + 1 keeps every digit inside the balanced range
-    # [-2^(B-1), 2^(B-1)).
-    xr, tr = _rational(x), _rational(tau)
-    x_packed, tau_packed = xr is None, tr is None
+    # x^i weighs the reads c - e_S with |S| = n - i (see the module
+    # docstring): groups[t][i] lists them for target t, and a power that x
+    # cannot weigh (at x = 0, every i > 0) makes no reads.  F, the product
+    # of _factors, is expanded once, truncated at the componentwise largest
+    # read.  A given real tau is put into the factors, each factor is
+    # cleared to ints over its own denominator, and the product D of those
+    # denominators divides each coefficient once, at the end, with the q^n
+    # of a real x = p/q.  An unknown or non-real tau becomes T = 2^B
+    # (Kronecker substitution), so F expands once over Z.  What is decoded
+    # at a target c is, for an unknown or non-real x, each
+    # P_i = sum over |S| = n - i of [u^(c - e_S)] F, and for a real x the
+    # one int sum_i p^i q^(n-i) P_i.  Either is a coefficient of the product
+    # of F's cleared factors and the n factors (q u_k + p), of x^i u^c or of
+    # u^c, with p = q = 1 when x is not real.  Every coefficient of a
+    # product, truncated or not, as a polynomial in tau, is at most the
+    # product of its factors' coefficient 1-norms with tau set to 1 (a
+    # product's 1-norm is at most the product of its factors' 1-norms; each
+    # geometric factor gives its term count, the x factors (|p| + q)^n
+    # together), so B = bit length of that bound + 1 keeps every digit
+    # inside the balanced range [-2^(B-1), 2^(B-1)).
     n = shape.n
-    W = n * shape.eps + n * (n - 1) + 1 if x_packed and tau_packed else 1
-    B = _digit_bits(_cleared(_factors(shape, 1 if x_packed else xr,
-                                      1 if tau_packed else tr, geometric))[0])
-    factors, D = _cleared(_factors(shape, 1 << (B * W) if x_packed else xr,
-                                   1 << B if tau_packed else tr, geometric))
-    coeffs = _expand(shape, factors, targets)
-    if x_packed or tau_packed:
-        polys = [_decode(c, B, W, x_packed, x if x_packed else None,
-                         tau if tau_packed else None) for c in coeffs]
-    else:
-        polys = [{(0, 0): c} for c in coeffs]
-    scale = 1 if D == 1 else Fraction(1, D)
+    xr, tr = _rational(x), _rational(tau)
+    powers = [0] if xr == 0 else range(n + 1)
+    groups = [[[tuple(v - (k in S) for k, v in enumerate(c))
+                for S in combinations([k for k, v in enumerate(c) if v], n - i)]
+               for i in powers] for c in targets]
+    wanted = list({r for g in groups for rs in g for r in rs})
+    caps = tuple(max((r[k] for r in wanted), default=0) for k in range(n))
+    p, q = (1, 1) if xr is None else (xr.numerator, xr.denominator)
+    if tr is None:
+        B = _digit_bits(_cleared(_factors(shape, 1, geometric, caps))[0], (abs(p) + q) ** n)
+    factors, D = _cleared(_factors(shape, 1 << B if tr is None else tr, geometric, caps))
+    coef = dict(zip(wanted, _expand(caps, factors, wanted)))
+    # a given value that is not real is evaluated after the decode
+    xe, te = (x if xr is None else None), (tau if tr is None else None)
+    out = []
+    for g in groups:
+        sums = [(i, sum(coef[r] for r in rs)) for i, rs in zip(powers, g)]
+        if xr is not None:
+            sums = [(0, sum(p ** i * q ** (n - i) * v for i, v in sums))]
+        terms: dict = {}
+        for i, v in sums:
+            for j, d in (_decode(v, B) if tr is None else {0: v}).items():
+                if d:
+                    e = (i if xe is None else 0, j if te is None else 0)
+                    d = d * (1 if xe is None else xe ** i) * (1 if te is None else te ** j)
+                    terms[e] = terms.get(e, 0) + d
+        out.append(terms)
+    scale = 1 if D * q ** n == 1 else Fraction(1, D * q ** n)
     if x is not None and tau is not None:
-        return [p.get((0, 0), 0) * scale for p in polys]
-    return [MultiLaurent(("x", "tau"), {e: c * scale for e, c in p.items()})
-            for p in polys]
+        return [t.get((0, 0), 0) * scale for t in out]
+    return [MultiLaurent(("x", "tau"), {e: c * scale for e, c in t.items()})
+            for t in out]
 
 
 def psi_components(N: int, x=None, tau=None) -> ComponentTable:

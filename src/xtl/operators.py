@@ -20,10 +20,11 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
-from .exact import (DomainError, GaussianRational, UsageError, bracket, brace,
-                    from_gaussian_ints, gaussian_ints, inv)
+from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
+                    brace, from_gaussian_ints, gaussian_ints, inv)
 
 __all__ = [
     "SpinVector", "word_index", "index_word",
@@ -61,6 +62,15 @@ def basis_vector(word: str):
 # sparse vectors on down-spin positions
 # ---------------------------------------------------------------------------
 
+def _exact(v):
+    """v itself, or a UsageError when it is neither an exact scalar nor a
+    MultiLaurent: SpinVector amplitudes and the corner matrix's t can be
+    returned before any arithmetic that would refuse them reads them."""
+    if not isinstance(v, (int, Fraction, GaussianRational, MultiLaurent)):
+        raise UsageError(f"not an exact scalar: {v!r}")
+    return v
+
+
 def _collect(out: dict, terms) -> dict:
     """Add (key, value) terms into out and return it; no zero value is kept."""
     for k, v in terms:
@@ -75,7 +85,8 @@ def _collect(out: dict, terms) -> dict:
 @dataclass(frozen=True)
 class SpinVector:
     """Sparse vector on N sites indexed by strictly increasing down-spin
-    position tuples; amplitudes lie in any exact ring and none is zero."""
+    position tuples; amplitudes are exact scalars or MultiLaurent (make
+    refuses anything else) and none is zero."""
 
     N: int
     amps: Mapping[tuple, object]
@@ -87,7 +98,7 @@ class SpinVector:
             k = tuple(k)
             if any(not 1 <= p <= N for p in k) or list(k) != sorted(set(k)):
                 raise UsageError(f"bad down-spin positions {k} for N={N}")
-            if v:
+            if _exact(v):
                 clean[k] = v
         return SpinVector(N, clean)
 
@@ -280,6 +291,7 @@ def r_check_bulk(z, s):
 
 def k_corner(z, s, t):
     """Symmetric corner matrix [[t, c], [c, t]] with c = {sz}/{s}."""
+    _exact(t)
     c = brace(s * z) * inv(brace(s))
     return ((t, c), (c, t))
 

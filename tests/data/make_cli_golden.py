@@ -28,6 +28,8 @@ COMMANDS = [
     ["psi", "--N", "3", "--x", "2"],
     ["psi", "--N", "4", "--tau", "1/2", "--format", "text"],
     ["psi", "--N", "4", "--x", "1+i", "--tau", "2"],
+    ["psi", "--N", "4", "--tau", "1+i"],
+    ["psi", "--N", "5", "--x", "0", "--tau", "1+i"],
     ["sum", "--N", "5", "--format", "text"],
     ["sum", "--N", "6"],
     *(["tsasm", "count", "--max-order", "13", "--format", "csv", "--method", m]

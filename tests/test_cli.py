@@ -541,6 +541,6 @@ def test_verify_exchange_loads_only_the_modules_it_runs():
                 "xtl.spinchain"} & set(rep["modules"])
     # psi, sum and tsasm import their routes on demand and still match the golden file
     golden = (DATA / "cli_golden.txt").read_text()
-    assert len(rep["blocks"]) == 14
+    assert len(rep["blocks"]) == 16
     for block in rep["blocks"]:
         assert block in golden

@@ -111,7 +111,7 @@ def test_tsasm_count_integral_small_orders():
 def test_tsasm_count_integral_rejects_non_integer_count(monkeypatch):
     # a real exception, so the guard also holds under python -O
     monkeypatch.setattr(contour, "_expand",
-                        lambda shape, factors, targets: [Fraction(1, 2)] * len(targets))
+                        lambda caps, factors, targets: [Fraction(1, 2)] * len(targets))
     with pytest.raises(DomainError):
         tsasm_count_integral(4)
 
@@ -133,26 +133,28 @@ def test_psi_components_match_golden(row):
 
 
 def test_golden_replay_catches_a_too_narrow_digit_width(monkeypatch):
-    # the largest coefficient of sum_components(8) has 10 bits, so balanced
-    # digits need B >= 11: the replay passes there and fails one bit lower
-    # (the derived bound gives B = 50 at N = 8, so the margin is all in the
-    # bound; see contour._extract)
+    # the reads of F are summed per power of x before they are decoded, so
+    # the digits are the coefficients of x^i tau^j themselves.  The largest
+    # coefficient of sum_components(8) has 10 bits, so balanced digits need
+    # B >= 11: the replay passes there and fails one bit lower (the derived
+    # bound gives B = 50 at N = 8, so the margin is all in the bound; see
+    # contour._extract)
     row = SUM_GOLDEN["sum"][8]
-    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 11)
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors, weight: 11)
     assert _sum_json(8) == row["sum"]
-    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 10)
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors, weight: 10)
     assert _sum_json(8) != row["sum"]
     psi_row = SUM_GOLDEN["psi"][8]  # largest coefficient: 7 bits
-    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 8)
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors, weight: 8)
     assert _psi_json(8) == psi_row["psi"]
-    monkeypatch.setattr(contour, "_digit_bits", lambda factors: 7)
+    monkeypatch.setattr(contour, "_digit_bits", lambda factors, weight: 7)
     assert _psi_json(8) != psi_row["psi"]
 
 
 # ---------------------------------------------------------------------------
 # the tuple-key expansion that the packed-key one replaced, kept as its
-# reference: it packs both x and tau whatever is given, and evaluates a given
-# value at decode
+# reference: it multiplies in the n factors (u_k + x) itself, packs both x
+# and tau whatever is given, and evaluates a given value at decode
 # ---------------------------------------------------------------------------
 
 def _reference_mul_factor(series, factor, caps):
@@ -198,14 +200,24 @@ def _reference_decode(packed, B, W, x, tau):
     return MultiLaurent(("x", "tau"), terms)
 
 
-def reference_extract(shape, geometric, targets, points):
-    """contour._extract at each (x, tau) of points by one (x, tau)-packed
-    expansion, decoded at each point."""
+def _reference_factors(shape, x, tau, geometric, x_power=1):
+    """The whole integrand's factors: the n factors (u_k^x_power + x), then
+    contour._factors at the caps."""
     n, caps = shape.n, contour._caps(shape)
-    B = _reference_digit_bits(contour._factors(shape, 1, 1, geometric))
+    xs = [[(tuple(x_power * (i == k) for i in range(n)), 1), ((0,) * n, x)]
+          for k in range(n)]
+    return xs + contour._factors(shape, tau, geometric, caps)
+
+
+def reference_extract(shape, geometric, targets, points, x_power=1):
+    """contour._extract at each (x, tau) of points by one (x, tau)-packed
+    expansion, decoded at each point.  x_power moves the x factors, for the
+    negative control."""
+    n, caps = shape.n, contour._caps(shape)
+    B = _reference_digit_bits(_reference_factors(shape, 1, 1, geometric, x_power))
     W = n * shape.eps + n * (n - 1) + 1
     series = {(0,) * n: 1}
-    for f in contour._factors(shape, 1 << (B * W), 1 << B, geometric):
+    for f in _reference_factors(shape, 1 << (B * W), 1 << B, geometric, x_power):
         series = _reference_mul_factor(series, f, caps)
     return [[_reference_decode(series.get(t, 0), B, W, x, tau) for t in targets]
             for x, tau in points]
@@ -217,7 +229,17 @@ _EXTRACT_POINTS = [
     (GaussianRational(1, 1), 2), (None, 0),
     # a real GaussianRational is put into the factors, a non-real one packed
     (GaussianRational(Fraction(3, 2)), Fraction(1)), (GaussianRational(1, 1), None),
+    # a non-real tau is the one value still packed beside an unknown
+    (None, GaussianRational(0, 1)), (Fraction(3, 2), GaussianRational(1, -2)),
+    (GaussianRational(1, 1), GaussianRational(2, 1)),
 ]
+
+
+def _targets(shape):
+    """Every component target and the sum target."""
+    N, n = shape.N, shape.n
+    return [tuple(N - a[n - k] for k in range(1, n + 1))
+            for a in combinations(range(1, N + 1), n)] + [contour._caps(shape)]
 
 
 @pytest.mark.parametrize("geometric", [False, True])
@@ -228,9 +250,7 @@ def test_extract_matches_the_tuple_key_reference(N, geometric):
     # values are real, GaussianRational when one is not (a zero may stay an
     # int or Fraction).  The CLI prints equal values alike whatever their type.
     shape = ChainShape.of(N)
-    n = shape.n
-    targets = [tuple(N - a[n - k] for k in range(1, n + 1))
-               for a in combinations(range(1, N + 1), n)] + [contour._caps(shape)]
+    targets = _targets(shape)
     wants = reference_extract(shape, geometric, targets, _EXTRACT_POINTS)
     for (x, tau), want in zip(_EXTRACT_POINTS, wants):
         got = contour._extract(shape, geometric, targets, x, tau)
@@ -244,18 +264,30 @@ def test_extract_matches_the_tuple_key_reference(N, geometric):
         assert [format_scalar(v) for v in got] == [format_scalar(v) for v in want], (x, tau)
 
 
+@pytest.mark.parametrize("geometric", [False, True])
+def test_the_reference_sees_a_moved_x_factor(geometric):
+    # negative control: with the factors (u_k + x) moved to (u_k^2 + x) the
+    # reference disagrees with _extract, so the comparison above can fail
+    shape = ChainShape.of(5)
+    targets = _targets(shape)
+    points = [(None, None), (Fraction(7, 5), 1)]
+    for (x, tau), moved in zip(points, reference_extract(shape, geometric, targets,
+                                                          points, x_power=2)):
+        assert contour._extract(shape, geometric, targets, x, tau) != moved, (x, tau)
+
+
 @pytest.mark.parametrize("N", range(8))
 def test_packed_keys_keep_a_monomial_at_its_cap_and_drop_one_past_it(N):
     shape = ChainShape.of(N)
     caps, n = contour._caps(shape), shape.n
-    assert contour._expand(shape, [[(caps, 3)]], [caps]) == [3]
+    assert contour._expand(caps, [[(caps, 3)]], [caps]) == [3]
     inside = list(product(*(range(cap + 1) for cap in caps)))
     for k in range(n):
         past = tuple(c + (i == k) for i, c in enumerate(caps))
-        assert contour._expand(shape, [[(caps, 1), (past, 1)]], [caps, past]) == [1, 0]
+        assert contour._expand(caps, [[(caps, 1), (past, 1)]], [caps, past]) == [1, 0]
         # a step far past every cap is dropped, not carried into the next
         # field: the constant term is the only coefficient left
         far = 2 ** (max(caps).bit_length() + 1) + 1
         step = tuple(far * (i == k) for i in range(n))
-        got = contour._expand(shape, [[((0,) * n, 1), (step, 1)]], inside)
+        got = contour._expand(caps, [[((0,) * n, 1), (step, 1)]], inside)
         assert got == [int(not any(t)) for t in inside]

@@ -7,6 +7,7 @@ import pytest
 
 from xtl.contour import psi_components, sum_components
 from xtl.exact import GaussianRational as G, UsageError, bracket, inv
+from xtl.operators import SpinVector, k_corner
 from xtl.qkz import check_exchange_and_reflection, check_psi_reduction, gen_sum_Z, psi_vector
 from xtl.sixvertex import overlap_ZZ, partition_algebraic, partition_enum, rescaled_YY
 from xtl.spinchain import apply_hamiltonian_sector, eigenvalue_E, verify_eigenpair
@@ -20,13 +21,19 @@ REFUSED = {
     "apply_hamiltonian_sector": lambda: apply_hamiltonian_sector(2, 0.5, {(1,): 1}),
     "psi_components": lambda: psi_components(3, x=0.5),
     "sum_components": lambda: sum_components(3, tau=0.5),
+    # values no arithmetic inverts or clears before they are returned
+    "SpinVector.make": lambda: SpinVector.make(2, {(1,): 0.5}),
+    "apply_hamiltonian_sector_amplitude": lambda: apply_hamiltonian_sector(2, 3, {(1,): 0.5}),
+    "k_corner": lambda: k_corner(2, 3, 1.5),
 }
 
 
 @pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
 def test_a_float_is_refused_as_not_exact(call):
     # every route inverts through exact.inv or clears through
-    # exact.gaussian_ints, and both refuse a value that is not exact
+    # exact.gaussian_ints, and both refuse a value that is not exact; a
+    # SpinVector amplitude and the corner matrix's t are checked where they
+    # are taken
     with pytest.raises(UsageError, match="not an exact scalar"):
         call()
 
