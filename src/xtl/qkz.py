@@ -42,13 +42,14 @@ from .exact import (DegeneratePointError, DomainError, GaussianRational,
                     div_exact_univar, from_gaussian_ints, gaussian_ints, interpolate_along,
                     inv)
 from .operators import SpinVector, chi_covector, k_boundary, r_check_exchange
-from .sampling import ExactSampler, half_sites
+from .sampling import TheoremReport, _sampled, half_sites
 
 __all__ = [
     "psi_vector",
     "psi_vector_poly_in_z", "psi_vector_homogeneous",
     "gen_sum_Z", "gen_sum_Z_poly_in_w", "rescaled_Y", "y_divisor",
-    "check_exchange_and_reflection", "check_psi_reduction", "check_Z_properties",
+    "check_exchange_and_reflection", "check_psi_reduction",
+    "check_exchange_sweep", "check_reduction_sweep", "check_Z_properties",
 ]
 
 _ONE = GaussianRational(1)
@@ -384,6 +385,7 @@ def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
     more."""
     if not 1 <= i <= N:
         raise UsageError("variable index out of range")
+    gaussian_ints(zs)   # refuses a value that is not exact, the replaced one too
 
     def at(x) -> list:
         pt = list(zs)
@@ -486,6 +488,7 @@ def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:
     at nondegenerate abscissae and cross-validated at two more."""
     if not 1 <= i <= N // 2:
         raise UsageError("variable index out of range")
+    gaussian_ints(ws)   # refuses a value that is not exact, the replaced one too
     # the stated bound: centred in w_i of width at most 2(2N-3), which
     # check_Z_properties records as "degree_width"
     h = 2 * N - 3
@@ -574,6 +577,31 @@ def check_psi_reduction(N: int, i: int, zs: Sequence, s, beta) -> dict:
             "failures": [] if ok else [{"relation": "reduction", "i": i}]}
 
 
+def _sweep(statement: str, check, max_n: int, trials: int, seed: int) -> TheoremReport:
+    """The report of check(N, i, zs, s, beta) over N = 2..max_n: one (s, beta)
+    draw per N, then `trials` site draws, each checked at every i < N.  A
+    sweep that would check nothing (max_n < 2, or no trials) is refused."""
+    rep, rng = _sampled(statement, trials, seed, 2, max_n=max_n)
+    for N in range(2, max_n + 1):
+        s, beta = rng.s_value(), rng.beta_value()
+        for _ in range(trials):
+            zs = rng.z_point(N, s, beta)
+            for i in range(1, N):
+                for f in check(N, i, zs, s, beta)["failures"]:
+                    rep.fail(**f, N=N, point={"z": zs, "s": s, "beta": beta})
+    return rep
+
+
+def check_exchange_sweep(max_n: int, trials: int = 20, seed: int = 42) -> TheoremReport:
+    """check_exchange_and_reflection at every i of sampled points, N = 2..max_n."""
+    return _sweep("exchange", check_exchange_and_reflection, max_n, trials, seed)
+
+
+def check_reduction_sweep(max_n: int, trials: int = 20, seed: int = 42) -> TheoremReport:
+    """check_psi_reduction at every i of sampled points, N = 2..max_n."""
+    return _sweep("reduction", check_psi_reduction, max_n, trials, seed)
+
+
 # check_Z_properties runs its interpolation subchecks on this many trials
 _INTERP_TRIALS = 2
 
@@ -587,32 +615,28 @@ def _centred_within(degrees, width: int) -> bool:
     return lo == -hi and hi - lo <= width
 
 
-def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
+def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> TheoremReport:
     """All stated properties of the generalized sum for one chain size.
 
     Covers: symmetry under adjacent swaps, the sign flip under w -> -w, the
     inversion identity, the forced zeros at +-q^{1/2} (and +-1/q for odd size),
     the centred degree-width bound by interpolation, the rescaled sum being an
     even inversion-symmetric polynomial of width at most 8(n-1), and the two
-    reduction relations.  A trial that meets a degenerate point is counted in
-    "skipped"; the interpolation subchecks run on the first _INTERP_TRIALS
-    trials that were not skipped, and the check fails if every trial was.  A
-    request that would check nothing (N < 2, or no trials) is refused.
+    reduction relations.  The report counts each subcheck by name.  A trial
+    that meets a degenerate point is counted in `skipped`; the interpolation
+    subchecks run on the first _INTERP_TRIALS trials that were not skipped,
+    and the check fails if every trial was.  A request that would check
+    nothing (N < 2, or no trials) is refused.
     """
-    if N < 2 or trials < 1:
-        raise UsageError("need N >= 2 and trials >= 1")
+    rep, rng = _sampled(f"generalized_sum_properties_N{N}", trials, seed, 2, N=N)
     n = N // 2
-    rng = ExactSampler(seed)
-    sub: dict[str, int] = {}
-    fails: list = []
-    ran = 0
 
-    def record(name: str, ok: bool, info=None):
-        sub[name] = sub.get(name, 0) + 1
+    def record(name: str, ok: bool, **info):
+        rep.subchecks[name] = rep.subchecks.get(name, 0) + 1
         if not ok:
-            fails.append({"property": name, "N": N, "info": info})
+            rep.fail(property=name, **info)
 
-    for _ in range(trials):
+    for t in range(trials):
         s = rng.s_value()
         beta = rng.beta_value()
         q = s * s
@@ -625,37 +649,42 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
                     swapped = list(ws)
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                     zs = gen_sum_Z(N, swapped, s, beta)
-                    record("symmetry", zs == z0, {"lhs": repr(zs), "rhs": repr(z0)})
+                    record("symmetry", zs == z0, lhs=zs, rhs=z0)
             flipped = [-ws[0]] + ws[1:]
             zf = gen_sum_Z(N, flipped, s, beta)
-            record("sign_flip", zf == -z0, {"lhs": repr(zf), "rhs": repr(-z0)})
+            record("sign_flip", zf == -z0, lhs=zf, rhs=-z0)
             inverted = [inv(ws[0])] + ws[1:]
             lhs = bracket(inv(s) * ws[0]) * gen_sum_Z(N, inverted, s, beta)
             rhs = bracket(inv(s) * inv(ws[0])) * z0
-            record("inversion", lhs == rhs, {"lhs": repr(lhs), "rhs": repr(rhs)})
+            record("inversion", lhs == rhs, lhs=lhs, rhs=rhs)
         except DegeneratePointError:
+            rep.skipped += 1
             continue
-        ran += 1
 
-        if ran <= _INTERP_TRIALS:
+        if t - rep.skipped < _INTERP_TRIALS:
             poly = gen_sum_Z_poly_in_w(N, ws, 1, s, beta)
             rng_w = poly.degree_range("w")
-            record("degree_width", _centred_within(rng_w, 2 * (2 * N - 3)),
-                   {"range": str(rng_w)})
+            record("degree_width", _centred_within(rng_w, 2 * (2 * N - 3)), range=rng_w)
             for z in (s, -s):
                 record("zero_at_sqrt_q", not poly.eval_at({"w": z}))
             if N % 2:
                 for z in (inv(q), -inv(q)):
                     record("zero_at_inv_q", not poly.eval_at({"w": z}))
 
-            # rescaled sum: even inversion-symmetric polynomial of width <= 8(n-1)
-            ypoly = div_exact_univar(poly, y_divisor(N, [MultiLaurent.var("w")], s), "w")
-            rng_y = ypoly.degree_range("w")
-            record("y_even", all(e[0] % 2 == 0 for e in ypoly.terms))
-            record("y_inversion",
-                   all(ypoly.terms.get((-e[0],), 0) == c
-                       for e, c in ypoly.terms.items()))
-            record("y_width", _centred_within(rng_y, 8 * (n - 1)), {"range": str(rng_y)})
+            # rescaled sum: a polynomial (the divisor leaves no remainder),
+            # even and inversion-symmetric, of width <= 8(n-1)
+            try:
+                ypoly = div_exact_univar(poly, y_divisor(N, [MultiLaurent.var("w")], s), "w")
+            except DomainError:
+                ypoly = None
+            record("y_polynomial", ypoly is not None)
+            if ypoly is not None:
+                rng_y = ypoly.degree_range("w")
+                record("y_even", all(e[0] % 2 == 0 for e in ypoly.terms))
+                record("y_inversion",
+                       all(ypoly.terms.get((-e[0],), 0) == c
+                           for e, c in ypoly.terms.items()))
+                record("y_width", _centred_within(rng_y, 8 * (n - 1)), range=rng_y)
 
             # reduction at w_1 = i q^{1/2}
             wi = _I * s
@@ -669,8 +698,7 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
             for w in ws[1:]:
                 yrhs = yrhs * brace(s ** 3 * w) ** 2 * brace(s ** 3 * inv(w)) ** 2
             yrhs = yrhs * rescaled_Y(N - 2, ws[1:], s, beta)
-            record("reduction_half_turn", ylhs == yrhs,
-                   {"lhs": repr(ylhs), "rhs": repr(yrhs)})
+            record("reduction_half_turn", ylhs == yrhs, lhs=ylhs, rhs=yrhs)
 
             if N >= 4 and n >= 2:
                 poly2 = gen_sum_Z_poly_in_w(N, ws, 2, s, beta)
@@ -683,13 +711,11 @@ def check_Z_properties(N: int, trials: int = 20, seed: int = 42) -> dict:
                              * bracket(q * q * w * inv(ws[0]))
                              * bracket(q * q * inv(ws[0]) * inv(w))) ** 2
                 yrhs2 = f * rescaled_Y(N - 4, ws[2:], s, beta)
-                record("reduction_pair", ylhs2 == yrhs2,
-                       {"lhs": repr(ylhs2), "rhs": repr(yrhs2)})
+                record("reduction_pair", ylhs2 == yrhs2, lhs=ylhs2, rhs=yrhs2)
 
-    if not ran:
-        fails.append({"property": "no_trials_ran", "N": N, "info": {"skipped": trials}})
-    return {"property": "z_properties", "N": N, "trials": trials, "skipped": trials - ran,
-            "pass": not fails, "subchecks": sub, "failures": fails}
+    if rep.skipped == trials:
+        rep.fail(property="no_trials_ran")
+    return rep
 
 
 def _f_reduction(N: int, w, s, beta) -> GaussianRational:

@@ -4,16 +4,21 @@ Values are small Gaussian rationals with numerators and denominators bounded
 by 20 in absolute value.  Site-value tuples are rejected until they avoid the
 pole-collision set of the residue evaluation: pairwise z_i != +-z_j, ratios
 z_i/z_j != +-q^{+-1}, and products z_i z_j != +-1/q^2 (including i = j).
+
+The report every sampled checker returns, `TheoremReport`, lives here too:
+the modules that draw points import this one, and it imports none of them.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import DegeneratePointError, GaussianRational, inv
+from .exact import DegeneratePointError, GaussianRational, UsageError, inv
 
-__all__ = ["ExactSampler", "half_sites", "z_point_degenerate"]
+__all__ = ["ExactSampler", "TheoremReport", "half_sites", "z_point_degenerate"]
 
 _I = GaussianRational(0, 1)
 _BOUND = 20            # numerators and denominators are drawn from 1.._BOUND
@@ -120,3 +125,41 @@ class ExactSampler:
             ws = tuple(self.nonzero() for _ in range(n))
             if not z_point_degenerate(half_sites(ws, N % 2), s):
                 return ws
+
+
+@dataclass
+class TheoremReport:
+    """The outcome of one verification: a statement checked at the given
+    params, passed unless a comparison failed.  `skipped` counts trials that
+    met a degenerate point and `subchecks` the comparisons made, by name."""
+    statement: str
+    params: dict
+    passed: bool = True
+    failures: list = field(default_factory=list)
+    skipped: int = 0
+    subchecks: dict = field(default_factory=dict)
+
+    def fail(self, **info):
+        """Record a failed comparison; a value JSON holds as it is (a str or
+        an int) is kept, anything else is recorded as its repr."""
+        self.passed = False
+        self.failures.append({k: v if isinstance(v, (str, int)) else repr(v)
+                              for k, v in info.items()})
+
+    def to_json_line(self) -> str:
+        """The `xtl verify` line: statement, params, pass and the first five
+        failures (the report keeps them all)."""
+        return json.dumps({"statement": self.statement, "params": self.params,
+                           "pass": self.passed, "failures": self.failures[:5]},
+                          sort_keys=True)
+
+
+def _sampled(statement: str, trials: int, seed: int, least: int = 0, **size):
+    """The report and the sampler of a check over `trials` sampled points at
+    one size; a check of no points, or at a size below `least` (where it has
+    nothing to check), would pass without doing its work, so it is refused."""
+    (name, value), = size.items()
+    if trials < 1 or value < least:
+        raise UsageError(f"need {name} >= {least} and trials >= 1")
+    return (TheoremReport(statement, {**size, "trials": trials, "seed": seed}),
+            ExactSampler(seed))

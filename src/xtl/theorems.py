@@ -9,43 +9,14 @@ exactly equal; failures carry the witnesses.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .contour import ChainShape, sum_components, tsasm_count_integral
-from .exact import GaussianRational, MultiLaurent, UsageError, bracket, brace, inv
-from .sampling import ExactSampler
+from .exact import GaussianRational, MultiLaurent, bracket, brace, inv
+from .sampling import TheoremReport, _sampled
 from .sixvertex import rescaled_YY
 from .tsasm import _lemma_point, _staircase, enumerate_tsasm, genfun
 
-__all__ = ["TheoremReport", "check_relation_SZ", "check_Y_equals_YY",
+__all__ = ["check_relation_SZ", "check_Y_equals_YY",
            "check_gf_lemma", "check_main_theorem", "check_corollaries"]
-
-
-@dataclass
-class TheoremReport:
-    statement: str
-    params: dict
-    passed: bool = True
-    failures: list = field(default_factory=list)
-
-    def fail(self, **info):
-        self.passed = False
-        self.failures.append({k: repr(v) for k, v in info.items()})
-
-    def to_json_line(self) -> str:
-        return json.dumps({"statement": self.statement, "params": self.params,
-                           "pass": self.passed, "failures": self.failures},
-                          sort_keys=True)
-
-
-def _sampled(statement: str, trials: int, seed: int, **size):
-    """The report and the sampler of a check over `trials` sampled points; a
-    check of no points would pass without doing its work, so it is refused."""
-    if trials < 1:
-        raise UsageError("trials must be at least 1")
-    return (TheoremReport(statement, {**size, "trials": trials, "seed": seed}),
-            ExactSampler(seed))
 
 
 def _xtau(s, beta):
@@ -100,9 +71,7 @@ def check_Y_equals_YY(N: int, trials: int = 20, seed: int = 42) -> TheoremReport
 def check_gf_lemma(n: int, trials: int = 20, seed: int = 42) -> TheoremReport:
     """The homogeneous staircase partition function reproduces the generating
     function at tau = -{q}, for both boundary parities of size n."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    rep, rng = _sampled("generating_function_from_partition", trials, seed, n=n)
+    rep, rng = _sampled("generating_function_from_partition", trials, seed, 1, n=n)
     cases = [(N, _staircase(N)[1]) for N in (2 * n, 2 * n + 1)]
     gfs = {N: genfun(N) for N, _ in cases}
     for _ in range(trials):

@@ -110,7 +110,7 @@ def test_criterion_08_sum_property_suite():
     t0 = time.time()
     for N in range(2, 7):
         rep = check_Z_properties(N, trials=20, seed=42)
-        assert rep["pass"], (N, rep["failures"][:2])
+        assert rep.passed, (N, rep.failures[:2])
     _report(8, "generalized-sum property suite, N <= 6", t0, 300)
 
 

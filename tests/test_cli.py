@@ -544,3 +544,87 @@ def test_verify_exchange_loads_only_the_modules_it_runs():
     assert len(rep["blocks"]) == 16
     for block in rep["blocks"]:
         assert block in golden
+
+
+def _smallest_job(kind):
+    """The smallest job of a suite at --trials 1."""
+    suite = cli._SUITES[kind]
+    jobs = [(kind, p) for p in suite.jobs(max(suite.min_n, 0), 1, 42)]
+    return min(jobs, key=cli._job_size)
+
+
+def test_every_suite_reports_through_one_report_type(monkeypatch):
+    # each suite's checker returns the one report type, and its line holds
+    # exactly the four keys; check_yb_identities keeps its dict of families
+    # (the benchmark compares it with ==) and is the one conversion
+    from xtl.sampling import TheoremReport
+    returned = {}
+    for kind, suite in cli._SUITES.items():
+        def check(mod, kind=kind, pick=suite.check):
+            fn = pick(mod)
+            return lambda **p: returned.setdefault(kind, fn(**p))
+        monkeypatch.setitem(cli._SUITES, kind, suite._replace(check=check))
+    for kind in list(cli._SUITES):
+        passed, line = cli._run_job(_smallest_job(kind))
+        rep = json.loads(line)
+        assert passed is True and set(rep) == {"statement", "params", "pass", "failures"}
+        assert rep["pass"] is True and rep["failures"] == []
+    assert set(returned) == set(cli._SUITES)
+    assert {k for k, r in returned.items() if not isinstance(r, TheoremReport)} == {"ybe"}
+
+
+def _double_last_psi_component(monkeypatch):
+    from xtl import qkz
+    from xtl.operators import SpinVector
+    real = qkz.psi_vector
+
+    def faulty(N, zs, s, beta):
+        amps = dict(real(N, zs, s, beta).amps)
+        amps[max(amps)] = amps[max(amps)] * 2
+        return SpinVector(N, amps)
+
+    monkeypatch.setattr(qkz, "psi_vector", faulty)
+
+
+def _double_r_bulk_entry(monkeypatch):
+    from xtl import sixvertex
+    real = sixvertex.r_bulk
+
+    def faulty(z, s):
+        m = real(z, s)
+        return ((m[0][0] * 2,) + m[0][1:],) + m[1:]
+
+    monkeypatch.setattr(sixvertex, "r_bulk", faulty)
+
+
+@pytest.mark.parametrize("plant,kind,size", [
+    (_double_last_psi_component, "exchange", ["--max-N", "4", "--trials", "2"]),
+    (_double_last_psi_component, "reduction", ["--max-N", "4", "--trials", "2"]),
+    (_double_last_psi_component, "zprops", ["--max-N", "3", "--trials", "2"]),
+    (_double_last_psi_component, "yandyy", ["--max-N", "3", "--trials", "2"]),
+    (_double_r_bulk_entry, "ybe", ["--trials", "1"]),
+])
+def test_planted_fault_fails_its_suite(monkeypatch, plant, kind, size):
+    # a fault planted in a route the suite compares: every job line that
+    # catches it says "pass": false with at most 5 failures, and verify exits 1
+    plant(monkeypatch)
+    argv = ["verify", "--suite", kind, *size, "--threads", "1"]
+    jobs = cli._suite_jobs(cli._build_parser().parse_args(argv))
+    results = [cli._run_job(job) for job in jobs]
+    assert not all(passed for passed, _ in results)
+    for passed, line in results:
+        rep = json.loads(line)
+        assert rep["pass"] is passed and len(rep["failures"]) <= 5
+        assert passed or rep["failures"]
+    code, out = run_cli(argv)
+    assert code == 1 and out.splitlines() == [line for _, line in results]
+
+
+def test_a_line_prints_the_first_five_failures(monkeypatch):
+    from xtl import qkz
+    _double_last_psi_component(monkeypatch)
+    rep = qkz.check_exchange_sweep(4, trials=2, seed=42)
+    assert len(rep.failures) > 5
+    assert json.loads(rep.to_json_line())["failures"] == rep.failures[:5]
+    job = ("exchange", {"max_n": 4, "trials": 2, "seed": 42})
+    assert cli._run_job(job) == (False, rep.to_json_line())

@@ -9,8 +9,8 @@ from xtl.contour import psi_components, sum_components
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        MultiLaurent, UsageError, bracket, brace, format_scalar, inv)
 from xtl.operators import SpinVector, r_check_exchange
-from xtl.qkz import (check_exchange_and_reflection, check_psi_reduction,
-                     check_Z_properties, gen_sum_Z, gen_sum_Z_homogeneous,
+from xtl.qkz import (check_exchange_and_reflection, check_exchange_sweep, check_psi_reduction,
+                     check_reduction_sweep, check_Z_properties, gen_sum_Z, gen_sum_Z_homogeneous,
                      gen_sum_Z_poly_in_w, psi_vector, psi_vector_homogeneous, psi_vector_poly_in_z,
                      rescaled_Y, y_divisor)
 from xtl.sampling import ExactSampler, half_sites, z_point_degenerate
@@ -640,14 +640,14 @@ def test_w_point_rejects_each_divisor_zero(N, w):
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_z_property_suite(N):
     rep = check_Z_properties(N, trials=4, seed=5)
-    assert rep["pass"], rep["failures"][:2]
-    expected = {"sign_flip", "inversion", "degree_width", "zero_at_sqrt_q",
+    assert rep.passed, rep.failures[:2]
+    expected = {"sign_flip", "inversion", "degree_width", "zero_at_sqrt_q", "y_polynomial",
                 "y_even", "y_inversion", "y_width", "reduction_half_turn"}
     if N >= 4:
         expected |= {"symmetry", "reduction_pair"}
     if N % 2:
         expected |= {"zero_at_inv_q"}
-    assert expected <= set(rep["subchecks"]), rep["subchecks"]
+    assert expected <= set(rep.subchecks), rep.subchecks
 
 
 @pytest.mark.parametrize("N,trials", [(1, 4), (0, 4), (3, 0), (3, -1)])
@@ -665,8 +665,26 @@ def test_z_properties_fail_without_the_odd_size_divisor(monkeypatch, N):
     real = qkz.y_divisor
     monkeypatch.setattr(qkz, "y_divisor", lambda N, ws, s: real(0, ws, s))
     rep = check_Z_properties(N, trials=2, seed=3)
-    failed = {f["property"] for f in rep["failures"]}
+    failed = {f["property"] for f in rep.failures}
     assert {"y_width", "reduction_half_turn"} <= failed, failed
+
+
+def test_z_properties_report_a_sum_the_divisor_leaves_a_remainder_of(monkeypatch):
+    # a fault in the vector breaks the forced zeros, so the rescaling divisor
+    # no longer divides the sum: that is a failed subcheck, not an exception
+    from xtl import qkz
+    real = qkz.psi_vector
+
+    def doubled_last(N, zs, s, beta):
+        amps = dict(real(N, zs, s, beta).amps)
+        amps[max(amps)] = amps[max(amps)] * 2
+        return SpinVector(N, amps)
+
+    monkeypatch.setattr(qkz, "psi_vector", doubled_last)
+    rep = check_Z_properties(3, trials=1, seed=42)
+    assert not rep.passed and rep.subchecks["y_polynomial"] == 1
+    assert {"property": "y_polynomial"} in rep.failures
+    assert "y_even" not in rep.subchecks
 
 
 def _gen_sum_raising(monkeypatch, failing_calls):
@@ -687,24 +705,26 @@ def test_z_properties_count_a_skipped_trial(monkeypatch):
     # interpolation subchecks run on the next trial instead
     _gen_sum_raising(monkeypatch, {1})
     rep = check_Z_properties(3, trials=2, seed=5)
-    assert rep["pass"], rep["failures"][:2]
-    assert rep["skipped"] == 1
-    assert rep["subchecks"]["sign_flip"] == 1
-    assert rep["subchecks"]["degree_width"] == 1
+    assert rep.passed, rep.failures[:2]
+    assert rep.skipped == 1
+    assert rep.subchecks["sign_flip"] == 1
+    assert rep.subchecks["degree_width"] == 1
 
 
 def test_z_properties_fail_when_every_trial_is_skipped(monkeypatch):
     _gen_sum_raising(monkeypatch, range(1, 10 ** 6))
     rep = check_Z_properties(3, trials=3, seed=5)
-    assert not rep["pass"] and rep["skipped"] == 3 and rep["subchecks"] == {}
-    assert [f["property"] for f in rep["failures"]] == ["no_trials_ran"]
+    assert not rep.passed and rep.skipped == 3 and rep.subchecks == {}
+    assert [f["property"] for f in rep.failures] == ["no_trials_ran"]
 
 
 def test_report_shape_is_json_ready():
     import json
     rep = check_Z_properties(2, trials=2, seed=9)
-    json.dumps(rep)
-    assert {"property", "N", "trials", "skipped", "pass", "failures"} <= set(rep)
+    line = json.loads(rep.to_json_line())
+    assert set(line) == {"statement", "params", "pass", "failures"}
+    assert line["statement"] == "generalized_sum_properties_N2" and line["pass"] is True
+    assert line["params"] == {"N": 2, "trials": 2, "seed": 9} and rep.skipped == 0
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -721,3 +741,49 @@ def test_interpolation_windows_are_attained(N):
     assert (min(halves), max(halves)) == (-(N // 2), (N - 1) // 2)
     ws = list(rng.w_point(N, s))
     assert gen_sum_Z_poly_in_w(N, ws, 1, s, beta).degree_range("w") == (3 - 2 * N, 2 * N - 3)
+
+
+# ---------------------------------------------------------------------------
+# the exchange and reduction sweeps
+# ---------------------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.txt"
+
+
+@pytest.mark.parametrize("sweep,check,seed", [
+    (check_exchange_sweep, "check_exchange_and_reflection", 42),
+    (check_reduction_sweep, "check_psi_reduction", 43)])
+def test_sweep_line_is_the_cli_line(monkeypatch, sweep, check, seed):
+    # `xtl verify --suite exchange|reduction --max-N 4 --trials 2` prints this
+    # line (reduction runs at seed + 1); the sweep checks each of 2 trials at
+    # every i < N for N = 2..4
+    from xtl import qkz
+    real, calls = getattr(qkz, check), []
+    monkeypatch.setattr(qkz, check, lambda *a: calls.append(a[:2]) or real(*a))
+    rep = sweep(4, trials=2, seed=seed)
+    assert rep.to_json_line() in GOLDEN.read_text().splitlines()
+    assert calls == [(N, i) for N in (2, 3, 4) for _ in range(2) for i in range(1, N)]
+
+
+@pytest.mark.parametrize("sweep", [check_exchange_sweep, check_reduction_sweep])
+@pytest.mark.parametrize("max_n,trials", [(1, 2), (0, 2), (3, 0), (3, -1)])
+def test_sweeps_refuse_requests_that_check_nothing(sweep, max_n, trials):
+    with pytest.raises(UsageError):
+        sweep(max_n, trials=trials, seed=5)
+
+
+def test_reduction_refuses_an_inexact_value_in_the_slot_it_replaces():
+    # check_psi_reduction(N, 1, ...) interpolates in z_2, so it never reads
+    # zs[1]: the value must still be exact
+    zs = list(ExactSampler(7705).z_point(3, S))
+    zs[1] = 0.5
+    with pytest.raises(UsageError, match="not an exact scalar"):
+        check_psi_reduction(3, 1, zs, S, BETA)
+    with pytest.raises(UsageError, match="not an exact scalar"):
+        psi_vector_poly_in_z(3, zs, 2, S, BETA)
+
+
+def test_sum_in_w_refuses_an_inexact_value_in_the_slot_it_replaces():
+    ws = list(ExactSampler(7708).w_point(4, S))
+    with pytest.raises(UsageError, match="not an exact scalar"):
+        gen_sum_Z_poly_in_w(4, [0.25, ws[1]], 1, S, BETA)
