@@ -13,8 +13,9 @@ scalars; basis index b has the spin of site i (1-indexed, site 1 most
 significant) in bit (L - i), with up = 0 and down = 1; `act` applies local
 matrices to them in Gaussian integers over one tracked denominator.
 `SpinVector` is the one sparse form, keyed by down-spin position tuples over
-any exact ring; the chain Hamiltonian and the qKZ relation checks act
-through it.
+any exact ring; its `apply` takes one operator of `act`'s list, so the chain
+Hamiltonian and the qKZ relation checks act in the same convention.  Both
+refuse an operator whose sites are out of range or repeated.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bra
 
 __all__ = [
     "SpinVector", "word_index", "index_word",
-    "act", "apply_one_site", "apply_two_site", "mat2_mul",
+    "act", "apply_one_site", "apply_two_site",
     "r_check_exchange", "k_boundary",
-    "r_bulk", "r_check_bulk", "k_corner", "det_k_corner", "chi_covector",
+    "r_bulk", "r_check_bulk", "k_corner", "chi_covector",
     "basis_vector",
 ]
 
@@ -82,6 +83,14 @@ def _collect(out: dict, terms) -> dict:
     return out
 
 
+def _check_sites(m, sites, L: int) -> None:
+    """Refuse an operator unless its sites are distinct sites of 1..L, one
+    for a 2x2 matrix and two for a 4x4."""
+    if (len(m) != {1: 2, 2: 4}.get(len(sites)) or len(set(sites)) < len(sites)
+            or not all(p in range(1, L + 1) for p in sites)):
+        raise UsageError(f"bad sites {tuple(sites)} for a {len(m)}x{len(m)} matrix on N={L}")
+
+
 @dataclass(frozen=True)
 class SpinVector:
     """Sparse vector on N sites indexed by strictly increasing down-spin
@@ -112,33 +121,33 @@ class SpinVector:
             return SpinVector(self.N, {})
         return SpinVector(self.N, {k: v * c for k, v in self.amps.items()})
 
-    def apply_one_site(self, m2, i: int) -> "SpinVector":
-        """Apply a 2x2 matrix (rows = out, cols = in) on site i."""
-        def terms():
-            for key, amp in self.amps.items():
-                down = i in key
-                rest = tuple(p for p in key if p != i)
-                for row in (0, 1):
-                    coef = m2[row][down]
-                    if coef:
-                        yield key if row == down else tuple(sorted(rest + (i,) * row)), coef * amp
-        return SpinVector(self.N, _collect({}, terms()))
+    def apply(self, m, *sites) -> "SpinVector":
+        """Apply one operator as `act` does: a 2x2 matrix on site i or a 4x4
+        matrix on the ordered pair (i, j); rows are out, cols in, in the order
+        u, d and uu, ud, du, dd for (site i, site j)."""
+        _check_sites(m, sites, self.N)
+        k = len(sites)
+        # downs[x]: the sites that row or column x puts down, site i first
+        downs = [tuple(p for b, p in enumerate(sites) if x >> (k - 1 - b) & 1)
+                 for x in range(len(m))]
+        cols = [[(r, downs[r], row[c]) for r, row in enumerate(m) if row[c]]
+                for c in range(len(m))]
 
-    def apply_two_site(self, m4, i: int) -> "SpinVector":
-        """Apply a 4x4 matrix on adjacent sites (i, i+1); row/col order uu, ud, du, dd."""
         def terms():
             for key, amp in self.amps.items():
-                col = 2 * (i in key) + (i + 1 in key)
-                rest = tuple(p for p in key if p != i and p != i + 1)
-                for row in range(4):
-                    coef = m4[row][col]
-                    if coef:
-                        add = (i,) * (row >> 1) + (i + 1,) * (row & 1)
-                        yield key if row == col else tuple(sorted(rest + add)), coef * amp
+                col = 0
+                for p in sites:
+                    col += col + (p in key)
+                rest = tuple(p for p in key if p not in sites)
+                for row, add, coef in cols[col]:
+                    yield key if row == col else tuple(sorted(rest + add)), coef * amp
         return SpinVector(self.N, _collect({}, terms()))
 
     def insert_singlet(self, i: int) -> "SpinVector":
         """Map a vector on N-2 sites to N sites by inserting ud - du at (i, i+1)."""
+        if i not in range(1, self.N + 2):
+            raise UsageError(f"bad singlet site {i} for N={self.N + 2}")
+
         def terms():
             for key, amp in self.amps.items():
                 shifted = tuple(p if p < i else p + 2 for p in key)
@@ -164,6 +173,8 @@ def act(vec, ops, L: int) -> list:
     every amplitude, zeros included, goes back to GaussianRational with one
     gcd.
     """
+    for m, *sites in ops:
+        _check_sites(m, sites, L)
     re, im, d = gaussian_ints(vec)
     for m, *sites in ops:
         cols, md = _columns(m)
@@ -227,13 +238,6 @@ def _apply(re, im, cols, offs):
     return ore, oim
 
 
-def mat2_mul(a, b):
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(2)), GaussianRational(0))
-              for c in range(2))
-        for r in range(2))
-
-
 # ---------------------------------------------------------------------------
 # the exchange-normalized crossing and boundary matrices
 # ---------------------------------------------------------------------------
@@ -294,11 +298,6 @@ def k_corner(z, s, t):
     _exact(t)
     c = brace(s * z) * inv(brace(s))
     return ((t, c), (c, t))
-
-
-def det_k_corner(z, s, t):
-    k = k_corner(z, s, t)
-    return k[0][0] * k[1][1] - k[0][1] * k[1][0]
 
 
 def chi_covector(w, s):

@@ -537,13 +537,13 @@ def check_exchange_and_reflection(N: int, i: int, zs: Sequence, s, beta) -> dict
 
     swapped = list(zs)
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    lhs = base.apply_two_site(r_check_exchange(zs[i - 1] * inv(zs[i]), s), i)
+    lhs = base.apply(r_check_exchange(zs[i - 1] * inv(zs[i]), s), i, i + 1)
     rhs = psi_vector(N, swapped, s, beta)
     if lhs != rhs:
         fails.append({"relation": "exchange", "i": i})
 
     reflected = [inv(zs[0])] + list(zs[1:])
-    lhs2 = base.apply_one_site(k_boundary(inv(zs[0]), beta), 1)
+    lhs2 = base.apply(k_boundary(inv(zs[0]), beta), 1)
     rhs2 = psi_vector(N, reflected, s, beta)
     if lhs2 != rhs2:
         fails.append({"relation": "left_reflection"})

@@ -40,9 +40,8 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .exact import DomainError, GaussianRational, UsageError, bracket, brace, inv
-from .operators import (act, basis_vector, chi_covector, det_k_corner, index_word,
-                        k_boundary, k_corner, mat2_mul, r_bulk, r_check_bulk,
-                        r_check_exchange, word_index)
+from .operators import (act, basis_vector, chi_covector, index_word, k_boundary, k_corner,
+                        r_bulk, r_check_bulk, r_check_exchange, word_index)
 from .sampling import ExactSampler, half_sites
 
 __all__ = [
@@ -584,15 +583,16 @@ def _braid_lowest_trial(rng):
 
 def _corner_matrix_trial(rng):
     """k_corner at -i/s is t times the identity, and k(1/w) k(-w/q) is
-    det k(1/w) times the identity."""
+    det k(1/w) times the identity, on both basis vectors end to end."""
     s, t = rng.s_value(), rng.nonzero()
     w = rng.nonzero()
     q = s * s
-    i_unit = GaussianRational(0, 1)
-    det = det_k_corner(inv(w), s, t)
-    return ((k_corner(-i_unit * inv(s), s, t),
-             mat2_mul(k_corner(inv(w), s, t), k_corner(-inv(q) * w, s, t))),
-            (((t, 0), (0, t)), ((det, 0), (0, det))))
+    k = k_corner(inv(w), s, t)
+    det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
+    vec = basis_vector("u") + basis_vector("d")
+    return ((act(vec, [(k_corner(-GaussianRational(0, 1) * inv(s), s, t), 1)], 1),
+             act(vec, [(k_corner(-inv(q) * w, s, t), 1), (k, 1)], 1)),
+            ([t * x for x in vec], [det * x for x in vec]))
 
 
 def _nu_cov(w, s, b):

@@ -45,17 +45,17 @@ def apply_hamiltonian_sector(N: int, x, amps: Mapping[tuple, Fraction]) -> dict:
     """Apply the Hamiltonian to a vector given by down-position amplitudes.
 
     The result stays in the same magnetization sector: it is the sum of the
-    neighbour coupling on each adjacent pair and of diag(p, -p) on site 1 and
-    diag(p', -p') on site N, each applied to the same vector.
+    terms, diag(p, -p) on site 1, diag(p', -p') on site N and the neighbour
+    coupling on each adjacent pair, each an operator of `act`'s form applied
+    to the same vector.
     """
     if N < 1:
         raise UsageError("N must be >= 1")
     p, pp = _boundary_fields(x)
     vec = SpinVector.make(N, amps)
-    hv = vec.apply_one_site(((p, 0), (0, -p)), 1) + vec.apply_one_site(((pp, 0), (0, -pp)), N)
-    for i in range(1, N):
-        hv = hv + vec.apply_two_site(_NEIGHBOUR, i)
-    return hv.amps
+    terms = [(((p, 0), (0, -p)), 1), (((pp, 0), (0, -pp)), N)]
+    terms += [(_NEIGHBOUR, i, i + 1) for i in range(1, N)]
+    return sum((vec.apply(*op) for op in terms), SpinVector(N, {})).amps
 
 
 def eigenvalue_E(N: int, x) -> Fraction:

@@ -125,8 +125,10 @@ def check_main_theorem(N: int) -> TheoremReport:
     return rep
 
 
-# the largest N at which check_corollaries runs parts (b), (c) and (d): each
-# enumerates the TSASMs of order 2N+1 or 2N+3
+# the largest N at which check_corollaries runs parts (b), (c) and (d): (b)
+# and (c) enumerate the TSASMs of order 2N+1 and 2N+3, while (d) compares
+# only genfun(N) with genfun(N + 1), which holds in under half a second for
+# every N up to 10
 _COUNT_MAX, _SUSY_MAX, _SHIFT_MAX = 6, 5, 5
 
 

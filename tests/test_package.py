@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -294,3 +296,23 @@ def test_benchmark_tracer_finds_every_traced_binding():
     r = subprocess.run([sys.executable, "-c", _TRACER_INSTALL, str(ROOT / "perfbench")],
                        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert r.returncode == 0, r.stderr
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("negative", [False, True], ids=["checks", "negative_control"])
+def test_benchmark_ops_pass_and_their_negative_control_fails(negative):
+    # each benchmark op compares a result shape exactly (the qkz check dicts,
+    # the yang-baxter family dict, EigenReport.to_json()), so changing one of
+    # those shapes fails here, not only in a benchmark run
+    workloads = _benchmark_workloads()
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    verdicts = [(name, op.label, bool(op.check(op.run()))) for name in names
+                for op in workloads.build_ops(name, 3, "tiny", negative=negative, inprocess=True)]
+    assert {name for name, _, _ in verdicts} == set(names)
+    assert [(name, label) for name, label, ok in verdicts if ok == negative] == []

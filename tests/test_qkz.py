@@ -422,7 +422,7 @@ def test_exchange_negative_control():
     amps[(1,)] = base.amps.get((1,), 0) + 1
     perturbed = SpinVector.make(3, amps)
     swapped = [zs[1], zs[0], zs[2]]
-    lhs = perturbed.apply_two_site(r_check_exchange(zs[0] * zs[1].inverse(), S), 1)
+    lhs = perturbed.apply(r_check_exchange(zs[0] * zs[1].inverse(), S), 1, 2)
     assert lhs != psi_vector(3, swapped, S, BETA)
 
 
@@ -462,7 +462,7 @@ def test_sign_rule_under_negating_one_site_value(N):
     for k in range(1, N + 1):
         flipped = list(zs)
         flipped[k - 1] = -flipped[k - 1]
-        assert psi_vector(N, flipped, s, beta) == base.apply_one_site(_FLIP, k), k
+        assert psi_vector(N, flipped, s, beta) == base.apply(_FLIP, k), k
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -474,7 +474,7 @@ def test_sign_rule_on_the_homogeneous_curve(N):
     lhs = psi_vector(N, [(-lam) ** k for k in range(N)], s, beta)
     rhs = psi_vector(N, [lam ** k for k in range(N)], s, beta)
     for k in range(2, N + 1, 2):
-        rhs = rhs.apply_one_site(_FLIP, k)
+        rhs = rhs.apply(_FLIP, k)
     assert lhs == rhs
 
 

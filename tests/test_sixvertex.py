@@ -8,7 +8,7 @@ from xtl import sixvertex
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        MultiLaurent as ML, UsageError, abscissa_sweep, bracket, brace,
                        div_exact_univar, interpolate_along, inv)
-from xtl.operators import act, r_bulk, r_check_bulk
+from xtl.operators import SpinVector, act, basis_vector, r_bulk, r_check_bulk
 from xtl.sampling import ExactSampler
 from xtl.sixvertex import (_column_steps, _transition_table, alpha_minus, alpha_plus,
                            check_yb_identities, config_weight, enumerate_configs,
@@ -217,6 +217,19 @@ def test_negative_control_negated_turning_weight(monkeypatch):
     assert any(enum[w] != alg[w] for w in enum)
 
 
+def test_dual_route_sees_a_doubled_corner_off_diagonal(monkeypatch):
+    # the yang-baxter families cannot see this fault (see _PERTURBED); the
+    # operator stack reads k_corner and the automaton does not
+    monkeypatch.setattr(sixvertex, "k_corner",
+                        _scaled(sixvertex.k_corner, {(0, 1), (1, 0)}, 2))
+    rng = ExactSampler(3)
+    s, t = rng.s_value(), rng.nonzero()
+    zs = [rng.nonzero() for _ in range(4)]
+    enum = partition_enum_all_words(2, zs, s, t)
+    alg = partition_algebraic_all_words(2, zs, s, t)
+    assert len(enum) == 16 and all(enum[w] != alg[w] for w in enum)
+
+
 def test_overlap_closed_forms():
     w1 = ExactSampler(10106).w_point(2, S)[0]
     got = overlap_ZZ(1, [w1], S, T, B)
@@ -350,7 +363,10 @@ def _nu_ud_doubled(w, s, b, real=sixvertex._nu_cov):
 
 # (binding in sixvertex, perturbed replacement, the families it must break);
 # doubling the chi coefficient or swapping nu's ud/du entries is a symmetry of
-# the identities and breaks nothing, so neither is a control
+# the identities and breaks nothing, so neither is a control.  Nor is doubling
+# k_corner's off-diagonal: k(-i/s) has none, and k(1/w) k(-w/q) = det I
+# holds under any common scaling of it, so only the dual-route partition
+# functions see that fault (test_dual_route_sees_a_doubled_corner_off_diagonal)
 _PERTURBED = [
     ("r_bulk", _scaled(sixvertex.r_bulk, {(1, 1), (2, 2)}, 2),
      {"yang_baxter_bulk", "boundary_yang_baxter_bulk",
@@ -365,7 +381,7 @@ _PERTURBED = [
      {"yang_baxter_exchange", "chi_exchange", "chi_inversion"}),
     ("k_boundary", _scaled(sixvertex.k_boundary, {(1, 1)}, 2),
      {"boundary_yang_baxter_exchange"}),
-    ("k_corner", _scaled(sixvertex.k_corner, {(0, 1), (1, 0)}, 2),
+    ("k_corner", _scaled(sixvertex.k_corner, {(0, 0), (1, 1)}, 2),
      {"corner_matrix_identities"}),
     ("_nu_cov", _nu_ud_doubled, {"nu_exchange", "nu_inversion"}),
 ]
@@ -551,6 +567,17 @@ def test_act_equals_the_gaussian_rational_reference(L):
         assert [hash(x) for x in got] == [hash(x) for x in want]
         assert [repr(x) for x in got] == [repr(G(0) + x) for x in want]
         assert act(vec, ops, L) == got[:1 << L]
+        # SpinVector.apply folds the same ops on the vector read as down
+        # positions, the sparse kernel against the dense one
+        sparse = SpinVector.make(L, {_downs(b, L): v for b, v in enumerate(vec)})
+        for op in ops:
+            sparse = sparse.apply(*op)
+        assert sparse.amps == {_downs(b, L): v for b, v in enumerate(got[:1 << L]) if v}
+
+
+def _downs(b, L):
+    """The down-spin positions of basis index b on L sites."""
+    return tuple(i for i in range(1, L + 1) if b >> (L - i) & 1)
 
 
 def test_act_returns_gaussian_zeros_where_no_term_lands():
@@ -561,6 +588,36 @@ def test_act_returns_gaussian_zeros_where_no_term_lands():
     got = act(vec, ops, 2)
     assert got == [0, 0, 0, 0] and [type(x) for x in got] == [G, G, G, G]
     assert [type(x) for x in _reference_act(vec, ops, 2)] == [G, G, int, int]
+
+
+_M2 = ((1, 2), (3, 4))
+_M4 = tuple(tuple(range(4 * r + 1, 4 * r + 5)) for r in range(4))
+# (matrix, sites) on 3 sites, each refused before any arithmetic
+_BAD_SITES = {
+    "pair_past_the_end": (_M4, (3, 4)),
+    "site_past_the_end": (_M2, (5,)),
+    "site_L_plus_1": (_M2, (4,)),
+    "site_0": (_M2, (0,)),
+    "pair_from_0": (_M4, (0, 1)),
+    "repeated_pair": (_M4, (1, 1)),
+    "2x2_on_a_pair": (_M2, (1, 2)),
+    "4x4_on_one_site": (_M4, (2,)),
+}
+
+
+@pytest.mark.parametrize("m, sites", _BAD_SITES.values(), ids=_BAD_SITES)
+def test_an_operator_on_bad_sites_is_refused(m, sites):
+    with pytest.raises(UsageError):
+        act(basis_vector("udd"), [(_M2, 1), (m, *sites)], 3)
+    with pytest.raises(UsageError):
+        SpinVector.make(3, {(3,): 1, (1, 2): 2}).apply(m, *sites)
+
+
+@pytest.mark.parametrize("i", [0, 4])
+def test_a_singlet_on_bad_sites_is_refused(i):
+    # (i, i+1) must be sites of the N + 2 = 4 site result
+    with pytest.raises(UsageError):
+        SpinVector.make(2, {(1,): 1}).insert_singlet(i)
 
 
 def test_act_refuses_symbolic_values():

@@ -127,7 +127,7 @@ def test_spin_vector_keeps_the_ring_and_drops_zeros():
     assert v.amps == {(1,): X, (2,): Fraction(1, 2)}
     assert type(v.amps[(2,)]) is Fraction
     assert (v + SpinVector.make(2, {(1,): -X})).amps == {(2,): Fraction(1, 2)}
-    assert v.apply_one_site(((1, 0), (0, 0)), 1).amps == {(2,): Fraction(1, 2)}
+    assert v.apply(((1, 0), (0, 0)), 1).amps == {(2,): Fraction(1, 2)}
     assert v != SpinVector.make(2, {(1,): X})
     with pytest.raises(UsageError):
         SpinVector.make(2, {(2, 1): 1})
