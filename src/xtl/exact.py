@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -622,35 +623,123 @@ def _reindex(p: MultiLaurent, allv: list) -> dict:
 # exact interpolation and division helpers
 # ---------------------------------------------------------------------------
 
+# The weights of the latest abscissa set, (window, lo, (D, rows, scale)): one
+# call's keys share them, and so do consecutive calls along the same sweep.
+# Only one set is kept, so a large window's weights last until the next set.
+_latest_weights = None
+
+
+def _real_pairs(xs: Sequence[Scalar]) -> tuple:
+    """The abscissae as reduced (numerator, denominator) pairs, equal for equal
+    values whatever their types; a zero or non-real one is a UsageError."""
+    re, im, d = gaussian_ints(xs)
+    for k, b in enumerate(im):
+        if b:
+            raise UsageError(f"interpolation abscissa {format_scalar(xs[k])} is not real")
+    if not all(re):
+        raise UsageError("interpolation abscissae must be nonzero")
+    return tuple((a // g, d // g) for a, g in zip(re, (gcd(a, d) for a in re)))
+
+
+def _weights(xs: tuple, lo: int) -> tuple:
+    """Integer interpolation weights for exponents [lo, lo + len(xs) - 1] at
+    the abscissae xs, given as _real_pairs.
+
+    Returns (D, rows, scale).  For samples cleared to Gaussian integers y over
+    d, the polynomial's coefficient of var^(lo + j) is
+    sum_k rows[j][k] scale[k] y[k] / (D d): the weight matrix, kept as its
+    small integer rows times one integer per column.
+    """
+    global _latest_weights
+    latest = _latest_weights
+    if latest is not None and latest[1] == lo and latest[0] == xs:
+        return latest[2]
+    m = len(xs)
+    hi = lo + m - 1
+    if len(set(xs)) != m:
+        raise UsageError("interpolation abscissae must be distinct")
+    # Lagrange basis at x_k = p_k/q_k: l_k(x) = q_k^(m-1) M_k(x) / c_k, with
+    # the integer polynomial M_k = prod_{i != k} (q_i x - p_i), a quotient of
+    # the master polynomial M = prod_i (q_i x - p_i), and the integer
+    # c_k = prod_{i != k} (q_i p_k - p_i q_k).  Column k of the weights of
+    # x^-lo p(x) is M_k's coefficients times q_k^(m-1) x_k^-lo / c_k.
+    master = [1]  # coefficients of M, lowest first
+    for p, q in xs:
+        master = [q * b - p * a for a, b in zip(master + [0], [0] + master)]
+    cols, nums, dens = [], [], []
+    for k, (pk, qk) in enumerate(xs):
+        quot = [0] * m  # synthetic division of M by q_k x - p_k
+        b = 0
+        for j in range(m, 0, -1):
+            b = quot[j - 1] = (master[j] + pk * b) // qk
+        c = 1
+        for i, (p, q) in enumerate(xs):
+            if i != k:
+                c *= q * pk - p * qk
+        num = qk ** max(hi, 0) * pk ** max(-lo, 0)
+        den = c * qk ** max(-hi, 0) * pk ** max(lo, 0)
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        cols.append(quot)
+        nums.append(num // g)
+        dens.append(den // g)
+    D = lcm(*dens)
+    scale = [num * (D // den) for num, den in zip(nums, dens)]
+    g = gcd(D, *scale)
+    w = D // g, [list(row) for row in zip(*cols)], [c // g for c in scale]
+    _latest_weights = xs, lo, w
+    return w
+
+
+def _spare_checks(xs: tuple, lo: int, spare: tuple) -> list:
+    """One (row, f) per spare abscissa, given like xs as _real_pairs: for
+    samples at xs + spare cleared together to Gaussian integers y, the
+    polynomial through the window's samples takes the spare sample y_s at
+    that abscissa iff row . y[:len(xs)] == f y_s."""
+    D, rows, scale = _weights(xs, lo)
+    m = len(xs)
+    hi = lo + m - 1
+    checks = []
+    for p, q in spare:
+        # x^(lo + j) = p^j q^(m-1-j) / (p^-lo q^hi) at x = p/q: one more row
+        # of the weights, times the power of x the rows leave out
+        powers = [p ** j * q ** (m - 1 - j) for j in range(m)]
+        t = p ** max(lo, 0) * q ** max(-hi, 0)
+        row = [sum(map(mul, powers, col)) * c * t for col, c in zip(zip(*rows), scale)]
+        f = D * p ** max(-lo, 0) * q ** max(hi, 0)
+        g = gcd(f, *row)
+        checks.append(([r // g for r in row], f // g))
+    return checks
+
+
 def interpolate_laurent(var: str, xs: Sequence[Scalar], ys: Sequence, min_exp: int,
                         max_exp: int) -> MultiLaurent:
     """Recover the unique Laurent polynomial with exponents in [min_exp, max_exp]
-    from its exact values ys at distinct nonzero abscissae xs.
+    from its exact values ys at distinct nonzero real abscissae xs.
 
-    Needs len(xs) == max_exp - min_exp + 1.  Uses Newton divided differences on
-    the shifted ordinary polynomial x^{-min_exp} * p(x).
+    Needs len(xs) == max_exp - min_exp + 1.  The inverse Vandermonde matrix of
+    the shifted polynomial x^-min_exp p(x), cleared to integers over one
+    denominator D, is built once per abscissa set (`_weights`, which keeps the
+    latest set); ys are cleared to Gaussian integers over one denominator d and
+    scaled by the matrix's column factors, and each coefficient is then one
+    integer dot product over D d.  A non-real abscissa is a UsageError.
     """
     m = max_exp - min_exp + 1
     if len(xs) != m or len(ys) != m:
         raise UsageError(f"need exactly {m} sample points, got {len(xs)}")
-    pts = list(xs)
-    # equal exact scalars hash alike whatever their types
-    if len(set(pts)) != m:
-        raise UsageError("interpolation abscissae must be distinct")
-    shifted = [y * _power(p, -min_exp) for p, y in zip(pts, ys)]
-    # divided differences
-    dd = list(shifted)
-    for j in range(1, m):
-        for k in range(m - 1, j - 1, -1):
-            dd[k] = (dd[k] - dd[k - 1]) * inv(pts[k] - pts[k - j])
-    # expand Newton form to monomial coefficients: p <- p*(x - x_j) + dd[j]
-    coeffs = [GaussianRational(0)] * m
-    for j in range(m - 1, -1, -1):
-        for k in range(m - 1, 0, -1):
-            coeffs[k] = coeffs[k - 1] - coeffs[k] * pts[j]
-        coeffs[0] = dd[j] - coeffs[0] * pts[j]
-    terms = {(k + min_exp,): c for k, c in enumerate(coeffs) if c != 0}
-    return MultiLaurent((var,), terms)
+    D, rows, scale = _weights(_real_pairs(xs), min_exp)
+    re, im, d = gaussian_ints(ys)
+    re = list(map(mul, scale, re))
+    im = list(map(mul, scale, im)) if any(im) else None
+    dd = D * d
+    terms = {}
+    for e, row in enumerate(rows, min_exp):
+        a = sum(map(mul, row, re))
+        b = sum(map(mul, row, im)) if im else 0
+        if a or b:
+            terms[(e,)] = _normcoef(_reduced(a, b, dd))
+    return _raw((var,), terms)
 
 
 def interpolate_along(var: str, samples: Iterable, lo: int, hi: int, spare: int):
@@ -659,24 +748,30 @@ def interpolate_along(var: str, samples: Iterable, lo: int, hi: int, spare: int)
 
     y is a scalar, or a mapping in which a missing key means zero; then each
     key seen at any of the pairs is interpolated and {key: polynomial} is
-    returned.  Raises DomainError if a spare pair disagrees, i.e. the window
-    is too small.
+    returned.  Every x must be real.  The weights of `interpolate_laurent`
+    serve every key, and each spare check is one integer equality on the
+    key's samples cleared together.  Raises DomainError if a spare pair
+    disagrees, i.e. the window is too small.
     """
     m = hi - lo + 1
     pts = list(islice(samples, m + spare))
     if len(pts) != m + spare:
         raise UsageError(f"need {m + spare} sample points, got {len(pts)}")
     xs = [x for x, _ in pts]
+    window = xs[:m]
+    checks = _spare_checks(_real_pairs(window), lo, _real_pairs(xs[m:]))
     scalar = not isinstance(pts[0][1], Mapping)
     ys = [{None: y} if scalar else y for _, y in pts]
     out = {}
     for key in dict.fromkeys(k for y in ys for k in y):
         vals = [y.get(key, 0) for y in ys]
-        poly = interpolate_laurent(var, xs[:m], vals[:m], lo, hi)
-        for x, v in zip(xs[m:], vals[m:]):
-            if poly.eval_at({var: x}) != v:
-                raise DomainError(f"interpolation window [{lo}, {hi}] in {var} too small")
-        out[key] = poly
+        if checks:
+            re, im, _ = gaussian_ints(vals)
+            for s, (row, f) in enumerate(checks, m):
+                if (sum(map(mul, row, re)) != f * re[s]
+                        or sum(map(mul, row, im)) != f * im[s]):
+                    raise DomainError(f"interpolation window [{lo}, {hi}] in {var} too small")
+        out[key] = interpolate_laurent(var, window, vals[:m], lo, hi)
     return out[None] if scalar else out
 
 

@@ -1,5 +1,8 @@
 import json
+import random
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -20,6 +23,7 @@ from xtl.exact import (
     gaussian_ints,
     interpolate_along,
     interpolate_laurent,
+    inv,
     parse_scalar,
 )
 
@@ -358,6 +362,215 @@ def test_interpolate_along_mapping_missing_key_is_zero():
 def test_interpolate_along_needs_enough_samples():
     with pytest.raises(UsageError):
         interpolate_along("w", [(2, 1), (3, 1)], 0, 1, 1)
+
+
+# A test-only reference: the Newton divided-difference solve and the spare
+# check by evaluation that the cached integer weights replaced.
+
+def _newton_laurent(var, xs, ys, min_exp, max_exp):
+    m = max_exp - min_exp + 1
+    if len(xs) != m or len(ys) != m:
+        raise UsageError(f"need exactly {m} sample points, got {len(xs)}")
+    pts = list(xs)
+    if len(set(pts)) != m:
+        raise UsageError("interpolation abscissae must be distinct")
+    shift = -min_exp
+    dd = [y * (p ** shift if shift >= 0 else inv(p) ** -shift) for p, y in zip(pts, ys)]
+    for j in range(1, m):
+        for k in range(m - 1, j - 1, -1):
+            dd[k] = (dd[k] - dd[k - 1]) * inv(pts[k] - pts[k - j])
+    coeffs = [GaussianRational(0)] * m
+    for j in range(m - 1, -1, -1):
+        for k in range(m - 1, 0, -1):
+            coeffs[k] = coeffs[k - 1] - coeffs[k] * pts[j]
+        coeffs[0] = dd[j] - coeffs[0] * pts[j]
+    return MultiLaurent((var,), {(k + min_exp,): c for k, c in enumerate(coeffs) if c != 0})
+
+
+def _newton_along(var, samples, lo, hi, spare):
+    m = hi - lo + 1
+    pts = list(islice(samples, m + spare))
+    xs = [x for x, _ in pts]
+    scalar = not isinstance(pts[0][1], Mapping)
+    ys = [{None: y} if scalar else y for _, y in pts]
+    out = {}
+    for key in dict.fromkeys(k for y in ys for k in y):
+        vals = [y.get(key, 0) for y in ys]
+        poly = _newton_laurent(var, xs[:m], vals[:m], lo, hi)
+        for x, v in zip(xs[m:], vals[m:]):
+            if poly.eval_at({var: x}) != v:
+                raise DomainError(f"interpolation window [{lo}, {hi}] in {var} too small")
+        out[key] = poly
+    return out[None] if scalar else out
+
+
+def _typed(result):
+    """Terms with their coefficient types, so equal values of other types differ."""
+    if isinstance(result, dict):
+        return {k: _typed(p) for k, p in result.items()}
+    return {e: (type(c), c) for e, c in result.terms.items()}
+
+
+def _outcome(route, *args):
+    try:
+        return _typed(route(*args))
+    except DomainError:
+        return DomainError
+
+
+def _random_laurent(rng, lo, hi):
+    def part():
+        return Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7]))
+    return MultiLaurent(("w",), {(e,): GaussianRational(part(), part())
+                                 for e in range(lo, hi + 1) if rng.random() < 0.8})
+
+
+def _random_abscissae(rng, k):
+    xs = set()
+    while len(xs) < k:
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        if x:
+            xs.add(x)
+    xs = sorted(xs)
+    rng.shuffle(xs)
+    # the same values as int, Fraction and real GaussianRational
+    kinds = (lambda x: x, GaussianRational, lambda x: int(x) if x.denominator == 1 else x)
+    return [rng.choice(kinds)(x) for x in xs]
+
+
+@pytest.mark.parametrize("lo,hi", [(-3, 2), (-1, 4), (0, 0), (0, 3), (0, 6)])
+@pytest.mark.parametrize("spare", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_weights_equal_the_newton_reference(lo, hi, spare, seed):
+    rng = random.Random(f"{lo} {hi} {spare} {seed}")
+    m = hi - lo + 1
+    xs = _random_abscissae(rng, m + spare)
+    p = _random_laurent(rng, lo, hi)
+    ys = [p.eval_at({"w": x}) for x in xs]
+    assert _typed(interpolate_laurent("w", xs[:m], ys[:m], lo, hi)) == \
+        _typed(_newton_laurent("w", xs[:m], ys[:m], lo, hi)) == _typed(p)
+    # scalar samples, then mappings: a key missing at a pair where it
+    # vanishes, a key seen only at a spare pair (zero there, then not), and a
+    # key outside the window
+    q = _random_laurent(rng, lo, hi)
+    maps = [{"b": q.eval_at({"w": x})} for x in xs]
+    if hi > lo:
+        r = rng.randrange(m + spare)
+        a = (MultiLaurent.var("w") - xs[r]) * _random_laurent(rng, lo, hi - 1)
+        for k, x in enumerate(xs):
+            if k != r:
+                maps[k]["a"] = a.eval_at({"w": x})
+    cases = [list(zip(xs, ys)), list(zip(xs, maps))]
+    for extra in ([0], [1]) if spare else ():
+        late = [dict(y) for y in maps]
+        late[-1]["c"] = extra[0]
+        cases.append(list(zip(xs, late)))
+    wide = _random_laurent(rng, lo, hi) + MultiLaurent.monomial(("w",), (hi + 1,), 3)
+    cases.append([(x, dict(y, d=wide.eval_at({"w": x}))) for x, y in zip(xs, maps)])
+    outcomes = [_outcome(interpolate_along, "w", iter(pairs), lo, hi, spare) for pairs in cases]
+    assert outcomes == [_outcome(_newton_along, "w", iter(pairs), lo, hi, spare)
+                        for pairs in cases]
+    # every case but the key outside the window fits, and with spare pairs
+    # the key seen only at a spare pair fits there only while it is zero
+    assert [o is DomainError for o in outcomes] == \
+        [False, False] + ([False, True] if spare else []) + [bool(spare)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_psi_in_z_equals_the_newton_reference(monkeypatch, N):
+    from xtl import qkz
+    from xtl.sampling import ExactSampler
+    rng = ExactSampler(7900 + N)
+    s, beta = rng.s_value(), rng.beta_value()
+    zs = rng.z_point(N, s, beta)
+    fits = [qkz.psi_vector_poly_in_z(N, zs, i, s, beta) for i in range(1, N + 1)]
+    monkeypatch.setattr(qkz, "interpolate_along", _newton_along)
+    assert [_typed(f) for f in fits] == \
+        [_typed(qkz.psi_vector_poly_in_z(N, zs, i, s, beta)) for i in range(1, N + 1)]
+
+
+def test_a_cached_weight_set_hides_no_failure(monkeypatch):
+    from xtl import exact, qkz
+    from xtl.sampling import ExactSampler
+    monkeypatch.setattr(exact, "_latest_weights", None)
+    p = MultiLaurent(("w",), {(-2,): Fraction(3, 5), (0,): -I, (3,): 7})
+    pairs = list(islice(abscissa_sweep(_evaluate(p)), 8))
+    assert interpolate_along("w", iter(pairs), -2, 3, 2) == p
+    cached = exact._latest_weights[2]
+    # one perturbed spare sample, checked with the cached weights
+    for k in (6, 7):
+        bent = list(pairs)
+        bent[k] = (bent[k][0], bent[k][1] + Fraction(1, 10 ** 9))
+        with pytest.raises(DomainError):
+            interpolate_along("w", iter(bent), -2, 3, 2)
+        assert exact._latest_weights[2] is cached
+    # the same window abscissae and spares, the window shifted past w^-2
+    with pytest.raises(DomainError):
+        interpolate_along("w", iter(pairs), -1, 4, 2)
+    # a window one too small, checked at one more spare of the same abscissae
+    with pytest.raises(DomainError):
+        interpolate_along("w", iter(pairs), -2, 2, 3)
+    assert interpolate_along("w", iter(pairs), -2, 3, 2) == p
+    # a wrong parity rule along the curve of psi_vector_poly_in_z
+    rng = ExactSampler(7950)
+    s, beta = rng.s_value(), rng.beta_value()
+    zs = rng.z_point(3, s, beta)
+
+    def at(x):
+        return [x, *zs[1:]]
+
+    right = qkz._psi_along("z", 3, at, s, beta, 2, lambda a: int(1 in a), 2)
+    assert right == qkz.psi_vector_poly_in_z(3, zs, 1, s, beta)
+    with pytest.raises(DomainError):
+        qkz._psi_along("z", 3, at, s, beta, 2, lambda a: int(1 not in a), 2)
+
+
+def test_equal_abscissae_of_any_type_share_one_weight_set(monkeypatch):
+    from xtl import exact
+    monkeypatch.setattr(exact, "_latest_weights", None)
+    p = MultiLaurent(("w",), {(-1,): Fraction(1, 3), (0,): I, (2,): -5})
+    values = [2, -3, Fraction(1, 2), Fraction(-5, 4)]
+    ys = [p.eval_at({"w": x}) for x in values]
+    fits, built = [], []
+    for kind in (lambda x: x, Fraction, GaussianRational):
+        fits.append(interpolate_laurent("w", [kind(x) for x in values], ys, -1, 2))
+        built.append(exact._latest_weights[2])
+    assert built[0] is built[1] is built[2]
+    assert [_typed(f) for f in fits] == [_typed(p)] * 3
+
+
+def test_a_non_real_abscissa_is_refused_before_any_solve(monkeypatch):
+    from xtl import exact
+    solves = []
+    real = exact.interpolate_laurent
+    monkeypatch.setattr(exact, "interpolate_laurent", lambda *a: solves.append(a) or real(*a))
+    pairs = [(2, 1), (3, 1), (GaussianRational(1, 1), 1)]
+    with pytest.raises(UsageError, match="not real"):
+        interpolate_along("w", iter(pairs), 0, 1, 1)
+    with pytest.raises(UsageError, match="not real"):
+        interpolate_along("w", iter(pairs[::-1]), 0, 1, 1)
+    assert solves == []
+    with pytest.raises(UsageError, match="not real"):
+        real("w", [2, I], [1, 1], 0, 1)
+    with pytest.raises(UsageError, match="nonzero"):
+        real("w", [2, 0], [1, 1], 0, 1)
+
+
+def test_only_the_latest_weight_set_is_kept(monkeypatch):
+    from xtl import exact
+    monkeypatch.setattr(exact, "_latest_weights", None)
+    assert interpolate_laurent("w", [1, 2], [1, 1], 0, 1) == 1
+    first = exact._latest_weights[2]
+    assert interpolate_laurent("w", [1, 2], [3, 5], 0, 1) == 2 * MultiLaurent.var("w") + 1
+    assert exact._latest_weights[2] is first
+    # other abscissae, or the same ones for other exponents, replace the set
+    assert interpolate_laurent("w", [2, 3], [3, 2], -1, 0) == 6 * MultiLaurent.var("w") ** -1
+    assert exact._latest_weights[:2] == (((2, 1), (3, 1)), -1)
+    assert interpolate_laurent("w", [2, 3], [3, 2], 0, 1) == 5 - MultiLaurent.var("w")
+    assert exact._latest_weights[:2] == (((2, 1), (3, 1)), 0)
+    assert interpolate_laurent("w", [1, 2], [1, 1], 0, 1) == 1
+    assert exact._latest_weights[:2] == (((1, 1), (2, 1)), 0)
+    assert exact._latest_weights[2] is not first
 
 
 def _skipping(keep):

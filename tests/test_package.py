@@ -280,22 +280,38 @@ def test_qkz_leaves_the_collision_test_to_its_residue_tables():
 
 
 _TRACER_INSTALL = """
-import sys
+import json, sys
 sys.path.insert(0, sys.argv[1])
 import xtl.cli, xtl.spinchain, xtl.theorems
 from tracing import Tracer
-Tracer().install()
+from xtl import qkz
+from xtl.sampling import ExactSampler
+rng = ExactSampler(5)
+s, beta = rng.s_value(), rng.beta_value()
+zs = rng.z_point(3, s, beta)
+fitted = len(qkz.psi_vector_poly_in_z(3, zs, 2, s, beta))
+tracer = Tracer()
+tracer.install()
+assert qkz.check_psi_reduction(3, 1, zs, s, beta)["pass"]
+m = tracer.metrics()
+print(json.dumps([fitted, m["exact.interpolate_laurent.calls"],
+                  m["exact.interpolate_laurent.points"]]))
 """
 
 
 def test_benchmark_tracer_finds_every_traced_binding():
     # perfbench/tracing.py wraps named functions of each layer and raises when
     # one has no binding left, so renaming or removing a traced function fails
-    # here, in a fresh process with the modules perfbench/run.py loads
+    # here, in a fresh process with the modules perfbench/run.py loads.  The
+    # reduction check at N = 3 then fits each component of the vector in z_2^2
+    # through one exact.interpolate_laurent call on a window of 3 abscissae,
+    # so a route around that call would zero the interpolation layer metrics
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     r = subprocess.run([sys.executable, "-c", _TRACER_INSTALL, str(ROOT / "perfbench")],
                        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert r.returncode == 0, r.stderr
+    fitted, calls, points = json.loads(r.stdout)
+    assert fitted > 0 and calls == fitted and points == 3 * calls
 
 
 def _benchmark_workloads():
