@@ -188,13 +188,18 @@ def _order_to_N(order: int) -> int:
 # The largest order each tsasm route, and order 2N+1 for psi and sum --N,
 # accepts; a larger request cannot finish in reasonable time or memory.
 # Measured on a 2-vCPU Xeon, Python 3.11.7:
-#   enum (list, count --method enum) builds every matrix: order 19 takes 6 s
-#     and 0.17 GB, order 21 has 142,873 matrices (ten times as many);
+#   enum (list, count --method enum) builds every matrix: order 19 takes
+#     2.0-2.6 s in 0.11 GB (4-4.6 s in 0.17 GB before the automaton's flux
+#     bound and the whole-row matrix check), order 21 has 142,873 matrices
+#     (ten times as many);
 #   integral: order 23 takes 0.8 s, order 25 takes 19 s in 84 MB (it took
 #     88 s when the limit was set, and the limit is kept);
-#   partition and genfun walk the column automaton of size n = N//2: at order
-#     27 (n = 6) partition takes 5 s and genfun 3 s, both in 0.3 GB; at order
-#     29 (n = 7) genfun alone takes 35 s and 3 GB;
+#   partition and genfun walk the column automaton of size n = N//2, whose
+#     forward pass expands only the frontiers within its flux bound: at order
+#     27 (n = 6) partition takes 1.4-2.1 s and genfun 0.3-0.4 s, both in
+#     20 MB (4-4.3 s and 1.8-2.7 s, both in 0.27 GB, before the bound); at
+#     order 29 (n = 7) genfun(14) takes 0.7-0.8 s in 21 MB in process (35 s
+#     and 3 GB before);
 #   psi and sum expand the x-free part of the contour integrand once, on
 #     packed keys with only tau packed, and apply x to its reads: at N = 11
 #     psi takes 1.6 s in 47 MB and sum 1.3 s in 50 MB (8.3 s and 10.0 s,
@@ -204,9 +209,14 @@ def _order_to_N(order: int) -> int:
 #     limit (at N = 40 it was killed by SIGKILL before it finished);
 #   sixvertex pf --n n is checked at order 4n + 1, the order whose count runs
 #     the same 2n-site automaton; --alpha + --s 2 --t 3 at unit sites:
-#     pf_enum takes 2.8 s in 0.27 GB at n = 6 and 34 s in 2.5 GB at n = 7,
+#     pf_enum takes 0.16-0.18 s in 19 MB at n = 6 (1.7-2.1 s in 0.27 GB
+#     before the bound) and its sum 0.17-0.23 s in 22 MB in process at n = 7
+#     (34 s in 2.5 GB before),
 #     pf_algebraic (a dense 2^(2n) stack column) 4.6 s in 23 MB at n = 7 and
 #     25 s at n = 8.
+# The enum, partition, genfun and pf_enum limits predate the flux bound and
+# are kept: raising them, with the other limits, is a CLI change of its own
+# (ROADMAP item 11).
 _MAX_ORDER = {"enum": 19, "integral": 23, "partition": 27, "genfun": 27,
               "psi": 23, "sum": 23, "pf_enum": 25, "pf_algebraic": 29}
 

@@ -24,9 +24,10 @@ partial orientations violating the ice rule or the boundary conditions are
 pruned immediately.  The same column automaton drives both the explicit
 configuration listing and the weighted sums (the partition functions, and
 with monomial weights the TSASM generating function): both walk one
-transition table, pruned backward to the frontiers that can still reach the
-accepting frontier and memoized per tuple of per-column letter sets, and the
-sums form each vertex weight at most once per call.
+transition table, cut to the frontiers that can still reach the accepting
+frontier (an ice-rule flux bound drops most dead ones as the forward pass
+meets them, a backward pass the rest) and memoized per tuple of per-column
+letter sets, and the sums form each vertex weight at most once per call.
 
 The canonical edge order for serialization is: all vedges sorted by (c, r),
 then all hedges sorted by (r, c); orientation bits are U=1/D=0 and R=1/L=0.
@@ -171,12 +172,31 @@ def _transition_table(letters: tuple) -> tuple:
     reachable from the empty frontier and reaches the accepting frontier
     ("L",)*2n, and a step is kept when it leads to a live frontier.  Pure in
     the geometry, so memoized: count_from_partition and repeated
-    partition_enum calls reuse one table."""
+    partition_enum calls reuse one table.
+
+    Most reachable frontiers are dead, and the forward pass drops them by a
+    flux bound before expanding them.  Sum the ice rule over the c-1 bulk
+    vertices of column c >= 2: every inner vertical edge enters exactly one
+    of them, so with k and k' the "R" edges entering and leaving those rows,
+
+        k + (c-1 - k') + (c-2) + [letter u] + [edge below the corner D] = 2(c-1),
+
+    that is k' = k - 1 + [letter u] + [edge below the corner D].  Adding the
+    corner's own new edge, the "R" count of the frontier falls by at most one
+    per column, and only in a column whose letter is d (then the corner's new
+    edge is "L"); column 1, the corner alone, starts from the empty frontier.
+    The accepting frontier has no "R", so a frontier with more "R" edges than
+    later columns that allow d is dead.  The backward pass still removes the
+    dead frontiers the bound does not see, so the table is the same live set
+    either way."""
     n2 = len(letters)
+    # later_d[c - 1]: how many columns after column c allow the letter d
+    later_d = [sum("d" in ls for ls in letters[c:]) for c in range(1, n2 + 1)]
     trans: list[dict] = []
     frontiers = {()}
-    for ls in letters:
-        t = {f: [(ch,) + st for ch in ls for st in _column_steps(f, ch)]
+    for ls, budget in zip(letters, later_d):
+        t = {f: [(ch,) + st for ch in ls for st in _column_steps(f, ch)
+                 if st[0].count("R") <= budget]
              for f in frontiers}
         trans.append(t)
         frontiers = {st[1] for steps in t.values() for st in steps}
@@ -199,18 +219,19 @@ def enumerate_configs(n: int, alpha: str) -> list:
     alpha = _check_alpha(n, alpha)
     n2 = 2 * n
     trans = _transition_table(tuple(alpha))
+    # column c's vertical edges, bottom edge first, and its horizontal edges
+    # are both keyed (1, c), ..., (c, c); every configuration shares the keys
+    keys = [[(r, c) for r in range(1, c + 1)] for c in range(1, n2 + 1)]
+    bottom = {"u": ("U",), "d": ("D",)}
     results = []
 
     def walk(c, frontier, path):
         if c > n2:
             vedges: dict = {}
             hedges: dict = {}
-            for col, (ch, newf, vlist) in enumerate(path, start=1):
-                vedges[(1, col)] = "U" if ch == "u" else "D"
-                for idx, v in enumerate(vlist):
-                    vedges[(idx + 2, col)] = v  # edge above bulk row idx+1
-                for r, h in enumerate(newf, start=1):
-                    hedges[(r, col)] = h
+            for col_keys, (ch, newf, vlist) in zip(keys, path):
+                vedges.update(zip(col_keys, bottom[ch] + vlist))
+                hedges.update(zip(col_keys, newf))
             results.append(SixVertexConfig(n, alpha, vedges, hedges))
             return
         for ch, newf, vlist, _ in trans[c - 1].get(frontier, ()):

@@ -26,7 +26,8 @@ up to its entry sum to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from functools import lru_cache
+from itertools import accumulate, count
 from typing import Iterable, Sequence
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
@@ -43,35 +44,36 @@ __all__ = [
 Matrix = Sequence[Sequence[int]]
 
 
-def _row_ok(row: Iterable[int]) -> bool:
-    nz = [v for v in row if v]
-    if sum(nz) != 1:
-        return False
-    return all(a == -b for a, b in zip(nz, nz[1:])) and (not nz or nz[0] == 1)
+_VALUES = frozenset((-1, 0, 1))
+_PARTIAL_SUMS = frozenset((0, 1))
 
 
 def is_tsasm(m: Matrix) -> bool:
     """True iff m is an alternating sign matrix invariant under all square
-    symmetries (odd order implied; even orders are always False)."""
-    rows = [list(r) for r in m]
+    symmetries (odd order implied; even orders are always False).
+
+    A line with entries in {-1, 0, 1} alternates in sign from a leading 1
+    with total 1 exactly when its partial sums all lie in {0, 1} and end at
+    1: from 0 only a 1 may follow, from 1 only a -1.  The transpose and the
+    row mirror are reflections in axes 45 degrees apart, so together they
+    generate all 8 symmetries of the square; a matrix equal to its transpose
+    has its rows for columns, so the rows' partial sums cover the columns.
+    """
+    rows = [tuple(r) for r in m]
     order = len(rows)
     if any(len(r) != order for r in rows):
         raise UsageError("matrix must be square")
-    if order == 0 or order % 2 == 0:
+    if order % 2 == 0:
         return False
-    if any(v not in (-1, 0, 1) for r in rows for v in r):
+    try:
+        values_ok = all(_VALUES.issuperset(r) for r in rows)
+    except TypeError:  # an unhashable entry, which is no value in {-1, 0, 1}
         return False
-    for r in rows:
-        if not _row_ok(r):
-            return False
-    for c in range(order):
-        if not _row_ok([rows[r][c] for r in range(order)]):
-            return False
-    for i in range(order):
-        for j in range(order):
-            if rows[i][j] != rows[j][i] or rows[i][j] != rows[i][order - 1 - j]:
-                return False
-    return True
+    return (values_ok
+            and list(zip(*rows)) == rows
+            and all(r == r[::-1] for r in rows)
+            and all(_PARTIAL_SUMS.issuperset(ps) and ps[-1] == 1
+                    for ps in map(list, map(accumulate, rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,22 @@ def triangular_array(m: Matrix) -> TriangularArray:
                                     for row in _cells(N)))
 
 
+@lru_cache(maxsize=None)
+def _image_table(N: int) -> tuple:
+    """(lengths, base, images) for order 2N+1, read off _cells and _orbit:
+    the lengths of the TriangularArray rows, the row-major flat matrix with
+    only its alternating medians set, and per staircase row, per entry, the
+    flat indices of the entry's images under the symmetries of the square."""
+    order = 2 * N + 1
+    cells = _cells(N)
+    base = [0] * (order * order)
+    for k in range(order):
+        base[k * order + N] = base[N * order + k] = (-1) ** k
+    images = tuple(tuple(tuple({a * order + b for a, b in _orbit(N, i, j)})
+                         for _, _, i, j in row) for row in cells)
+    return tuple(map(len, cells)), tuple(base), images
+
+
 def matrix_from_array(arr: TriangularArray) -> list:
     """Rebuild the full matrix from the staircase and validate it.
 
@@ -137,17 +155,16 @@ def matrix_from_array(arr: TriangularArray) -> list:
     is treated as an internal error.
     """
     N = arr.N
-    cells = _cells(N)
-    if list(map(len, arr.rows)) != list(map(len, cells)):
+    lengths, base, images = _image_table(N)
+    if tuple(map(len, arr.rows)) != lengths:
         raise RuntimeError("staircase has the wrong shape")
     order = 2 * N + 1
-    m = [[0] * order for _ in range(order)]
-    for k in range(order):
-        m[k][N] = m[N][k] = (-1) ** k
-    for row, row_cells in zip(arr.rows, cells):
-        for v, (_, _, i, j) in zip(row, row_cells):
-            for a, b in _orbit(N, i, j):
-                m[a][b] = v
+    flat = list(base)
+    for row, row_images in zip(arr.rows, images):
+        for v, image in zip(row, row_images):
+            for p in image:
+                flat[p] = v
+    m = [flat[k:k + order] for k in range(0, order * order, order)]
     if not is_tsasm(m):
         raise RuntimeError("staircase does not reconstruct to a valid matrix")
     return m

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -195,6 +196,79 @@ def test_transition_table_keeps_only_live_frontiers(letters):
             want = [(ch,) + st for ch in letters[c] for st in _column_steps(f, ch)
                     if st[0] in nxt]
             assert steps == want
+
+
+def _unpruned_table(letters, column_steps):
+    """Reference: the column automaton built without the flux bound, by
+    expanding every frontier the forward pass reaches and only then pruning
+    backward to the live ones."""
+    n2 = len(letters)
+    trans = []
+    frontiers = {()}
+    for ls in letters:
+        t = {f: [(ch,) + st for ch in ls for st in column_steps(f, ch)]
+             for f in frontiers}
+        trans.append(t)
+        frontiers = {st[1] for steps in t.values() for st in steps}
+    live = {("L",) * n2}
+    for c in range(n2 - 1, -1, -1):
+        kept = {}
+        for f, steps in trans[c].items():
+            good = [st for st in steps if st[1] in live]
+            if good:
+                kept[f] = good
+        trans[c] = kept
+        live = set(kept)
+    return trans
+
+
+def _assert_pruned_table_complete(letters, column_steps=_column_steps):
+    # column by column as {frontier: steps} dicts: the order of a column's
+    # frontiers follows set iteration, the order of a frontier's steps does not
+    want = _unpruned_table(letters, column_steps)
+    got = _transition_table.__wrapped__(letters)
+    assert len(got) == len(want)
+    for c, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (letters, c)
+
+
+def test_pruned_table_equals_the_unpruned_reference_on_every_short_word():
+    steps = functools.lru_cache(maxsize=None)(_column_steps)  # pure; shared by the 340 words
+    for n2 in (2, 4, 6, 8):
+        for word in itertools.product("ud", repeat=n2):
+            _assert_pruned_table_complete(word, steps)
+
+
+@pytest.mark.parametrize("letters", [tuple(a(k)) for k in range(1, 7)
+                                     for a in (alpha_plus, alpha_minus)]
+                         + [("ud",) * n2 for n2 in (2, 4, 6, 8)])
+def test_pruned_table_equals_the_unpruned_reference(letters):
+    _assert_pruned_table_complete(letters)
+
+
+@pytest.mark.parametrize("letters", [tuple(alpha_plus(3)), tuple(alpha_minus(4)),
+                                     ("ud",) * 6, tuple("uuddud")])
+def test_forward_pass_expands_exactly_the_frontiers_within_the_flux_bound(
+        monkeypatch, letters):
+    # the "R" count of a frontier can fall by one only in a column that allows
+    # d, so a frontier before column c survives iff its "R" count is at most
+    # the number of columns c..2n that allow d; a looser bound still gives
+    # the same table (the backward pass removes the rest) but expands more
+    expanded = set()
+
+    def spy(f, ch):
+        expanded.add(f)
+        return _column_steps(f, ch)
+
+    monkeypatch.setattr(sixvertex, "_column_steps", spy)
+    _transition_table.__wrapped__(letters)
+    reachable = {()}
+    want = set()
+    for c, ls in enumerate(letters):
+        budget = sum("d" in later for later in letters[c:])
+        want |= {f for f in reachable if f.count("R") <= budget}
+        reachable = {st[0] for f in reachable for ch in ls for st in _column_steps(f, ch)}
+    assert expanded == want
 
 
 def test_negative_control_negated_turning_weight(monkeypatch):

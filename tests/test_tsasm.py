@@ -1,8 +1,12 @@
+import functools
+import hashlib
+import itertools
 import json
 import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xtl import tsasm
 from xtl.cli import serialize
@@ -15,7 +19,8 @@ from xtl.tsasm import (config_from_tsasm, count_from_partition, enumerate_tsasm,
 
 T = MultiLaurent.var("t")
 TAU = MultiLaurent.var("tau")
-GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "genfun_golden.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "genfun_golden.json"
 # |TSASM(2N+1)| for N = 0..12 (OEIS A005164)
 A005164 = [1, 1, 1, 2, 4, 13, 46, 248, 1516, 13654, 142873, 2156888, 38456356]
 
@@ -64,6 +69,130 @@ def test_is_tsasm_rejects_asymmetric_asm():
     ]
     assert not is_tsasm(m2)
 
+
+
+def _reference_row_ok(row):
+    nz = [v for v in row if v]
+    if sum(nz) != 1:
+        return False
+    return all(a == -b for a, b in zip(nz, nz[1:])) and (not nz or nz[0] == 1)
+
+
+def reference_is_tsasm(m):
+    """Reference: the predicate checked entry by entry, every row and every
+    column for alternation, then each entry against its transpose and row
+    mirror."""
+    rows = [list(r) for r in m]
+    order = len(rows)
+    if any(len(r) != order for r in rows):
+        raise UsageError("matrix must be square")
+    if order == 0 or order % 2 == 0:
+        return False
+    if any(v not in (-1, 0, 1) for r in rows for v in r):
+        return False
+    for r in rows:
+        if not _reference_row_ok(r):
+            return False
+    for c in range(order):
+        if not _reference_row_ok([rows[r][c] for r in range(order)]):
+            return False
+    for i in range(order):
+        for j in range(order):
+            if rows[i][j] != rows[j][i] or rows[i][j] != rows[i][order - 1 - j]:
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def all_asms(order):
+    """Every alternating sign matrix of the order, row by row with the column
+    partial sums kept in {0, 1}; most are not symmetric, and some are
+    invariant under the transpose or the row mirror alone."""
+    lines = [r for r in itertools.product((-1, 0, 1), repeat=order) if _reference_row_ok(r)]
+    out = []
+
+    def extend(rows, sums):
+        if len(rows) == order:
+            if all(v == 1 for v in sums):
+                out.append(tuple(rows))
+            return
+        for r in lines:
+            new = [a + b for a, b in zip(sums, r)]
+            if all(v in (0, 1) for v in new):
+                extend(rows + [r], new)
+
+    extend([], [0] * order)
+    return out
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_is_tsasm_agrees_with_the_reference_on_every_small_asm(order):
+    asms = all_asms(order)
+    assert len(asms) == [1, 2, 7, 42, 429][order - 1]  # OEIS A005130
+    got = [m for m in asms if is_tsasm(m)]
+    assert got == [m for m in asms if reference_is_tsasm(m)]
+    assert len(got) == (order % 2)  # one TSASM each of orders 1, 3 and 5
+
+
+@pytest.mark.parametrize("N", range(9))
+def test_is_tsasm_agrees_with_the_reference_on_every_listed_matrix(N):
+    for m in enumerate_tsasm(N):
+        assert is_tsasm(m) and reference_is_tsasm(m)
+
+
+@pytest.mark.parametrize("N", range(6))
+def test_is_tsasm_agrees_with_the_reference_on_single_entry_changes(N):
+    # each entry set to each value, alone and together with its transpose
+    # image, so the changes that keep the matrix symmetric are covered too
+    order = 2 * N + 1
+    for m in enumerate_tsasm(N):
+        for i in range(order):
+            for j in range(order):
+                for v in range(-2, 3):
+                    for cells in ((i, j),), ((i, j), (j, i)):
+                        bad = [list(r) for r in m]
+                        for a, b in cells:
+                            bad[a][b] = v
+                        assert is_tsasm(bad) == reference_is_tsasm(bad), (bad, cells)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of order 1..9: entries in -2..2, a listed TSASM or an
+    ASM of order <= 5, then possibly one entry made a float and one a string."""
+    order = draw(st.integers(1, 9))
+    base = draw(st.sampled_from(["ints", "tsasm", "asm"]))
+    if base == "tsasm" and order % 2:
+        m = [list(r) for r in draw(st.sampled_from(enumerate_tsasm(order // 2)))]
+    elif base == "asm" and order <= 5:
+        m = [list(r) for r in draw(st.sampled_from(all_asms(order)))]
+    else:
+        row = st.lists(st.integers(-2, 2), min_size=order, max_size=order)
+        m = draw(st.lists(row, min_size=order, max_size=order))
+    cell = st.tuples(st.integers(0, order - 1), st.integers(0, order - 1))
+    for odd in (st.sampled_from([-1.0, 0.0, 1.0, -0.0]) | st.floats(), st.text(max_size=2)):
+        if draw(st.booleans()):
+            i, j = draw(cell)
+            m[i][j] = draw(odd)
+    return m
+
+
+@given(square_matrices())
+@settings(max_examples=400, deadline=None)
+def test_is_tsasm_agrees_with_the_reference_on_drawn_matrices(m):
+    assert is_tsasm(m) == reference_is_tsasm(m)
+
+
+def test_is_tsasm_refuses_an_unhashable_entry_as_before():
+    m = [[0, 1, 0], [1, [-1], 1], [0, 1, 0]]
+    assert is_tsasm(m) is reference_is_tsasm(m) is False
+
+
+@pytest.mark.parametrize("m", [[[1, 0], [0]], [[1], [0]], [[1, 0, 0]], [[0, 1, 0], [1, -1, 1]]])
+def test_non_square_input_is_refused_as_before(m):
+    for predicate in (is_tsasm, reference_is_tsasm):
+        with pytest.raises(UsageError, match="matrix must be square"):
+            predicate(m)
 
 def diamond_tsasm(N):
     """The diamond-shaped TSASM of order 2N+1 attaining the maximal statistics."""
@@ -140,6 +269,17 @@ def test_genfun_golden_table():
         assert gf.eval_at({"t": 1, "tau": 1}) == A005164[row["N"]]
         assert serialize(genfun(row["N"]), "json") == row["genfun"] + "\n", row["N"]
 
+
+
+def test_enumeration_golden_table():
+    # count and sha1 of `xtl tsasm list` text per order, written by
+    # tests/data/make_tsasm_golden.py: pins the canonical order and the bytes
+    rows = json.loads((DATA / "tsasm_golden.json").read_text())["rows"]
+    assert [r["N"] for r in rows] == list(range(9))
+    for row in rows:
+        ms = enumerate_tsasm(row["N"])
+        assert len(ms) == row["count"] == A005164[row["N"]]
+        assert hashlib.sha1(matrices_to_text(ms).encode()).hexdigest() == row["sha1"], row["N"]
 
 def test_genfun_rejects_negative_order():
     with pytest.raises(UsageError):
