@@ -188,10 +188,12 @@ def _order_to_N(order: int) -> int:
 # The largest order each tsasm route, and order 2N+1 for psi and sum --N,
 # accepts; a larger request cannot finish in reasonable time or memory.
 # Measured on a 2-vCPU Xeon, Python 3.11.7:
-#   enum (list, count --method enum) builds every matrix: order 19 takes
-#     2.0-2.6 s in 0.11 GB (4-4.6 s in 0.17 GB before the automaton's flux
-#     bound and the whole-row matrix check), order 21 has 142,873 matrices
-#     (ten times as many);
+#   enum (list, count --method enum) builds every matrix, read off the
+#     classes of its automaton path: at order 19 enumerate_tsasm takes
+#     1.0-1.4 s in 80 MB, and list 1.7 s in 0.11 GB with its 10 MB of text
+#     (2.0-2.8 s in 0.11 GB through configuration objects, 4-4.6 s in
+#     0.17 GB before the automaton's flux bound and the whole-row matrix
+#     check); order 21 has 142,873 matrices (ten times as many);
 #   integral: order 23 takes 0.8 s, order 25 takes 19 s in 84 MB (it took
 #     88 s when the limit was set, and the limit is kept);
 #   partition and genfun walk the column automaton of size n = N//2, whose
@@ -202,9 +204,9 @@ def _order_to_N(order: int) -> int:
 #     and 3 GB before);
 #   psi and sum expand the x-free part of the contour integrand once, on
 #     packed keys with only tau packed, and apply x to its reads: at N = 11
-#     psi takes 1.6 s in 47 MB and sum 1.3 s in 50 MB (8.3 s and 10.0 s,
-#     0.17 and 0.19 GB, when x was packed beside tau); the limit is kept
-#     until N = 12 is measured.  spinchain verify --N expands psi at a given
+#     psi takes 0.7-1.2 s in 48 MB and sum 0.9-1.2 s in 51 MB (8.3 s and
+#     10.0 s, 0.17 and 0.19 GB, when x was packed beside tau); the limit is
+#     kept until N = 12 is measured.  spinchain verify --N expands psi at a given
 #     x and tau = 1, over plain ints (0.6 s at N = 11), and shares the psi
 #     limit (at N = 40 it was killed by SIGKILL before it finished);
 #   sixvertex pf --n n is checked at order 4n + 1, the order whose count runs
@@ -331,8 +333,9 @@ _Suite = namedtuple("_Suite", "min_n max_n jobs module check")
 #   zprops N = 9 takes 4.0 s, 10 takes 26 s;
 #   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
 #   relationsz N = 7 takes 1.3 s, 8 takes 24 s;
-#   main N = 11 takes 24 s in 0.2 GB, 12 over 100 s (its component sum is
-#     the expansion that psi and sum refuse above N = 11).
+#   main N = 11 takes 0.9-1.3 s in 51 MB, 12 takes 21 s in 0.51 GB (24 s
+#     and over 100 s when the limit was set; its component sum is the
+#     expansion that psi and sum refuse above N = 11).
 # Since the residue sums run in Gaussian integers, exchange 10, zprops 10
 # and relationsz 8 also fit in 30 s; the limits are kept, so that no request
 # moves between refused and accepted.  ybe ignores --max-N and runs at least

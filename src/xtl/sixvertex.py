@@ -29,16 +29,24 @@ frontier (an ice-rule flux bound drops most dead ones as the forward pass
 meets them, a backward pass the rest) and memoized per tuple of per-column
 letter sets, and the sums form each vertex weight at most once per call.
 
-The canonical edge order for serialization is: all vedges sorted by (c, r),
-then all hedges sorted by (r, c); orientation bits are U=1/D=0 and R=1/L=0.
+A configuration is the tuple of its columns' vertex classes, as the
+automaton steps carry them: config[c-1][r-1] is the class of vertex (r, c),
+the corner (c, c) last in its column.  The classes fix every edge, and
+enumerate_configs lists the configurations in canonical order: ascending in
+their vertical edges read column by column, bottom-up, with 'D' before 'U'.
+That order is total because the vertical edges alone fix a configuration:
+reading the ice rule right to left from the all-'L' right boundary, the
+right, lower and upper edges of a bulk vertex leave its left edge one
+choice, and that edge is the right edge of the vertex to its left, a bulk
+vertex or the row's corner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Sequence
 
 from .exact import DomainError, GaussianRational, UsageError, bracket, brace, inv
 from .operators import (act, basis_vector, chi_covector, index_word, k_boundary, k_corner,
@@ -46,7 +54,7 @@ from .operators import (act, basis_vector, chi_covector, index_word, k_boundary,
 from .sampling import ExactSampler, half_sites
 
 __all__ = [
-    "alpha_plus", "alpha_minus", "SixVertexConfig", "enumerate_configs",
+    "alpha_plus", "alpha_minus", "enumerate_configs",
     "config_weight", "partition_enum", "partition_algebraic",
     "partition_enum_all_words", "partition_algebraic_all_words",
     "apply_operator_stack", "overlap_ZZ", "rescaled_YY", "yy_divisor",
@@ -62,39 +70,10 @@ def alpha_minus(n: int) -> str:
     return "du" * n
 
 
-@dataclass(frozen=True)
-class SixVertexConfig:
-    """A complete edge orientation of the size-n staircase grid."""
-
-    n: int
-    alpha: str
-    vedge: Mapping[tuple, str]
-    hedge: Mapping[tuple, str]
-
-    def canonical_bits(self) -> tuple:
-        n2 = 2 * self.n
-        vbits = tuple(int(self.vedge[(r, c)] == "U")
-                      for c in range(1, n2 + 1) for r in range(1, c + 1))
-        hbits = tuple(int(self.hedge[(r, c)] == "R")
-                      for r in range(1, n2 + 1) for c in range(r, n2 + 1))
-        return vbits + hbits
-
-    def bulk_class(self, r: int, c: int) -> str:
-        """Ice-rule class of bulk vertex (r, c): 'a' (straight, weight [q/(z_r z_c)]),
-        'b' (straight, weight [q z_r z_c]), 'cp' / 'cm' (turning, weight -[q^2])."""
-        lin = self.hedge[(r, c - 1)] == "R"
-        bin_ = self.vedge[(r, c)] == "U"
-        rin = self.hedge[(r, c)] == "L"
-        tin = self.vedge[(r + 1, c)] == "D"
-        return _bulk_class(lin, bin_, rin, tin)
-
-    def corner_class(self, r: int) -> str:
-        """Class of corner (r, r): 'tp' (+1 transmitting), 'tm' (-1 transmitting),
-        's' (source or sink, weight {s z_r}/{s})."""
-        return _corner_class(self.vedge[(r, r)] == "U", self.hedge[(r, r)] == "L")
-
-
 def _bulk_class(lin: bool, bin_: bool, rin: bool, tin: bool) -> str:
+    """Ice-rule class of a bulk vertex from which of its left, bottom, right
+    and top edges point in: 'a' (straight, weight [q/(z_r z_c)]), 'b'
+    (straight, weight [q z_r z_c]), 'cp' / 'cm' (turning, weight -[q^2])."""
     k = lin + bin_ + rin + tin
     if k != 2:
         raise DomainError("ice rule violated")
@@ -108,6 +87,9 @@ def _bulk_class(lin: bool, bin_: bool, rin: bool, tin: bool) -> str:
 
 
 def _corner_class(bin_: bool, rin: bool) -> str:
+    """Class of a corner from whether its bottom and right edges point in:
+    'tp' (+1 transmitting), 'tm' (-1 transmitting), both weight t, or 's'
+    (source or sink, weight {s z_r}/{s})."""
     if bin_ and not rin:
         return "tm"
     if rin and not bin_:
@@ -213,35 +195,27 @@ def _transition_table(letters: tuple) -> tuple:
 
 
 def enumerate_configs(n: int, alpha: str) -> list:
-    """All configurations with bottom word alpha, in canonical order."""
+    """All configurations with bottom word alpha, in canonical order (see the
+    module docstring).  Every path of the transition table is one
+    configuration, its class tuples the steps' own, and the paths are sorted
+    by their steps' vertical edges.  The walk alone does not give that order:
+    two steps from one frontier can share their vertical edges and differ in
+    the corner's right edge, so their subtrees interleave."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    alpha = _check_alpha(n, alpha)
-    n2 = 2 * n
-    trans = _transition_table(tuple(alpha))
-    # column c's vertical edges, bottom edge first, and its horizontal edges
-    # are both keyed (1, c), ..., (c, c); every configuration shares the keys
-    keys = [[(r, c) for r in range(1, c + 1)] for c in range(1, n2 + 1)]
-    bottom = {"u": ("U",), "d": ("D",)}
-    results = []
+    trans = _transition_table(tuple(_check_alpha(n, alpha)))
+    paths = []
 
-    def walk(c, frontier, path):
-        if c > n2:
-            vedges: dict = {}
-            hedges: dict = {}
-            for col_keys, (ch, newf, vlist) in zip(keys, path):
-                vedges.update(zip(col_keys, bottom[ch] + vlist))
-                hedges.update(zip(col_keys, newf))
-            results.append(SixVertexConfig(n, alpha, vedges, hedges))
+    def walk(c, frontier, vlists, classes):
+        if c == len(trans):
+            paths.append((vlists, classes))
             return
-        for ch, newf, vlist, _ in trans[c - 1].get(frontier, ()):
-            path.append((ch, newf, vlist))
-            walk(c + 1, newf, path)
-            path.pop()
+        for _, newf, vlist, cls in trans[c].get(frontier, ()):
+            walk(c + 1, newf, vlists + (vlist,), classes + (cls,))
 
-    walk(1, (), [])
-    results.sort(key=lambda cfg: cfg.canonical_bits())
-    return results
+    walk(0, (), (), ())
+    paths.sort(key=lambda path: path[0])
+    return [classes for _, classes in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +251,17 @@ def _vertex_weights(zs: Sequence, s, t):
     return weight
 
 
-def config_weight(config: SixVertexConfig, zs: Sequence, s, t):
+def config_weight(config: tuple, zs: Sequence, s, t):
     """Product of the local weights of all bulk and corner vertices.
 
     Site values may be exact scalars or invertible monomials, so the result is
     an exact scalar or a MultiLaurent.
     """
-    n2 = 2 * config.n
-    if len(zs) != n2:
-        raise UsageError(f"need {n2} site values")
+    if len(zs) != len(config):
+        raise UsageError(f"need {len(config)} site values")
     weight = _vertex_weights(zs, s, t)
-    w = None
-    for r in range(1, n2 + 1):
-        f = weight(r, r, config.corner_class(r))
-        w = f if w is None else w * f
-        for c in range(r + 1, n2 + 1):
-            w = w * weight(r, c, config.bulk_class(r, c))
-    return w
+    return reduce(mul, (weight(r, c, cls) for c, classes in enumerate(config, start=1)
+                        for r, cls in enumerate(classes, start=1)))
 
 
 def _automaton_sums(letters: tuple, weight, one) -> dict:

@@ -32,12 +32,12 @@ from typing import Iterable, Sequence
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
                     brace, interpolate_along, inv)
-from .sixvertex import (SixVertexConfig, _automaton_sums, alpha_minus, alpha_plus,
-                        enumerate_configs, partition_enum)
+from .sixvertex import (_automaton_sums, _bulk_class, _corner_class, alpha_minus,
+                        alpha_plus, enumerate_configs, partition_enum)
 
 __all__ = [
     "is_tsasm", "TriangularArray", "triangular_array",
-    "matrix_from_array", "from_sixvertex", "config_from_tsasm",
+    "matrix_from_array", "config_from_tsasm",
     "enumerate_tsasm", "genfun", "count_from_partition", "matrices_to_text",
 ]
 
@@ -174,37 +174,29 @@ def matrix_from_array(arr: TriangularArray) -> list:
 # the six-vertex bijection
 # ---------------------------------------------------------------------------
 
-_BULK_VALUE = {"cp": 1, "cm": -1, "a": 0, "b": 0}
-_CORNER_VALUE = {"tp": 1, "tm": -1, "s": 0}
+# the matrix entry of each vertex class, bulk and corner
+_ENTRY = {"cp": 1, "cm": -1, "tp": 1, "tm": -1, "a": 0, "b": 0, "s": 0}
 
 
-def from_sixvertex(config: SixVertexConfig) -> list:
-    """The TSASM corresponding to a staircase configuration with an alternating
-    boundary word; raises UsageError for any other boundary word."""
-    N = next((N for N in (2 * config.n, 2 * config.n + 1)
-              if _staircase(N)[1] == config.alpha), None)
-    if N is None:
-        raise UsageError("boundary word must be alternating")
-    rows = tuple(tuple(_CORNER_VALUE[config.corner_class(r)] if r == c
-                       else _BULK_VALUE[config.bulk_class(r, c)] for r, c, _, _ in row)
-                 for row in _cells(N))
-    return matrix_from_array(TriangularArray(N, rows))
-
-
-def config_from_tsasm(m: Matrix) -> SixVertexConfig:
-    """Inverse of from_sixvertex, via partial sums of the matrix."""
+def config_from_tsasm(m: Matrix) -> tuple:
+    """The staircase configuration of a TSASM, in the class-tuple format of
+    sixvertex.enumerate_configs, via partial sums of the matrix."""
     if not is_tsasm(m):
         raise UsageError("not a totally symmetric alternating sign matrix")
     N = (len(m) - 1) // 2
-    n, alpha = _staircase(N)
+    n, _ = _staircase(N)
     if n == 0:
         raise UsageError("orders below five have an empty staircase grid")
-    vedge, hedge = {}, {}
-    for row in _cells(N):
-        for r, c, i, j in row:
-            vedge[(r, c)] = "D" if sum(m[k][j] for k in range(i + 1)) == 1 else "U"
-            hedge[(r, c)] = "L" if sum(m[i][:j + 1]) == 1 else "R"
-    return SixVertexConfig(n, alpha, vedge, hedge)
+
+    def up(r, c):  # the vertical edge below vertex (r, c) points up
+        return sum(row[N + c] for row in m[:N - r + 1]) != 1
+
+    def left(r, c):  # the horizontal edge right of vertex (r, c) points left
+        return sum(m[N - r][:N + c + 1]) == 1
+
+    return tuple(tuple(_bulk_class(not left(r, c - 1), up(r, c), left(r, c), not up(r + 1, c))
+                       for r in range(1, c)) + (_corner_class(up(c, c), left(c, c)),)
+                 for c in range(1, 2 * n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +204,15 @@ def config_from_tsasm(m: Matrix) -> SixVertexConfig:
 # ---------------------------------------------------------------------------
 
 def enumerate_tsasm(N: int) -> list:
-    """All TSASMs of order 2N+1, through the staircase bijection."""
+    """All TSASMs of order 2N+1, in the canonical order of their staircase
+    configurations, each read off its vertex classes."""
     n, alpha = _staircase(N)
     if n == 0:  # N = 0, 1: the staircase is empty and the symmetries force the matrix
         return [matrix_from_array(TriangularArray(N, ()))]
-    return [from_sixvertex(c) for c in enumerate_configs(n, alpha)]
+    cells = _cells(N)
+    return [matrix_from_array(TriangularArray(N, tuple(
+                tuple(_ENTRY[config[c - 1][r - 1]] for r, c, _, _ in row) for row in cells)))
+            for config in enumerate_configs(n, alpha)]
 
 
 _GF_VARS = ("t", "tau")

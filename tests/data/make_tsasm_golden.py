@@ -1,10 +1,11 @@
-"""Write tsasm_golden.json: count and digest of every TSASM listing, N = 0..8.
+"""Write tsasm_golden.json: count and digest of every TSASM listing, N = 0..9.
 
 Run from the root of a source checkout:
 
     PYTHONPATH=src python tests/data/make_tsasm_golden.py [max_N]
 
-max_N defaults to 8 (order 17).  Each row holds ``len(enumerate_tsasm(N))``
+max_N defaults to 9 (order 19), the largest order ``xtl tsasm list``
+accepts.  Each row holds ``len(enumerate_tsasm(N))``
 and the sha1 of ``matrices_to_text(enumerate_tsasm(N))``, the bytes
 ``xtl tsasm list --order <2N+1>`` prints.  The file pins the canonical order and
 the text of every listing byte for byte, so it is written once by a trusted
@@ -20,7 +21,7 @@ from xtl.tsasm import enumerate_tsasm, matrices_to_text
 
 
 def main():
-    max_N = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+    max_N = int(sys.argv[1]) if len(sys.argv) > 1 else 9
     rows = []
     for N in range(max_N + 1):
         ms = enumerate_tsasm(N)

@@ -52,11 +52,30 @@ def test_every_partition_route_refuses_size_below_one():
                 call()
 
 
+def _vertical_edges(config, alpha):
+    """The vertical edges of a configuration, column by column bottom-up,
+    decoded from its classes: the bottom edge is alpha's letter, and going up
+    a column a turning bulk vertex (cp, cm) reverses the edge below it while
+    a straight one (a, b) passes it on."""
+    columns = []
+    for letter, classes in zip(alpha, config):
+        edges = ["U" if letter == "u" else "D"]
+        for cls in classes[:-1]:  # the corner ends the column
+            turns = cls in ("cp", "cm")
+            edges.append({"U": "D", "D": "U"}[edges[-1]] if turns else edges[-1])
+        columns.append(tuple(edges))
+    return tuple(columns)
+
+
 def test_dump_lines_are_distinct_and_sorted():
-    cs = enumerate_configs(2, "+")
-    bits = [c.canonical_bits() for c in cs]
-    assert len(set(bits)) == len(bits)
-    assert bits == sorted(bits)
+    # the canonical order: ascending in the vertical edges ('D' before 'U'),
+    # which fix the configuration, so no two configurations tie
+    words = [alpha_plus(3), alpha_minus(3)] + ["".join(w) for n in (1, 2)
+                                               for w in itertools.product("ud", repeat=2 * n)]
+    for word in words:
+        edges = [_vertical_edges(c, word) for c in enumerate_configs(len(word) // 2, word)]
+        assert len(set(edges)) == len(edges), word
+        assert edges == sorted(edges), word
 
 
 def test_size_one_partition_closed_forms_numeric():
@@ -76,19 +95,16 @@ def test_size_one_partition_closed_form_symbolic_sites():
 
 
 def test_corner_and_bulk_weight_values():
-    # the two transmitting corner states weigh t; the two turning bulk states -[q^2]
+    # n = 1, alpha = ud: corner (1, 1) is a source or sink (s), or transmits
+    # (tm) into a turning bulk vertex (1, 2); the corner (2, 2) then transmits
+    # (tp) or is a source or sink
     rng = ExactSampler(10102)
-    zs = [rng.nonzero(), rng.nonzero()]
-    for cfg in enumerate_configs(1, "+"):
-        w = config_weight(cfg, zs, S, T)
-        classes = {cfg.corner_class(1), cfg.corner_class(2)}
-        assert classes & {"tp", "tm", "s"}
-    cfgs = enumerate_configs(1, "+")
-    # one of the two configurations has the turning bulk vertex
-    turning = [c for c in cfgs if c.bulk_class(1, 2) in ("cp", "cm")]
-    assert len(turning) == 1
-    w = config_weight(turning[0], zs, S, T)
-    assert w == T * (-bracket(Q * Q)) * brace(S * zs[1]) * inv(brace(S))
+    z1, z2 = rng.nonzero(), rng.nonzero()
+    weights = {c: config_weight(c, [z1, z2], S, T) for c in enumerate_configs(1, "+")}
+    straight = brace(S * z1) * inv(brace(S)) * bracket(Q * inv(z1) * inv(z2)) * T
+    turning = T * (-bracket(Q * Q)) * brace(S * z2) * inv(brace(S))
+    assert weights == {(("s",), ("a", "tp")): straight, (("tm",), ("cp", "s")): turning}
+    assert straight + turning == partition_enum(1, "+", [z1, z2], S, T)
 
 
 def test_partition_enum_equals_sum_of_config_weights():

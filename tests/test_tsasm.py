@@ -13,9 +13,8 @@ from xtl.cli import serialize
 from xtl.contour import tsasm_count_integral
 from xtl.exact import DomainError, MultiLaurent, UsageError
 from xtl.sixvertex import enumerate_configs
-from xtl.tsasm import (config_from_tsasm, count_from_partition, enumerate_tsasm,
-                       from_sixvertex, genfun, is_tsasm, matrices_to_text,
-                       matrix_from_array, triangular_array)
+from xtl.tsasm import (config_from_tsasm, count_from_partition, enumerate_tsasm, genfun,
+                       is_tsasm, matrices_to_text, matrix_from_array, triangular_array)
 
 T = MultiLaurent.var("t")
 TAU = MultiLaurent.var("tau")
@@ -275,7 +274,7 @@ def test_enumeration_golden_table():
     # count and sha1 of `xtl tsasm list` text per order, written by
     # tests/data/make_tsasm_golden.py: pins the canonical order and the bytes
     rows = json.loads((DATA / "tsasm_golden.json").read_text())["rows"]
-    assert [r["N"] for r in rows] == list(range(9))
+    assert [r["N"] for r in rows] == list(range(10))
     for row in rows:
         ms = enumerate_tsasm(row["N"])
         assert len(ms) == row["count"] == A005164[row["N"]]
@@ -326,11 +325,9 @@ def test_column_count_bound(N):
 
 def test_bijection_figures_correspond():
     # the four size-2 '-' configurations map exactly onto the four order-9 matrices
-    cs = enumerate_configs(2, "-")
-    ms = [from_sixvertex(c) for c in cs]
+    ms = enumerate_tsasm(4)
     assert len({matrices_to_text([m]) for m in ms}) == 4
-    assert sorted(map(matrices_to_text, ([m] for m in ms))) \
-        == sorted(matrices_to_text([m]) for m in enumerate_tsasm(4))
+    assert {config_from_tsasm(m) for m in ms} == set(enumerate_configs(2, "-"))
 
 
 @pytest.mark.parametrize("N", range(13))
@@ -362,16 +359,10 @@ def test_fundamental_domain_round_trip(N):
 
 @pytest.mark.parametrize("N", range(2, 8))
 def test_bijection_round_trip(N):
-    for m in enumerate_tsasm(N):
-        cfg = config_from_tsasm(m)
-        assert from_sixvertex(cfg) == m
-
-
-def test_from_sixvertex_rejects_other_boundary_words():
-    cfg = enumerate_configs(1, "-")[0]
-    bad = type(cfg)(cfg.n, "uu", cfg.vedge, cfg.hedge)
-    with pytest.raises(UsageError):
-        from_sixvertex(bad)
+    # reading the classes back off each listed matrix's partial sums gives the
+    # configuration it was built from, in the listing's order
+    n, alpha = tsasm._staircase(N)
+    assert [config_from_tsasm(m) for m in enumerate_tsasm(N)] == enumerate_configs(n, alpha)
 
 
 def test_reconstruction_failure_is_internal_error():
