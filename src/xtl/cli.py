@@ -113,22 +113,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(ns, text: str) -> None:
+def _emit(ns, text) -> None:
+    """Write text, a str or an iterable of str pieces written as they come,
+    to --out or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if ns.out:
         try:
             with open(ns.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise UsageError(f"cannot write --out {ns.out!r}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def serialize(result, fmt: str) -> str:
-    """Bit-stable rendering of a polynomial, count table or matrix list;
-    raises UsageError on an unsupported pairing."""
-    from .tsasm import matrices_to_text
-
+    """Bit-stable rendering of a polynomial, count table or matrix list (JSON
+    only: `tsasm list` writes the text blocks as they are formed); raises
+    UsageError on an unsupported pairing."""
     if isinstance(result, MultiLaurent):
         if fmt == "json":
             return json.dumps(result.to_json(), separators=(",", ":")) + "\n"
@@ -144,11 +146,9 @@ def serialize(result, fmt: str) -> str:
                                for N, o, c in result]) + "\n"
         if fmt == "text":
             return "\n".join(str(c) for _, _, c in result) + "\n"
-    if isinstance(result, list) and (not result or isinstance(result[0], list)):
-        if fmt == "text":
-            return matrices_to_text(result)
-        if fmt == "json":
-            return json.dumps(result) + "\n"
+    if isinstance(result, list) and (not result or isinstance(result[0], list)) \
+            and fmt == "json":
+        return json.dumps(result) + "\n"
     raise UsageError(f"cannot serialize {type(result).__name__} as {fmt}")
 
 
@@ -190,24 +190,29 @@ def _order_to_N(order: int) -> int:
 # Measured on a 2-vCPU Xeon, Python 3.11.7:
 #   enum (list, count --method enum) builds every matrix, read off the
 #     classes of its automaton path: at order 19 enumerate_tsasm takes
-#     1.0-1.4 s in 80 MB, and list 1.7 s in 0.11 GB with its 10 MB of text
-#     (2.0-2.8 s in 0.11 GB through configuration objects, 4-4.6 s in
+#     1.0-1.4 s in 80 MB, and list, which writes each matrix's text as it
+#     is formed, 1.7-2.0 s in 80 MB (0.11 GB when it joined the 10 MB text
+#     first; 2.0-2.8 s in 0.11 GB through configuration objects, 4-4.6 s in
 #     0.17 GB before the automaton's flux bound and the whole-row matrix
 #     check); order 21 has 142,873 matrices (ten times as many);
-#   integral: order 23 takes 0.8 s, order 25 takes 19 s in 84 MB (it took
-#     88 s when the limit was set, and the limit is kept);
+#   integral reads one coefficient off the contour integrand's two
+#     half-products: order 23 takes 0.07-0.08 s and order 25 0.3-0.35 s in
+#     25 MB (19 s in 84 MB from the single series, 88 s when the limit was
+#     set; the limit is kept);
 #   partition and genfun walk the column automaton of size n = N//2, whose
 #     forward pass expands only the frontiers within its flux bound: at order
 #     27 (n = 6) partition takes 1.4-2.1 s and genfun 0.3-0.4 s, both in
 #     20 MB (4-4.3 s and 1.8-2.7 s, both in 0.27 GB, before the bound); at
 #     order 29 (n = 7) genfun(14) takes 0.7-0.8 s in 21 MB in process (35 s
 #     and 3 GB before);
-#   psi and sum expand the x-free part of the contour integrand once, on
-#     packed keys with only tau packed, and apply x to its reads: at N = 11
-#     psi takes 0.7-1.2 s in 48 MB and sum 0.9-1.2 s in 51 MB (8.3 s and
-#     10.0 s, 0.17 and 0.19 GB, when x was packed beside tau); the limit is
-#     kept until N = 12 is measured.  spinchain verify --N expands psi at a given
-#     x and tau = 1, over plain ints (0.6 s at N = 11), and shares the psi
+#   psi and sum expand the x-free part of the contour integrand once, as
+#     two half-products on packed keys with only tau packed, and apply x to
+#     their reads: at N = 11 psi takes 0.5-0.6 s in 28 MB and sum 0.13-0.16 s
+#     in 21 MB (0.7-1.2 s in 48 MB and 0.9-1.2 s in 51 MB from the single
+#     series; 8.3 s and 10.0 s, 0.17 and 0.19 GB, when x was packed beside
+#     tau); at N = 12 the component sum takes 3-4 s in 57 MB; the limit is
+#     kept (ROADMAP item 11).  spinchain verify --N expands psi at a given x
+#     and tau = 1, over plain ints (0.2-0.25 s at N = 11), and shares the psi
 #     limit (at N = 40 it was killed by SIGKILL before it finished);
 #   sixvertex pf --n n is checked at order 4n + 1, the order whose count runs
 #     the same 2n-site automaton; --alpha + --s 2 --t 3 at unit sites:
@@ -231,7 +236,7 @@ def _check_order(order: int, route: str) -> None:
 
 def _cmd_tsasm(ns) -> int:
     from .contour import tsasm_count_integral
-    from .tsasm import count_from_partition, enumerate_tsasm, genfun
+    from .tsasm import count_from_partition, enumerate_tsasm, genfun, matrix_blocks
 
     if ns.tsasm_command == "count":
         if (ns.order is None) == (ns.max_order is None):
@@ -258,7 +263,8 @@ def _cmd_tsasm(ns) -> int:
 
     N = _order_to_N(ns.order)
     _check_order(ns.order, "enum")
-    _emit(ns, serialize(enumerate_tsasm(N), ns.format))
+    ms = enumerate_tsasm(N)
+    _emit(ns, matrix_blocks(ms) if ns.format == "text" else serialize(ms, ns.format))
     return 0
 
 
@@ -333,9 +339,11 @@ _Suite = namedtuple("_Suite", "min_n max_n jobs module check")
 #   zprops N = 9 takes 4.0 s, 10 takes 26 s;
 #   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
 #   relationsz N = 7 takes 1.3 s, 8 takes 24 s;
-#   main N = 11 takes 0.9-1.3 s in 51 MB, 12 takes 21 s in 0.51 GB (24 s
-#     and over 100 s when the limit was set; its component sum is the
-#     expansion that psi and sum refuse above N = 11).
+#   main N = 11 takes 0.26-0.31 s in 21 MB, 12 takes 3.2-3.5 s in 58 MB and
+#     13 5-10 s in 87 MB, its component sum read off two half-products
+#     (N = 11 0.9-1.3 s in 51 MB and 12 21 s in 0.51 GB from the single
+#     series; 24 s and over 100 s when the limit was set; its component sum
+#     is the expansion that psi and sum refuse above N = 11).
 # Since the residue sums run in Gaussian integers, exchange 10, zprops 10
 # and relationsz 8 also fit in 30 s; the limits are kept, so that no request
 # moves between refused and accepted.  ybe ignores --max-N and runs at least

@@ -13,8 +13,8 @@ scalars; basis index b has the spin of site i (1-indexed, site 1 most
 significant) in bit (L - i), with up = 0 and down = 1; `act` applies local
 matrices to them in Gaussian integers over one tracked denominator.
 `SpinVector` is the one sparse form, keyed by down-spin position tuples over
-any exact ring; its `apply` takes one operator of `act`'s list, so the chain
-Hamiltonian and the qKZ relation checks act in the same convention.  Both
+any exact ring; its `apply` takes one operator of `act`'s list, so the qKZ
+relation checks act in the same convention as the dense stacks.  Both
 refuse an operator whose sites are out of range or repeated.
 """
 

@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .contour import ChainShape, psi_components
 from .exact import UsageError, inv
-from .operators import SpinVector
+from .operators import SpinVector, _collect
 
 __all__ = ["apply_hamiltonian_sector", "eigenvalue_E", "verify_eigenpair", "EigenReport"]
 
@@ -33,29 +33,39 @@ def _boundary_fields(x):
     return half * (half - x), half * (half - inv(x))
 
 
-# the neighbour coupling on (i, i+1), rows and columns in the order uu, ud, du, dd
-_QUARTER = Fraction(1, 4)
-_NEIGHBOUR = ((_QUARTER, 0, 0, 0),
-              (0, -_QUARTER, -1, 0),
-              (0, -1, -_QUARTER, 0),
-              (0, 0, 0, _QUARTER))
-
-
 def apply_hamiltonian_sector(N: int, x, amps: Mapping[tuple, Fraction]) -> dict:
     """Apply the Hamiltonian to a vector given by down-position amplitudes.
 
-    The result stays in the same magnetization sector: it is the sum of the
-    terms, diag(p, -p) on site 1, diag(p', -p') on site N and the neighbour
-    coupling on each adjacent pair, each an operator of `act`'s form applied
-    to the same vector.
+    The result stays in the same magnetization sector.  The Hamiltonian is
+    diag(p, -p) on site 1, diag(p', -p') on site N and, on each adjacent
+    pair, 1/4 when the spins align, -1/4 when they do not, and a hop of
+    strength -1 that swaps an anti-aligned pair.  So each amplitude is
+    multiplied once by its diagonal entry, which depends only on the spins
+    at sites 1 and N and on the number d of anti-aligned pairs (the pairs
+    give (N - 1 - 2d)/4 together), and is subtracted at each configuration
+    one hop away.
     """
     if N < 1:
         raise UsageError("N must be >= 1")
     p, pp = _boundary_fields(x)
     vec = SpinVector.make(N, amps)
-    terms = [(((p, 0), (0, -p)), 1), (((pp, 0), (0, -pp)), N)]
-    terms += [(_NEIGHBOUR, i, i + 1) for i in range(1, N)]
-    return sum((vec.apply(*op) for op in terms), SpinVector(N, {})).amps
+    diagonal = {}  # (site 1 down, site N down, d) -> the diagonal entry
+
+    def terms():
+        for key, amp in vec.amps.items():
+            # hops[j]: the up neighbours the down spin at key[j] can move to;
+            # every anti-aligned pair is one such move
+            hops = [[q for q in (a - 1, a + 1) if 1 <= q <= N and q not in key]
+                    for a in key]
+            cls = (1 in key, N in key, sum(map(len, hops)))
+            if cls not in diagonal:
+                diagonal[cls] = ((-p if cls[0] else p) + (-pp if cls[1] else pp)
+                                 + Fraction(N - 1 - 2 * cls[2], 4))
+            yield key, diagonal[cls] * amp
+            for j, qs in enumerate(hops):
+                for q in qs:
+                    yield key[:j] + (q,) + key[j + 1:], -amp
+    return _collect({}, terms())
 
 
 def eigenvalue_E(N: int, x) -> Fraction:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
                     brace, interpolate_along, inv)
@@ -38,7 +38,7 @@ from .sixvertex import (_automaton_sums, _bulk_class, _corner_class, alpha_minus
 __all__ = [
     "is_tsasm", "TriangularArray", "triangular_array",
     "matrix_from_array", "config_from_tsasm",
-    "enumerate_tsasm", "genfun", "count_from_partition", "matrices_to_text",
+    "enumerate_tsasm", "genfun", "count_from_partition", "matrix_blocks",
 ]
 
 Matrix = Sequence[Sequence[int]]
@@ -272,9 +272,12 @@ def count_from_partition(N: int) -> int:
     return val
 
 
-def matrices_to_text(ms: Iterable[Matrix]) -> str:
-    """Text dump: one block per matrix, rows space-separated, blank line between."""
-    blocks = []
+def matrix_blocks(ms: Iterable[Matrix]) -> Iterator[str]:
+    """The text dump in pieces, one per matrix as it comes: its rows,
+    space-separated, after a blank line from the previous block; then the
+    final newline."""
+    sep = ""
     for m in ms:
-        blocks.append("\n".join(" ".join(str(v) for v in row) for row in m))
-    return "\n\n".join(blocks) + "\n"
+        yield sep + "\n".join(" ".join(str(v) for v in row) for row in m)
+        sep = "\n\n"
+    yield "\n"

@@ -6,7 +6,7 @@ Run from the root of a source checkout:
 
 max_N defaults to 9 (order 19), the largest order ``xtl tsasm list``
 accepts.  Each row holds ``len(enumerate_tsasm(N))``
-and the sha1 of ``matrices_to_text(enumerate_tsasm(N))``, the bytes
+and the sha1 of ``"".join(matrix_blocks(enumerate_tsasm(N)))``, the bytes
 ``xtl tsasm list --order <2N+1>`` prints.  The file pins the canonical order and
 the text of every listing byte for byte, so it is written once by a trusted
 version of the code and only read by the tests.
@@ -17,7 +17,7 @@ import json
 import pathlib
 import sys
 
-from xtl.tsasm import enumerate_tsasm, matrices_to_text
+from xtl.tsasm import enumerate_tsasm, matrix_blocks
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
     for N in range(max_N + 1):
         ms = enumerate_tsasm(N)
         rows.append({"N": N, "order": 2 * N + 1, "count": len(ms),
-                     "sha1": hashlib.sha1(matrices_to_text(ms).encode()).hexdigest()})
+                     "sha1": hashlib.sha1("".join(matrix_blocks(ms)).encode()).hexdigest()})
     out = pathlib.Path(__file__).with_name("tsasm_golden.json")
     out.write_text(json.dumps({"rows": rows}, indent=1) + "\n")
 

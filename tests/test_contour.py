@@ -242,26 +242,35 @@ def _targets(shape):
             for a in combinations(range(1, N + 1), n)] + [contour._caps(shape)]
 
 
+def _force_path(monkeypatch, split):
+    """Make contour._expand read off two half-products (split) or one series."""
+    monkeypatch.setattr(contour, "_split_pays", lambda *counts: split)
+
+
 @pytest.mark.parametrize("geometric", [False, True])
 @pytest.mark.parametrize("N", range(10))
-def test_extract_matches_the_tuple_key_reference(N, geometric):
-    # every component target and the sum target, at each point.  A scalar
-    # comes back as the arithmetic gives it: int or Fraction when both given
-    # values are real, GaussianRational when one is not (a zero may stay an
-    # int or Fraction).  The CLI prints equal values alike whatever their type.
+def test_extract_matches_the_tuple_key_reference(N, geometric, monkeypatch):
+    # every component target and the sum target, at each point, by each of
+    # _expand's two paths.  A scalar comes back as the arithmetic gives it:
+    # int or Fraction when both given values are real, GaussianRational when
+    # one is not (a zero may stay an int or Fraction).  The CLI prints equal
+    # values alike whatever their type.
     shape = ChainShape.of(N)
     targets = _targets(shape)
     wants = reference_extract(shape, geometric, targets, _EXTRACT_POINTS)
-    for (x, tau), want in zip(_EXTRACT_POINTS, wants):
-        got = contour._extract(shape, geometric, targets, x, tau)
-        assert got == want, (x, tau)
-        if x is None or tau is None:
-            assert all(type(v) is MultiLaurent for v in got), (x, tau)
-            continue
-        real = contour._rational(x) is not None and contour._rational(tau) is not None
-        assert all(type(v) in (int, Fraction) if real else type(v) is GaussianRational or not v
-                   for v in got), (x, tau)
-        assert [format_scalar(v) for v in got] == [format_scalar(v) for v in want], (x, tau)
+    for split in (False, True):
+        _force_path(monkeypatch, split)
+        for (x, tau), want in zip(_EXTRACT_POINTS, wants):
+            got = contour._extract(shape, geometric, targets, x, tau)
+            assert got == want, (split, x, tau)
+            if x is None or tau is None:
+                assert all(type(v) is MultiLaurent for v in got), (split, x, tau)
+                continue
+            real = contour._rational(x) is not None and contour._rational(tau) is not None
+            assert all(type(v) in (int, Fraction) if real
+                       else type(v) is GaussianRational or not v for v in got), (split, x, tau)
+            assert ([format_scalar(v) for v in got]
+                    == [format_scalar(v) for v in want]), (split, x, tau)
 
 
 @pytest.mark.parametrize("geometric", [False, True])
@@ -277,17 +286,94 @@ def test_the_reference_sees_a_moved_x_factor(geometric):
 
 
 @pytest.mark.parametrize("N", range(8))
-def test_packed_keys_keep_a_monomial_at_its_cap_and_drop_one_past_it(N):
+def test_packed_keys_keep_a_monomial_at_its_cap_and_drop_one_past_it(N, monkeypatch):
     shape = ChainShape.of(N)
     caps, n = contour._caps(shape), shape.n
-    assert contour._expand(caps, [[(caps, 3)]], [caps]) == [3]
+    zero = (0,) * n
     inside = list(product(*(range(cap + 1) for cap in caps)))
-    for k in range(n):
-        past = tuple(c + (i == k) for i, c in enumerate(caps))
-        assert contour._expand(caps, [[(caps, 1), (past, 1)]], [caps, past]) == [1, 0]
-        # a step far past every cap is dropped, not carried into the next
-        # field: the constant term is the only coefficient left
-        far = 2 ** (max(caps).bit_length() + 1) + 1
-        step = tuple(far * (i == k) for i in range(n))
-        got = contour._expand(caps, [[((0,) * n, 1), (step, 1)]], inside)
-        assert got == [int(not any(t)) for t in inside]
+    for split in (False, True):
+        _force_path(monkeypatch, split)
+        assert contour._expand(caps, [[(caps, 3)]], [caps]) == [3]
+        for k in range(n):
+            past = tuple(c + (i == k) for i, c in enumerate(caps))
+            assert contour._expand(caps, [[(caps, 1), (past, 1)]], [caps, past]) == [1, 0]
+            # a step far past every cap is dropped, not carried into the next
+            # field: the constant term is the only coefficient left
+            far = 2 ** (max(caps).bit_length() + 1) + 1
+            step = tuple(far * (i == k) for i in range(n))
+            got = contour._expand(caps, [[(zero, 1), (step, 1)]], inside)
+            assert got == [int(not any(t)) for t in inside]
+        if not n:
+            continue
+        # prod over k < n of (1 + u_k)^cap_k (1 + u_k - u_n)^cap_k: steps of
+        # 1 keep the fields narrow, so the split's read of t at a tail
+        # monomial f with f_k > t_k + bias_k borrows from the next field, and
+        # the head reaches every exponent such a borrow could alias
+        unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        factors = [[(zero, 1), (unit[k], 1)] for k in range(n - 1) for _ in range(caps[k])]
+        factors += [[(zero, 1), (unit[k], 1), (unit[-1], -1)] for k in range(n - 1)
+                    for _ in range(caps[k])]
+        want = {zero: 1}
+        for f in factors:
+            want = _reference_mul_factor(want, f, caps)
+        assert contour._expand(caps, factors, inside) == [want.get(t, 0) for t in inside]
+
+
+def _series_starts(monkeypatch):
+    """Record, for each _mul_factor call, whether it starts a new product:
+    whether the series it multiplies is not the one the call before gave."""
+    starts, last, mul = [], [None], contour._mul_factor
+
+    def spy(series, factor, guard):
+        starts.append(series is not last[0])
+        last[0] = mul(series, factor, guard)
+        return last[0]
+    monkeypatch.setattr(contour, "_mul_factor", spy)
+    return starts
+
+
+@pytest.mark.parametrize("N", range(2, 10))
+def test_the_tail_starts_at_the_first_factor_that_touches_the_last_variable(N, monkeypatch):
+    # a cut before the right one gives the same coefficients, so the
+    # products show where it is: the tail's product starts at the first
+    # factor that touches u_n, and every factor is multiplied in once
+    shape = ChainShape.of(N)
+    factors = contour._factors(shape, 1, True, contour._caps(shape))
+    cut = next(i for i, f in enumerate(factors) if any(e[-1] for e, _ in f))
+    for count in (sum_components, tsasm_count_integral):
+        starts = _series_starts(monkeypatch)
+        count(N)
+        assert len(starts) == len(factors)
+        assert [i for i, start in enumerate(starts) if start] == sorted({0, cut}), count
+
+
+@pytest.mark.parametrize("N", [8, 9])
+def test_the_single_series_reads_a_whole_box(N, monkeypatch):
+    # every monomial of the box from the x-free integrand: the lookups pass
+    # box times the tail's factor terms, so the head's series is multiplied
+    # by the tail after all (the tail was expanded to count them)
+    shape = ChainShape.of(N)
+    caps = contour._caps(shape)
+    factors = contour._cleared(contour._factors(shape, 1, False, caps))[0]
+    cut = next(i for i, f in enumerate(factors) if any(e[-1] for e, _ in f))
+    inside = list(product(*(range(cap + 1) for cap in caps)))
+    starts = _series_starts(monkeypatch)
+    got = contour._expand(caps, factors, inside)
+    assert [i for i, start in enumerate(starts) if start] == [0, cut, len(factors)]
+    _force_path(monkeypatch, True)
+    assert got == contour._expand(caps, factors, inside) and any(got)
+
+
+def test_factors_without_a_last_variable_factor_take_the_single_path(monkeypatch):
+    # no factor touches u_n, so there is no tail to split off; n = 0 has no
+    # variables at all
+    taken = []
+    pays = contour._split_pays
+    monkeypatch.setattr(contour, "_split_pays",
+                        lambda *counts: taken.append(counts[-1]) or pays(*counts))
+    caps = (2, 3)
+    factors = [[((0, 0), 1), ((1, 0), 2)], [((0, 0), 1), ((1, 0), -1)]]
+    targets = [(0, 0), (1, 0), (2, 0), (1, 1)]
+    assert contour._expand(caps, factors, targets) == [1, 1, -2, 0]
+    assert contour._expand((), [[((), 5)]], [()]) == [5]
+    assert taken == [[], []] and not pays(0, 12, [])

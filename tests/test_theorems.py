@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from xtl import qkz, sixvertex, tsasm
+from xtl import qkz, sixvertex, theorems, tsasm
 from xtl.contour import sum_components
 from xtl.exact import (DegeneratePointError, GaussianRational as G, MultiLaurent,
                        UsageError, inv)
@@ -22,6 +22,17 @@ TAU = MultiLaurent.var("tau")
 def test_main_theorem_symbolic(N):
     rep = check_main_theorem(N)
     assert rep.passed, rep.failures[:1]
+
+
+def test_main_theorem_fails_when_both_sides_are_zero(monkeypatch):
+    # two zero sides compare equal; the sum at x = 0, tau = 1 counts at least
+    # one TSASM, so the check must still fail
+    zero = MultiLaurent.const(0, ("x", "tau"))
+    monkeypatch.setattr(theorems, "sum_components", lambda N: zero)
+    monkeypatch.setattr(theorems, "_weighted_enumeration", lambda gf, n, tau: zero)
+    for N in (0, 5):
+        rep = check_main_theorem(N)
+        assert not rep.passed and rep.failures == [{"part": "count_at_x0_tau1", "lhs": 0}]
 
 
 def test_main_theorem_four_site_expansion():
