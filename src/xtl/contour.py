@@ -39,13 +39,8 @@ are each expanded from 1, and the read of u^t sums tail[f] * head[t - f]
 over the tail's monomials with f_n = t_n, one lookup each.  t - f is one
 subtraction of packed keys: where some t_k < f_k a field borrows, and its
 top bit then marks the result as no key, so no field needs a spare bit
-(derived in _expand).  Multiplying the head's series by the tail would cost
-at most the cap box prod(cap_k + 1) times the tail's factor terms; the
-reads are taken off the halves when their lookups are fewer, and the
-single series is multiplied out otherwise, as for reads that fill the box.
-Every table, sum and count measured up to N = 12 takes the split: the
-largest, psi_components(12, 7/5, 1), makes 12.7 M lookups against a bound
-of 34.6 M.
+(derived in _expand).  With no tail (n = 0, or no factor in u_n) each read
+is one lookup in the head.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import lcm
 from operator import lshift
 from typing import Mapping
 
@@ -177,13 +172,6 @@ def _cleared(factors) -> tuple:
     return out, D
 
 
-def _split_pays(lookups: int, box: int, tail) -> bool:
-    """Whether reading the targets off two half-products, lookups in all,
-    costs less than multiplying the head's series, of at most box terms, by
-    the tail's factors (see _expand)."""
-    return lookups < box * sum(len(f) for f in tail)
-
-
 def _expand(caps: tuple, factors, targets) -> list:
     """The coefficients of the u-monomials targets in the product of integer
     factors, truncated at caps.
@@ -199,12 +187,7 @@ def _expand(caps: tuple, factors, targets) -> list:
     head, every factor before the first that touches u_n, and the tail, the
     rest, are each expanded from 1.  The head has no u_n, so the coefficient
     of u^t is the sum of tail[f] * head[t - f] over the tail's monomials f
-    with f_n = t_n: one lookup in the head for each.  The single series
-    fills at most the cap box prod(cap_k + 1), so multiplying the head's
-    series by the tail's factors takes at most box times their terms
-    multiply-adds; _split_pays reads the targets off the two halves when
-    their lookups are fewer, and otherwise the head's series is multiplied
-    out and read.
+    with f_n = t_n: one lookup in the head for each.
     """
     step = max((v for f in factors for e, _ in f for v in e), default=0)
     w = (max(caps, default=0) + step).bit_length() + 1
@@ -224,17 +207,13 @@ def _expand(caps: tuple, factors, targets) -> list:
     n = len(caps)
     cut = next((i for i, f in enumerate(factors) if n and any(e[-1] for e, _ in f)),
                len(factors))
-    head, tail = product({bias: 1}, factors[:cut]), factors[cut:]
+    head = product({bias: 1}, factors[:cut])
     # the tail's terms by the field of u_n, the highest in a key
     last = w * max(n - 1, 0)
     slices: dict = {}
-    for b, c in product({bias: 1}, tail).items():
+    for b, c in product({bias: 1}, factors[cut:]).items():
         slices.setdefault(b >> last, []).append((b, c))
     keys = [key(t) + bias for t in targets]
-    reads = [slices.get(r >> last, ()) for r in keys]
-    if not _split_pays(sum(map(len, reads)), prod(cap + 1 for cap in caps), tail):
-        series = product(head, tail)
-        return [series.get(r, 0) for r in keys]
     # The read of t at a tail key b = key(f) + bias is the head key
     # key(t) + 2 bias - b, whose field k is g_k = bias_k + t_k - f_k, with
     # 0 <= t_k, f_k <= cap_k <= 2^(w-1) - 1, so -2^(w-1) < g_k < 2^(w-1).
@@ -244,7 +223,8 @@ def _expand(caps: tuple, factors, targets) -> list:
     # above and holds 2^w + g_k, whose top bit is set, so the int is no key
     # (nor is a negative int) and reads 0.  So no field needs a spare bit.
     get = head.get
-    return [sum(c * get(r + bias - b, 0) for b, c in read) for r, read in zip(keys, reads)]
+    return [sum(c * get(r + bias - b, 0) for b, c in slices.get(r >> last, ()))
+            for r in keys]
 
 
 def _digit_bits(factors, weight: int) -> int:

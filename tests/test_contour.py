@@ -242,35 +242,26 @@ def _targets(shape):
             for a in combinations(range(1, N + 1), n)] + [contour._caps(shape)]
 
 
-def _force_path(monkeypatch, split):
-    """Make contour._expand read off two half-products (split) or one series."""
-    monkeypatch.setattr(contour, "_split_pays", lambda *counts: split)
-
-
 @pytest.mark.parametrize("geometric", [False, True])
 @pytest.mark.parametrize("N", range(10))
-def test_extract_matches_the_tuple_key_reference(N, geometric, monkeypatch):
-    # every component target and the sum target, at each point, by each of
-    # _expand's two paths.  A scalar comes back as the arithmetic gives it:
+def test_extract_matches_the_tuple_key_reference(N, geometric):
+    # every component target and the sum target, at each point.  A scalar comes back as the arithmetic gives it:
     # int or Fraction when both given values are real, GaussianRational when
     # one is not (a zero may stay an int or Fraction).  The CLI prints equal
     # values alike whatever their type.
     shape = ChainShape.of(N)
     targets = _targets(shape)
     wants = reference_extract(shape, geometric, targets, _EXTRACT_POINTS)
-    for split in (False, True):
-        _force_path(monkeypatch, split)
-        for (x, tau), want in zip(_EXTRACT_POINTS, wants):
-            got = contour._extract(shape, geometric, targets, x, tau)
-            assert got == want, (split, x, tau)
-            if x is None or tau is None:
-                assert all(type(v) is MultiLaurent for v in got), (split, x, tau)
-                continue
-            real = contour._rational(x) is not None and contour._rational(tau) is not None
-            assert all(type(v) in (int, Fraction) if real
-                       else type(v) is GaussianRational or not v for v in got), (split, x, tau)
-            assert ([format_scalar(v) for v in got]
-                    == [format_scalar(v) for v in want]), (split, x, tau)
+    for (x, tau), want in zip(_EXTRACT_POINTS, wants):
+        got = contour._extract(shape, geometric, targets, x, tau)
+        assert got == want, (x, tau)
+        if x is None or tau is None:
+            assert all(type(v) is MultiLaurent for v in got), (x, tau)
+            continue
+        real = contour._rational(x) is not None and contour._rational(tau) is not None
+        assert all(type(v) in (int, Fraction) if real
+                   else type(v) is GaussianRational or not v for v in got), (x, tau)
+        assert [format_scalar(v) for v in got] == [format_scalar(v) for v in want], (x, tau)
 
 
 @pytest.mark.parametrize("geometric", [False, True])
@@ -286,23 +277,21 @@ def test_the_reference_sees_a_moved_x_factor(geometric):
 
 
 @pytest.mark.parametrize("N", range(8))
-def test_packed_keys_keep_a_monomial_at_its_cap_and_drop_one_past_it(N, monkeypatch):
+def test_packed_keys_keep_a_monomial_at_its_cap_and_drop_one_past_it(N):
     shape = ChainShape.of(N)
     caps, n = contour._caps(shape), shape.n
     zero = (0,) * n
     inside = list(product(*(range(cap + 1) for cap in caps)))
-    for split in (False, True):
-        _force_path(monkeypatch, split)
-        assert contour._expand(caps, [[(caps, 3)]], [caps]) == [3]
-        for k in range(n):
-            past = tuple(c + (i == k) for i, c in enumerate(caps))
-            assert contour._expand(caps, [[(caps, 1), (past, 1)]], [caps, past]) == [1, 0]
-            # a step far past every cap is dropped, not carried into the next
-            # field: the constant term is the only coefficient left
-            far = 2 ** (max(caps).bit_length() + 1) + 1
-            step = tuple(far * (i == k) for i in range(n))
-            got = contour._expand(caps, [[(zero, 1), (step, 1)]], inside)
-            assert got == [int(not any(t)) for t in inside]
+    assert contour._expand(caps, [[(caps, 3)]], [caps]) == [3]
+    for k in range(n):
+        past = tuple(c + (i == k) for i, c in enumerate(caps))
+        assert contour._expand(caps, [[(caps, 1), (past, 1)]], [caps, past]) == [1, 0]
+        # a step far past every cap is dropped, not carried into the next
+        # field: the constant term is the only coefficient left
+        far = 2 ** (max(caps).bit_length() + 1) + 1
+        step = tuple(far * (i == k) for i in range(n))
+        got = contour._expand(caps, [[(zero, 1), (step, 1)]], inside)
+        assert got == [int(not any(t)) for t in inside]
         if not n:
             continue
         # prod over k < n of (1 + u_k)^cap_k (1 + u_k - u_n)^cap_k: steps of
@@ -347,33 +336,11 @@ def test_the_tail_starts_at_the_first_factor_that_touches_the_last_variable(N, m
         assert [i for i, start in enumerate(starts) if start] == sorted({0, cut}), count
 
 
-@pytest.mark.parametrize("N", [8, 9])
-def test_the_single_series_reads_a_whole_box(N, monkeypatch):
-    # every monomial of the box from the x-free integrand: the lookups pass
-    # box times the tail's factor terms, so the head's series is multiplied
-    # by the tail after all (the tail was expanded to count them)
-    shape = ChainShape.of(N)
-    caps = contour._caps(shape)
-    factors = contour._cleared(contour._factors(shape, 1, False, caps))[0]
-    cut = next(i for i, f in enumerate(factors) if any(e[-1] for e, _ in f))
-    inside = list(product(*(range(cap + 1) for cap in caps)))
-    starts = _series_starts(monkeypatch)
-    got = contour._expand(caps, factors, inside)
-    assert [i for i, start in enumerate(starts) if start] == [0, cut, len(factors)]
-    _force_path(monkeypatch, True)
-    assert got == contour._expand(caps, factors, inside) and any(got)
-
-
-def test_factors_without_a_last_variable_factor_take_the_single_path(monkeypatch):
-    # no factor touches u_n, so there is no tail to split off; n = 0 has no
-    # variables at all
-    taken = []
-    pays = contour._split_pays
-    monkeypatch.setattr(contour, "_split_pays",
-                        lambda *counts: taken.append(counts[-1]) or pays(*counts))
+def test_factors_without_a_last_variable_factor_read_the_head_alone():
+    # no factor touches u_n, so the tail is empty and each read is one
+    # lookup in the head; n = 0 has no variables at all
     caps = (2, 3)
     factors = [[((0, 0), 1), ((1, 0), 2)], [((0, 0), 1), ((1, 0), -1)]]
     targets = [(0, 0), (1, 0), (2, 0), (1, 1)]
     assert contour._expand(caps, factors, targets) == [1, 1, -2, 0]
     assert contour._expand((), [[((), 5)]], [()]) == [5]
-    assert taken == [[], []] and not pays(0, 12, [])

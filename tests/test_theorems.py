@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,14 @@ def test_main_theorem_fails_when_both_sides_are_zero(monkeypatch):
     for N in (0, 5):
         rep = check_main_theorem(N)
         assert not rep.passed and rep.failures == [{"part": "count_at_x0_tau1", "lhs": 0}]
+    # a count that is not an int fails the same way, its value recorded by
+    # repr, rather than raising out of the check
+    half = MultiLaurent.const(Fraction(1, 2), ("x", "tau"))
+    monkeypatch.setattr(theorems, "sum_components", lambda N: half)
+    monkeypatch.setattr(theorems, "_weighted_enumeration", lambda gf, n, tau: half)
+    rep = check_main_theorem(5)
+    count = half.eval_at({"x": 0, "tau": 1})
+    assert not rep.passed and rep.failures == [{"part": "count_at_x0_tau1", "lhs": repr(count)}]
 
 
 def test_main_theorem_four_site_expansion():
