@@ -128,16 +128,15 @@ def _emit(ns, text) -> None:
 
 
 def serialize(result, fmt: str) -> str:
-    """Bit-stable rendering of a polynomial, count table or matrix list (JSON
-    only: `tsasm list` writes the text blocks as they are formed); raises
-    UsageError on an unsupported pairing."""
+    """Bit-stable rendering of a polynomial or count table (`tsasm list`
+    writes its matrices as they are formed); raises UsageError on an
+    unsupported pairing."""
     if isinstance(result, MultiLaurent):
         if fmt == "json":
             return json.dumps(result.to_json(), separators=(",", ":")) + "\n"
         if fmt == "text":
             return repr(result) + "\n"
-    if isinstance(result, list) and result and isinstance(result[0], tuple) \
-            and len(result[0]) == 3:
+    if isinstance(result, list):
         if fmt == "csv":
             return "N,order,count\n" + "\n".join(
                 f"{N},{o},{c}" for N, o, c in result) + "\n"
@@ -146,9 +145,6 @@ def serialize(result, fmt: str) -> str:
                                for N, o, c in result]) + "\n"
         if fmt == "text":
             return "\n".join(str(c) for _, _, c in result) + "\n"
-    if isinstance(result, list) and (not result or isinstance(result[0], list)) \
-            and fmt == "json":
-        return json.dumps(result) + "\n"
     raise UsageError(f"cannot serialize {type(result).__name__} as {fmt}")
 
 
@@ -223,7 +219,8 @@ def _order_to_N(order: int) -> int:
 #     25 s at n = 8.
 # The enum, partition, genfun and pf_enum limits predate the flux bound and
 # are kept: raising them, with the other limits, is a CLI change of its own
-# (ROADMAP item 11).
+# (ROADMAP item 11).  The verify limits of main, corollaries and gflemma are
+# derived from these (see _SUITES), so they move with them.
 _MAX_ORDER = {"enum": 19, "integral": 23, "partition": 27, "genfun": 27,
               "psi": 23, "sum": 23, "pf_enum": 25, "pf_algebraic": 29}
 
@@ -263,9 +260,17 @@ def _cmd_tsasm(ns) -> int:
 
     N = _order_to_N(ns.order)
     _check_order(ns.order, "enum")
-    ms = enumerate_tsasm(N)
-    _emit(ns, matrix_blocks(ms) if ns.format == "text" else serialize(ms, ns.format))
+    _emit(ns, (matrix_blocks if ns.format == "text" else _json_list)(enumerate_tsasm(N)))
     return 0
+
+
+def _json_list(items):
+    """json.dumps(items) + "\n" in pieces, one per item as it comes (nested
+    lists separate by ", " at every level, so the bytes are the same)."""
+    yield "["
+    for i, item in enumerate(items):
+        yield (", " if i else "") + json.dumps(item)
+    yield "]\n"
 
 
 def _scalar_or_var(token: str):
@@ -330,25 +335,30 @@ def _cmd_spinchain(ns) -> int:
 # the module's attribute (the benchmark's tracer) is what runs.
 _Suite = namedtuple("_Suite", "min_n max_n jobs module check")
 
-# The suites in the order `--suite all` runs and prints them.  Each --max-N
-# limit is the largest size whose one job took at most about 30 s at
+# The suites in the order `--suite all` runs and prints them.  The limits
+# stated here are the only size limits of `verify`: no checker and no job
+# list caps a size.  A suite whose jobs run a tsasm, psi or sum route takes
+# its limit from _MAX_ORDER, at the tightest route its largest job runs:
+#   main checks sum_components(N) (order 2N+1 <= 23) against genfun(N) (27):
+#     N <= 11; N = 11 takes 0.26-0.31 s in 21 MB, 12 takes 3.2-3.5 s in
+#     58 MB and 13 5-10 s in 87 MB;
+#   corollaries part (c) enumerates order 2N+3 (enum, 19): N <= 8; in a
+#     fresh process N = 7 takes 0.11-0.12 s in 24 MB and 8 1.1-1.2 s in 80 MB;
+#   gflemma n runs genfun(2n+1) (order 4n+3 <= 27) and pf_enum at n
+#     (4n+1 <= 25): n <= 6, so --max-N <= 13, with n = 1..max-N//2; n = 6
+#     takes 0.44-0.45 s in 19 MB at one trial.
+# The others are the largest size whose one job took at most about 30 s at
 # --trials 1 (trials multiply it) when the limit was set.  Measured on a
 # 2-vCPU Xeon, Python 3.11.7, one job per size:
 #   exchange and reduction run one job over N = 2..max-N: exchange 9 takes
 #     2.6 s, 10 takes 22 s; reduction 9 takes 8.5 s, 10 takes 56 s;
 #   zprops N = 9 takes 4.0 s, 10 takes 26 s;
 #   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
-#   relationsz N = 7 takes 1.3 s, 8 takes 24 s;
-#   main N = 11 takes 0.26-0.31 s in 21 MB, 12 takes 3.2-3.5 s in 58 MB and
-#     13 5-10 s in 87 MB, its component sum read off two half-products
-#     (N = 11 0.9-1.3 s in 51 MB and 12 21 s in 0.51 GB from the single
-#     series; 24 s and over 100 s when the limit was set; its component sum
-#     is the expansion that psi and sum refuse above N = 11).
+#   relationsz N = 7 takes 1.3 s, 8 takes 24 s.
 # Since the residue sums run in Gaussian integers, exchange 10, zprops 10
 # and relationsz 8 also fit in 30 s; the limits are kept, so that no request
 # moves between refused and accepted.  ybe ignores --max-N and runs at least
-# 20 trials; gflemma always checks n = 1 and caps its own jobs at n = 3,
-# corollaries at N = 6, and relationsz runs at most 3 trials above N = 4.
+# 20 trials; relationsz runs at most 3 trials above N = 4 (ROADMAP item 8).
 _SUITES = {
     "ybe": _Suite(-math.inf, math.inf,
                   lambda m, t, s: [{"trials": max(t, 20), "seed": s}],
@@ -363,17 +373,19 @@ _SUITES = {
     "yandyy": _Suite(0, 11, lambda m, t, s: [{"N": N, "trials": t, "seed": s}
                                              for N in range(m + 1)],
                      "theorems", lambda mod: mod.check_Y_equals_YY),
-    "gflemma": _Suite(-math.inf, math.inf,
+    "gflemma": _Suite(2, 2 * min((_MAX_ORDER["genfun"] - 3) // 4,
+                                 (_MAX_ORDER["pf_enum"] - 1) // 4) + 1,
                       lambda m, t, s: [{"n": n, "trials": t, "seed": s}
-                                       for n in range(1, min(3, max(1, m // 2)) + 1)],
+                                       for n in range(1, m // 2 + 1)],
                       "theorems", lambda mod: mod.check_gf_lemma),
     "relationsz": _Suite(0, 7, lambda m, t, s: [{"N": N, "trials": t if N <= 4 else min(t, 3),
                                                  "seed": s} for N in range(m + 1)],
                          "theorems", lambda mod: mod.check_relation_SZ),
-    "main": _Suite(0, 11, lambda m, t, s: [{"N": N} for N in range(m + 1)],
+    "main": _Suite(0, (_MAX_ORDER["sum"] - 1) // 2,
+                   lambda m, t, s: [{"N": N} for N in range(m + 1)],
                    "theorems", lambda mod: mod.check_main_theorem),
-    "corollaries": _Suite(0, math.inf,
-                          lambda m, t, s: [{"N": N} for N in range(min(m, 6) + 1)],
+    "corollaries": _Suite(0, (_MAX_ORDER["enum"] - 3) // 2,
+                          lambda m, t, s: [{"N": N} for N in range(m + 1)],
                           "theorems", lambda mod: mod.check_corollaries),
 }
 

@@ -138,7 +138,8 @@ def _factors(shape: ChainShape, tau, geometric: bool, caps) -> list:
     """The factors of the integrand other than the n factors (u_k + x); with
     geometric, also the n geometric series 1/(1 - u_1...u_k) cut at caps.
     They come ordered by the highest u-index each touches, so the series
-    takes on one variable at a time."""
+    takes on one variable at a time.  tau is placed as given, a None too,
+    and every other coefficient is 1 or -1."""
     n = shape.n
     zero = (0,) * n
     fs = []
@@ -228,12 +229,12 @@ def _expand(caps: tuple, factors, targets) -> list:
 
 
 def _digit_bits(factors, weight: int) -> int:
-    """Digit width B for the packed expansion of integer factors, given with
-    tau set to 1, whose reads are summed with weights of 1-norm at most
+    """Digit width B for the packed expansion of factors whose coefficients
+    are 1, -1 or tau, whose reads are summed with weights of 1-norm at most
     weight (see the derivation in _extract)."""
     bound = weight
     for f in factors:
-        bound *= sum(abs(c) for _, c in f)
+        bound *= len(f)
     return bound.bit_length() + 1
 
 
@@ -277,14 +278,16 @@ def _extract(shape: ChainShape, geometric: bool, targets, x, tau) -> list:
     # at a target c is, for an unknown or non-real x, each
     # P_i = sum over |S| = n - i of [u^(c - e_S)] F, and for a real x the
     # one int sum_i p^i q^(n-i) P_i.  Either is a coefficient of the product
-    # of F's cleared factors and the n factors (q u_k + p), of x^i u^c or of
+    # of F's integer factors and the n factors (q u_k + p), of x^i u^c or of
     # u^c, with p = q = 1 when x is not real.  Every coefficient of a
     # product, truncated or not, as a polynomial in tau, is at most the
     # product of its factors' coefficient 1-norms with tau set to 1 (a
-    # product's 1-norm is at most the product of its factors' 1-norms; each
-    # geometric factor gives its term count, the x factors (|p| + q)^n
-    # together), so B = bit length of that bound + 1 keeps every digit
-    # inside the balanced range [-2^(B-1), 2^(B-1)).
+    # product's 1-norm is at most the product of its factors' 1-norms; every
+    # coefficient of a factor is 1, -1 or tau, so at tau = 1 a factor's
+    # 1-norm is its term count, the x factors' (|p| + q)^n together), so
+    # B = bit length of that bound + 1 keeps every digit inside the balanced
+    # range [-2^(B-1), 2^(B-1)).  The factors are built once, with None for
+    # tau: B is read off their lengths, then T takes tau's place.
     n = shape.n
     xr, tr = _rational(x), _rational(tau)
     powers = [0] if xr == 0 else range(n + 1)
@@ -295,8 +298,11 @@ def _extract(shape: ChainShape, geometric: bool, targets, x, tau) -> list:
     caps = tuple(max((r[k] for r in wanted), default=0) for k in range(n))
     p, q = (1, 1) if xr is None else (xr.numerator, xr.denominator)
     if tr is None:
-        B = _digit_bits(_cleared(_factors(shape, 1, geometric, caps))[0], (abs(p) + q) ** n)
-    factors, D = _cleared(_factors(shape, 1 << B if tr is None else tr, geometric, caps))
+        factors = _factors(shape, None, geometric, caps)
+        B = _digit_bits(factors, (abs(p) + q) ** n)
+        factors, D = [[(e, 1 << B if c is None else c) for e, c in f] for f in factors], 1
+    else:
+        factors, D = _cleared(_factors(shape, tr, geometric, caps))
     coef = dict(zip(wanted, _expand(caps, factors, wanted)))
     # a given value that is not real is evaluated after the decode
     xe, te = (x if xr is None else None), (tau if tr is None else None)

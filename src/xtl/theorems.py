@@ -131,46 +131,38 @@ def check_main_theorem(N: int) -> TheoremReport:
     return rep
 
 
-# the largest N at which check_corollaries runs parts (b), (c) and (d): (b)
-# and (c) enumerate the TSASMs of order 2N+1 and 2N+3, while (d) compares
-# only genfun(N) with genfun(N + 1), which holds in under half a second for
-# every N up to 10
-_COUNT_MAX, _SUSY_MAX, _SHIFT_MAX = 6, 5, 5
-
-
 def check_corollaries(N: int) -> TheoremReport:
-    """The corollary chain:
+    """The corollary chain, every part at every N:
 
     (a) the tau = 1 component sum against the tau = 1 generating function;
-    (b) the counting integral against the enumeration count, N <= _COUNT_MAX;
-    (c) the component sum at x = tau = 1 against the count two orders higher,
-        N <= _SUSY_MAX;
-    (d) the shift identity gf_N(1+tau, tau) = gf_{N+1}(1, tau), N <= _SHIFT_MAX.
+    (b) the counting integral against the enumeration count of order 2N+1;
+    (c) the component sum at x = tau = 1 against the enumeration count of
+        order 2N+3;
+    (d) the shift identity gf_N(1+tau, tau) = gf_{N+1}(1, tau).
+
+    (b) and (c) count materialized, validated matrices, so the enumeration
+    route bounds N (verify --suite corollaries takes its limit from it).
     """
-    rep = TheoremReport("corollaries", {"N": N, "count_max": _COUNT_MAX,
-                                        "susy_max": _SUSY_MAX, "shift_max": _SHIFT_MAX})
+    rep = TheoremReport("corollaries", {"N": N})
     gf = genfun(N)
     lhs = sum_components(N, tau=1)
     rhs = _weighted_enumeration(gf, ChainShape.of(N).n, 1)
     if lhs != rhs:
         rep.fail(part="a_tau_one", lhs=lhs.to_json(), rhs=rhs.to_json())
 
-    if N <= _COUNT_MAX:
-        ci = tsasm_count_integral(N)
-        ce = len(enumerate_tsasm(N))
-        if ci != ce:
-            rep.fail(part="b_counts", lhs=ci, rhs=ce)
+    ci = tsasm_count_integral(N)
+    ce = len(enumerate_tsasm(N))
+    if ci != ce:
+        rep.fail(part="b_counts", lhs=ci, rhs=ce)
 
-    if N <= _SUSY_MAX:
-        sval = sum_components(N, x=1, tau=1)
-        bigger = len(enumerate_tsasm(N + 1))
-        if sval != bigger:
-            rep.fail(part="c_supersymmetric_point", lhs=sval, rhs=bigger)
+    sval = sum_components(N, x=1, tau=1)
+    bigger = len(enumerate_tsasm(N + 1))
+    if sval != bigger:
+        rep.fail(part="c_supersymmetric_point", lhs=sval, rhs=bigger)
 
-    if N <= _SHIFT_MAX:
-        tau = MultiLaurent.var("tau")
-        lhs_d = _replace_t(gf, lambda mu: (1 + tau) ** mu, tau, ("tau",))
-        rhs_d = _replace_t(genfun(N + 1), lambda mu: 1, tau, ("tau",))
-        if lhs_d != rhs_d:
-            rep.fail(part="d_shift", lhs=lhs_d.to_json(), rhs=rhs_d.to_json())
+    tau = MultiLaurent.var("tau")
+    lhs_d = _replace_t(gf, lambda mu: (1 + tau) ** mu, tau, ("tau",))
+    rhs_d = _replace_t(genfun(N + 1), lambda mu: 1, tau, ("tau",))
+    if lhs_d != rhs_d:
+        rep.fail(part="d_shift", lhs=lhs_d.to_json(), rhs=rhs_d.to_json())
     return rep

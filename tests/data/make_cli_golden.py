@@ -38,6 +38,7 @@ COMMANDS = [
     ["tsasm", "genfun", "--order", "17"],
     ["tsasm", "genfun", "--order", "15", "--format", "text"],
     ["tsasm", "list", "--order", "9"],
+    ["tsasm", "list", "--order", "9", "--format", "json"],
     README_PF + ["--method", "enum"],
     README_PF + ["--method", "algebraic"],
     ["sixvertex", "pf", "--n", "2", "--alpha", "+", "--s", "5/2", "--t", "t"],
@@ -50,6 +51,7 @@ COMMANDS = [
                 "relationsz")),
     ["verify", "--suite", "main", "--max-N", "6"],
     ["verify", "--suite", "corollaries", "--max-N", "5"],
+    ["verify", "--suite", "corollaries", "--max-N", "7"],
     ["verify", "--suite", "ybe", "--trials", "1"],
     ["verify", "--suite", "all", "--max-N", "4", "--trials", "2"],
     # above N = 4 relationsz runs at most 3 trials

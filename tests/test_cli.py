@@ -63,6 +63,18 @@ def test_tsasm_list_text():
     assert code == 0 and out == "0 1 0\n1 -1 1\n0 1 0\n"
 
 
+def test_tsasm_list_json_is_one_dump_written_in_pieces(monkeypatch, tmp_path):
+    from xtl import tsasm
+    for N in (0, 1, 6):
+        args = ["tsasm", "list", "--order", str(2 * N + 1), "--format", "json"]
+        assert run_cli(args) == (0, json.dumps(tsasm.enumerate_tsasm(N)) + "\n"), N
+        out = tmp_path / f"list{N}.json"
+        assert run_cli(["--out", str(out)] + args) == (0, "")
+        assert out.read_text() == json.dumps(tsasm.enumerate_tsasm(N)) + "\n"
+    monkeypatch.setattr(tsasm, "enumerate_tsasm", lambda N: [])
+    assert run_cli(["tsasm", "list", "--order", "3", "--format", "json"]) == (0, "[]\n")
+
+
 def test_psi_table_json():
     code, out = run_cli(["psi", "--N", "2"])
     assert code == 0
@@ -287,7 +299,7 @@ def test_verify_refuses_requests_that_check_nothing(monkeypatch, capsys):
         assert capsys.readouterr().err == "usage error: --trials must be at least 1\n"
 
     # one below each smallest --max-N, with the exact line; --trials is checked first
-    lows = {"all": 2, "exchange": 2, "reduction": 2, "zprops": 2,
+    lows = {"all": 2, "exchange": 2, "reduction": 2, "zprops": 2, "gflemma": 2,
             "yandyy": 0, "relationsz": 0, "main": 0, "corollaries": 0}
     for suite, low in lows.items():
         args = ["verify", "--suite", suite, "--max-N", str(low - 1), "--trials", "2"]
@@ -302,7 +314,7 @@ def test_verify_refuses_requests_that_check_nothing(monkeypatch, capsys):
     for args, lines in ((["--suite", "zprops", "--max-N", "2", "--trials", "1"], 1),
                         (["--suite", "exchange", "--max-N", "2", "--trials", "1"], 1),
                         (["--suite", "main", "--max-N", "0"], 1),
-                        (["--suite", "gflemma", "--max-N", "0"], 1),
+                        (["--suite", "gflemma", "--max-N", "2"], 1),
                         (["--suite", "ybe", "--max-N", "0"], 1)):
         code, out = run_cli(["verify"] + args)
         assert code == 0 and len(out.splitlines()) == lines, args
@@ -315,7 +327,7 @@ def test_verify_refuses_max_n_that_cannot_finish(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_run_job", never)
     limits = {"exchange": 9, "reduction": 9, "zprops": 9, "yandyy": 11,
-              "relationsz": 7, "main": 11, "all": 7}
+              "gflemma": 13, "relationsz": 7, "main": 11, "corollaries": 8, "all": 7}
     for suite, limit in limits.items():
         for max_n in (limit + 1, 40):
             args = ["verify", "--suite", suite, "--max-N", str(max_n), "--trials", "1"]
@@ -326,14 +338,20 @@ def test_verify_refuses_max_n_that_cannot_finish(monkeypatch, capsys):
             assert run_cli(args[:-1] + ["0"]) == (2, ""), args
             assert capsys.readouterr().err == "usage error: --trials must be at least 1\n"
 
-    # the limits themselves are accepted, and the suites that cap their own
-    # jobs or ignore --max-N take any size
-    monkeypatch.setattr(cli, "_run_job", lambda job: (True, job[0]))
-    accepted = list(limits.items())
-    accepted += [(s, 40) for s in ("gflemma", "corollaries", "ybe")]
-    for suite, max_n in accepted:
+    # the limits themselves are accepted, with every size up to them run
+    # (gflemma's n up to max-N // 2), and ybe, which ignores --max-N, takes any
+    ran = []
+
+    def record(job):
+        ran.append(job)
+        return True, job[0]
+
+    monkeypatch.setattr(cli, "_run_job", record)
+    for suite, max_n in [*limits.items(), ("ybe", 40)]:
         args = ["verify", "--suite", suite, "--max-N", str(max_n), "--trials", "1"]
         assert run_cli(args)[0] == 0, args
+    sizes = {kind: max(cli._job_size(j) for j in ran if j[0] == kind) for kind, _ in ran}
+    assert (sizes["gflemma"], sizes["corollaries"], sizes["main"]) == (6, 8, 11)
 
 
 def test_byte_stable_output():
@@ -541,7 +559,7 @@ def test_verify_exchange_loads_only_the_modules_it_runs():
                 "xtl.spinchain"} & set(rep["modules"])
     # psi, sum and tsasm import their routes on demand and still match the golden file
     golden = (DATA / "cli_golden.txt").read_text()
-    assert len(rep["blocks"]) == 16
+    assert len(rep["blocks"]) == 17
     for block in rep["blocks"]:
         assert block in golden
 

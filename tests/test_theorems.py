@@ -56,21 +56,44 @@ def test_main_theorem_two_sites():
     assert sum_components(2) == 1 + X
 
 
-@pytest.mark.parametrize("N", range(0, 6))
+@pytest.mark.parametrize("N", range(0, 8))
 def test_corollaries(N):
     rep = check_corollaries(N)
     assert rep.passed, rep.failures[:1]
+    assert rep.params == {"N": N}
+
+
+def test_corollaries_see_a_fault_at_order_15(monkeypatch):
+    # every part runs at every N: at N = 6, part (c) counts order 15 and
+    # part (d) reads genfun(7), so a fault there fails check_corollaries(6)
+    enumerate_tsasm, genfun = theorems.enumerate_tsasm, theorems.genfun
+
+    def one_short(N):
+        ms = enumerate_tsasm(N)
+        return ms[1:] if N == 7 else ms
+
+    monkeypatch.setattr(theorems, "enumerate_tsasm", one_short)
+    rep = check_corollaries(6)
+    assert [f["part"] for f in rep.failures] == ["c_supersymmetric_point"]
+    assert (rep.failures[0]["lhs"], rep.failures[0]["rhs"]) == (248, 247)
+    monkeypatch.undo()
+
+    def plus_one(N):
+        gf = genfun(N)
+        if N == 7:
+            (e, _), *_ = gf.sorted_terms()
+            gf = gf + MultiLaurent.monomial(("t", "tau"), e)
+        return gf
+
+    monkeypatch.setattr(theorems, "genfun", plus_one)
+    rep = check_corollaries(6)
+    assert [f["part"] for f in rep.failures] == ["d_shift"]
 
 
 def test_corollary_supersymmetric_point_values():
     # the x = tau = 1 values step two orders up the counting sequence
     assert sum_components(4, x=1, tau=1) == 13
     assert sum_components(5, x=1, tau=1) == 46
-
-
-def test_corollary_count_chain_n6():
-    rep = check_corollaries(6)
-    assert rep.passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
