@@ -197,10 +197,11 @@ def _order_to_N(order: int) -> int:
 #     set; the limit is kept);
 #   partition and genfun walk the column automaton of size n = N//2, whose
 #     forward pass expands only the frontiers within its flux bound: at order
-#     27 (n = 6) partition takes 1.4-2.1 s and genfun 0.3-0.4 s, both in
-#     20 MB (4-4.3 s and 1.8-2.7 s, both in 0.27 GB, before the bound); at
-#     order 29 (n = 7) genfun(14) takes 0.7-0.8 s in 21 MB in process (35 s
-#     and 3 GB before);
+#     27 (n = 6) partition takes 1.4-2.1 s in 20 MB and genfun, on packed int
+#     weights, 0.13-0.15 s in 18 MB (0.28-0.33 s on MultiLaurent monomials;
+#     4-4.3 s and 1.8-2.7 s, both in 0.27 GB, before the bound); at order 29
+#     (n = 7) genfun(14) takes 0.11-0.12 s in 19 MB in process (0.4-0.5 s on
+#     monomials, 35 s and 3 GB before the bound);
 #   psi and sum expand the x-free part of the contour integrand once, as
 #     two half-products on packed keys with only tau packed, and apply x to
 #     their reads: at N = 11 psi takes 0.5-0.6 s in 28 MB and sum 0.13-0.16 s

@@ -419,10 +419,6 @@ class MultiLaurent:
     def var(name: str) -> "MultiLaurent":
         return MultiLaurent((name,), {(1,): 1})
 
-    @staticmethod
-    def monomial(vars: Sequence[str], exps: Sequence[int], c: Scalar = 1) -> "MultiLaurent":
-        return MultiLaurent(vars, {tuple(exps): c})
-
     # -- basic structure -------------------------------------------------------
     def __bool__(self) -> bool:
         return bool(self.terms)

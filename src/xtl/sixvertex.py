@@ -268,7 +268,7 @@ def _automaton_sums(letters: tuple, weight, one) -> dict:
     """Weighted configuration sums of the column automaton, one per bottom
     word; column c may take any letter of letters[c-1].  A vertex (r, c) of
     class cls weighs weight(r, c, cls), a value of the ring with unit one:
-    brackets for the partition functions, monomials for the generating
+    brackets for the partition functions, packed ints for the generating
     function.  The state after each column is keyed by (frontier, word
     prefix); only the live frontiers of _transition_table are walked, and each
     column's weight is formed once per transition before it multiplies the

@@ -223,20 +223,56 @@ _GF_EXPONENTS = {"tp": (1, 0), "tm": (1, 0), "cp": (0, 1), "cm": (0, 1),
                  "a": (0, 0), "b": (0, 0), "s": (0, 0)}
 
 
+def _digit_bits(count: int) -> int:
+    """Digit width of the packed generating function: the bit length of the
+    TSASM count, which bounds every coefficient (see genfun)."""
+    return count.bit_length()
+
+
 def genfun(N: int) -> MultiLaurent:
     """The generating function sum_A t^mu(A) tau^nu(A) over TSASMs of order 2N+1.
 
     No matrix is built: the column automaton of the staircase bijection sums
-    a monomial weight per configuration, t for each transmitting corner and
-    tau for each turning bulk vertex, aggregated per frontier.  The result
-    has int coefficients; it equals the sum over enumerate_tsasm(N) of
-    t^mu tau^nu read off triangular_array.
+    a weight per configuration, t for each transmitting corner and tau for
+    each turning bulk vertex, aggregated per frontier.  The result has int
+    coefficients; it equals the sum over enumerate_tsasm(N) of t^mu tau^nu
+    read off triangular_array.
+
+    The weights are plain ints (Kronecker substitution): a class with
+    exponents (a, b) in _GF_EXPONENTS weighs 2^(B (a V + b)), so a
+    configuration weighs 2^(B (mu V + nu)) and the automaton's sum holds the
+    coefficient of t^mu tau^nu as its base-2^B digit at slot mu V + nu.  The
+    slots are distinct because nu < V: nu is at most the number of staircase
+    vertices times the largest tau exponent of the table, and V is one more.
+    The digits do not overlap because every coefficient is nonnegative and
+    at most their sum, the TSASM count, which one more automaton pass with
+    weight 1 gives exactly; B is its bit length.  A coefficient of 2^B or
+    more would carry into the next digit, and each carry lowers the digit sum
+    by 2^B - 1, so decoded digits that do not sum back to the count mean the
+    width was too small: an internal error, as is a negative exponent in the
+    table.
     """
     _, alpha = _staircase(N)
-    mono = {cls: MultiLaurent.monomial(_GF_VARS, e) for cls, e in _GF_EXPONENTS.items()}
-    sums = _automaton_sums(tuple(alpha), lambda r, c, cls: mono[cls],
-                           MultiLaurent.const(1, _GF_VARS))
-    return sums[alpha]
+    letters = tuple(alpha)
+    if any(e < 0 for exps in _GF_EXPONENTS.values() for e in exps):
+        raise RuntimeError("the generating-function exponent table has a negative exponent")
+    count = _automaton_sums(letters, lambda r, c, cls: 1, 1)[alpha]
+    B = _digit_bits(count)
+    V = len(alpha) * (len(alpha) + 1) // 2 * max(b for _, b in _GF_EXPONENTS.values()) + 1
+    weight = {cls: 1 << B * (a * V + b) for cls, (a, b) in _GF_EXPONENTS.items()}
+    packed = _automaton_sums(letters, lambda r, c, cls: weight[cls], 1)[alpha]
+    terms = {}
+    mask = (1 << B) - 1
+    slot = 0
+    while packed:
+        d = packed & mask
+        if d:
+            terms[divmod(slot, V)] = d
+        packed >>= B
+        slot += 1
+    if sum(terms.values()) != count:
+        raise RuntimeError(f"genfun({N}): packed coefficients overlap at digit width {B}")
+    return MultiLaurent(_GF_VARS, terms)
 
 
 def _lemma_point(n: int, alpha, s, t) -> tuple:

@@ -1,14 +1,14 @@
-"""Write genfun_golden.json: the TSASM generating function for N = 0..12.
+"""Write genfun_golden.json: the TSASM generating function for N = 0..13.
 
 Run from the root of a source checkout:
 
     PYTHONPATH=src python tests/data/make_genfun_golden.py [max_N]
 
-max_N defaults to 12 (order 25).  Each row holds ``genfun(N)`` exactly as
-``xtl tsasm genfun --N <N>`` prints it (``serialize`` JSON form, without the
-trailing newline).  The file pins the enumeration side of the main theorem
-byte for byte, so it is written once by a trusted version of the code and
-only read by the tests.
+max_N defaults to 13 (order 27, the largest order ``xtl tsasm genfun``
+accepts).  Each row holds ``genfun(N)`` exactly as ``xtl tsasm genfun --N <N>``
+prints it (``serialize`` JSON form, without the trailing newline).  The file
+pins the enumeration side of the main theorem byte for byte, so it is written
+once by a trusted version of the code and only read by the tests.
 """
 
 import json
@@ -20,7 +20,7 @@ from xtl.tsasm import genfun
 
 
 def main():
-    max_N = int(sys.argv[1]) if len(sys.argv) > 1 else 12
+    max_N = int(sys.argv[1]) if len(sys.argv) > 1 else 13
     rows = [{"N": N, "order": 2 * N + 1,
              "genfun": serialize(genfun(N), "json").rstrip("\n")}
             for N in range(max_N + 1)]

@@ -195,7 +195,7 @@ def test_gaussian_string_roundtrip(x):
 
 def test_poly_arith_examples():
     x = X
-    xinv = MultiLaurent.monomial(("x",), (-1,))
+    xinv = MultiLaurent(("x",), {(-1,): 1})
     assert x * xinv == 1
     assert (1 + x) * (1 + TAU) == 1 + x + TAU + x * TAU
     assert not ((1 + x) - (1 + x))
@@ -212,12 +212,12 @@ def test_degree_range_examples():
 
 def test_eval_examples():
     assert (X + TAU).eval_at({"x": 1, "tau": 1}) == 2
-    assert MultiLaurent.monomial(("x",), (-1,)).eval_at({"x": 2}) == Fraction(1, 2)
+    assert MultiLaurent(("x",), {(-1,): 1}).eval_at({"x": 2}) == Fraction(1, 2)
     # [q z] as a Laurent polynomial in z with q = 4 evaluates at z=2 to 8 - 1/8
     qz = MultiLaurent(("z",), {(1,): 4, (-1,): Fraction(-1, 4)})
     assert qz.eval_at({"z": 2}) == Fraction(63, 8)
     with pytest.raises(DomainError):
-        MultiLaurent.monomial(("x",), (-1,)).eval_at({"x": 0})
+        MultiLaurent(("x",), {(-1,): 1}).eval_at({"x": 0})
     with pytest.raises(UsageError):
         (X + TAU).eval_at({"x": 1})
 
@@ -465,7 +465,7 @@ def test_weights_equal_the_newton_reference(lo, hi, spare, seed):
         late = [dict(y) for y in maps]
         late[-1]["c"] = extra[0]
         cases.append(list(zip(xs, late)))
-    wide = _random_laurent(rng, lo, hi) + MultiLaurent.monomial(("w",), (hi + 1,), 3)
+    wide = _random_laurent(rng, lo, hi) + MultiLaurent(("w",), {(hi + 1,): 3})
     cases.append([(x, dict(y, d=wide.eval_at({"w": x}))) for x, y in zip(xs, maps)])
     outcomes = [_outcome(interpolate_along, "w", iter(pairs), lo, hi, spare) for pairs in cases]
     assert outcomes == [_outcome(_newton_along, "w", iter(pairs), lo, hi, spare)
@@ -631,8 +631,8 @@ def test_abscissa_sweep_skips_only_degenerate_points():
 
 def test_div_exact_univar():
     w = MultiLaurent.var("w")
-    d = w - MultiLaurent.monomial(("w",), (-1,))
-    p = d * (3 * w ** 2 + MultiLaurent.monomial(("w",), (-5,), Fraction(1, 2)))
+    d = w - MultiLaurent(("w",), {(-1,): 1})
+    p = d * (3 * w ** 2 + MultiLaurent(("w",), {(-5,): Fraction(1, 2)}))
     assert div_exact_univar(p, d, "w") * d == p
     with pytest.raises(DomainError):
         div_exact_univar(w + 1, d, "w")

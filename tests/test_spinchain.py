@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from xtl.contour import psi_components, sum_components
+from xtl import spinchain
+from xtl.contour import ComponentTable, psi_components, sum_components
 from xtl.exact import DomainError, MultiLaurent, UsageError
 from xtl.operators import SpinVector
 from xtl.spinchain import apply_hamiltonian_sector, eigenvalue_E, verify_eigenpair
@@ -159,6 +160,25 @@ def test_negative_control_perturbed_component():
     hv = apply_hamiltonian_sector(N, x, amps)
     e = eigenvalue_E(N, x)
     assert any(hv.get(k, 0) != e * amps.get(k, 0) for k in set(hv) | set(amps))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("scale", [0, 2])
+def test_a_scaled_table_fails_only_the_normalization(monkeypatch, N, scale):
+    # H psi = E psi is linear in psi, so a zero table or twice the table is
+    # still an eigenvector (a zero table has no entries, so the residual and
+    # the sector check pass vacuously); only normalization_ok sees it, and
+    # the report must fail through it
+    real = spinchain.psi_components
+
+    def scaled(N, x, tau):
+        tab = real(N, x=x, tau=tau)
+        return ComponentTable(tab.shape, {a: scale * v for a, v in tab.entries.items()})
+
+    monkeypatch.setattr(spinchain, "psi_components", scaled)
+    rep = verify_eigenpair(N, Fraction(7, 5))
+    assert (rep.residual_zero, rep.magnetization_ok, rep.normalization_ok) == (True, True, False)
+    assert not rep.passed
 
 
 def test_component_sum_consistency():

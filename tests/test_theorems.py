@@ -82,7 +82,7 @@ def test_corollaries_see_a_fault_at_order_15(monkeypatch):
         gf = genfun(N)
         if N == 7:
             (e, _), *_ = gf.sorted_terms()
-            gf = gf + MultiLaurent.monomial(("t", "tau"), e)
+            gf = gf + MultiLaurent(("t", "tau"), {e: 1})
         return gf
 
     monkeypatch.setattr(theorems, "genfun", plus_one)

@@ -12,7 +12,7 @@ from xtl import tsasm
 from xtl.cli import serialize
 from xtl.contour import tsasm_count_integral
 from xtl.exact import DomainError, MultiLaurent, UsageError
-from xtl.sixvertex import enumerate_configs
+from xtl.sixvertex import _automaton_sums, enumerate_configs
 from xtl.tsasm import (config_from_tsasm, count_from_partition, enumerate_tsasm, genfun,
                        is_tsasm, matrix_blocks, matrix_from_array, triangular_array)
 
@@ -20,8 +20,9 @@ T = MultiLaurent.var("t")
 TAU = MultiLaurent.var("tau")
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "genfun_golden.json"
-# |TSASM(2N+1)| for N = 0..12 (OEIS A005164)
-A005164 = [1, 1, 1, 2, 4, 13, 46, 248, 1516, 13654, 142873, 2156888, 38456356]
+# |TSASM(2N+1)| for N = 0..13 (OEIS A005164)
+A005164 = [1, 1, 1, 2, 4, 13, 46, 248, 1516, 13654, 142873, 2156888, 38456356,
+           974936056]
 
 # the two published order-seven examples
 EX7_A = [
@@ -250,7 +251,7 @@ def genfun_by_listing(N):
     out = MultiLaurent.const(0, ("t", "tau"))
     for m in enumerate_tsasm(N):
         arr = triangular_array(m)
-        out = out + MultiLaurent.monomial(("t", "tau"), (arr.mu(), arr.nu()))
+        out = out + MultiLaurent(("t", "tau"), {(arr.mu(), arr.nu()): 1})
     return out
 
 
@@ -259,14 +260,59 @@ def test_genfun_equals_sum_over_listed_matrices(N):
     assert genfun(N) == genfun_by_listing(N)
 
 
+def _golden_rows():
+    return json.loads(GOLDEN.read_text())["rows"]
+
+
 def test_genfun_golden_table():
-    # rows N <= 8 were written by the materializing genfun, N = 9..12 by the automaton
-    rows = json.loads(GOLDEN.read_text())["rows"]
-    assert [r["N"] for r in rows] == list(range(13))
+    # rows N <= 8 were written by the materializing genfun, N = 9..13 by the
+    # automaton summing MultiLaurent monomials (_monomial_genfun below)
+    rows = _golden_rows()
+    assert [r["N"] for r in rows] == list(range(14))
     for row in rows:
         gf = MultiLaurent.from_json(json.loads(row["genfun"]))
         assert gf.eval_at({"t": 1, "tau": 1}) == A005164[row["N"]]
         assert serialize(genfun(row["N"]), "json") == row["genfun"] + "\n", row["N"]
+
+
+def _monomial_genfun(N):
+    """The automaton sum genfun ran before its weights were packed into ints:
+    one MultiLaurent monomial per vertex class of _GF_EXPONENTS, multiplied
+    and added as polynomials, with no digit width to derive."""
+    _, alpha = tsasm._staircase(N)
+    mono = {cls: MultiLaurent(("t", "tau"), {e: 1}) for cls, e in tsasm._GF_EXPONENTS.items()}
+    return _automaton_sums(tuple(alpha), lambda r, c, cls: mono[cls],
+                           MultiLaurent.const(1, ("t", "tau")))[alpha]
+
+
+@pytest.mark.parametrize("tm", [None, (0, 0), (1, 1)])
+def test_packed_genfun_equals_the_monomial_sum(monkeypatch, tm):
+    # besides the real table, the two wrong tm weights of
+    # test_negative_control_wrong_genfun_weight.  (1, 1) puts tau on corners
+    # as well, so tau's powers outrun a slot width fixed at n(2n - 1) + 1 (the
+    # bulk vertices) already at N = 3: the width must follow the table
+    if tm is not None:
+        monkeypatch.setattr(tsasm, "_GF_EXPONENTS", dict(tsasm._GF_EXPONENTS, tm=tm))
+    for N in range(13):
+        assert genfun(N) == _monomial_genfun(N), N
+
+
+def test_golden_replay_catches_a_too_narrow_digit_width(monkeypatch):
+    # the largest coefficient of genfun(13) has 26 bits and the count 30, so
+    # unsigned digits need B >= 26: the replay passes there, and one bit lower
+    # a digit carries into its neighbour, which the digit-sum guard refuses
+    row = _golden_rows()[13]
+    monkeypatch.setattr(tsasm, "_digit_bits", lambda count: 26)
+    assert serialize(genfun(13), "json") == row["genfun"] + "\n"
+    monkeypatch.setattr(tsasm, "_digit_bits", lambda count: 25)
+    with pytest.raises(RuntimeError, match="overlap"):
+        genfun(13)
+
+
+def test_negative_genfun_exponent_is_internal_error(monkeypatch):
+    monkeypatch.setattr(tsasm, "_GF_EXPONENTS", dict(tsasm._GF_EXPONENTS, a=(0, -1)))
+    with pytest.raises(RuntimeError, match="negative exponent"):
+        genfun(4)
 
 
 
