@@ -357,8 +357,11 @@ _Suite = namedtuple("_Suite", "min_n max_n jobs module check")
 #   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
 #   relationsz N = 7 takes 1.3 s, 8 takes 24 s.
 # Since the residue sums run in Gaussian integers, exchange 10, zprops 10
-# and relationsz 8 also fit in 30 s; the limits are kept, so that no request
-# moves between refused and accepted.  ybe ignores --max-N and runs at least
+# and relationsz 8 also fit in 30 s; since the reduction check reads its
+# vector at z_{i+1} = z_i/q instead of off a curve, reduction 9 takes
+# 0.44 s, 10 takes 4.4 s (2.9 s of it the one curve its point needs) and 11
+# takes 7.8 s.  The limits are kept, so that no request moves between
+# refused and accepted.  ybe ignores --max-N and runs at least
 # 20 trials; relationsz runs at most 3 trials above N = 4 (ROADMAP item 8).
 _SUITES = {
     "ybe": _Suite(-math.inf, math.inf,

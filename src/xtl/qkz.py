@@ -18,13 +18,18 @@ walk is fixed by its set of poles, so the walk carries no denominator: it
 does integer multiply-adds only, and each component is reduced to a
 GaussianRational once (`_ResidueTables`, `_residue_sums`).
 
-Specializations that collide poles (equal site values up to sign, ratios
-+-q^{+-1}, products +-q^{-2}) raise DegeneratePointError; property checkers
-reach such points through exact one-variable Laurent interpolation instead,
-using the stated degree-width bounds.  A curve is sampled at the abscissae of
-`exact.abscissa_sweep`, which skips those where the evaluation raises, so the
-residue tables are the only degeneracy test along it, and
-`exact.interpolate_along` makes every spare check.
+Each component is one sum of products of the tables' differences over one
+denominator, so a specialization raises DegeneratePointError only where a
+factor of that denominator vanishes: z_j = +-z_k, z_k = +-q z_j for j < k,
+z_p^2 = +-q^{-2} (or q^2 = 1).  The other pole collisions, z_k = +-z_j/q
+and z_j z_k = +-q^{-2} for j < k, are removable: their differences are only
+multiplied by, and the sum is the value there.  That is what lets the
+reduction check read the vector at z_{i+1} = z_i/q itself.  Property
+checkers reach a refused point through exact one-variable Laurent
+interpolation instead, using the stated degree-width bounds.  A curve is
+sampled at the abscissae of `exact.abscissa_sweep`, which skips those where
+the evaluation raises, so the residue tables are the only degeneracy test
+along it, and `exact.interpolate_along` makes every spare check.
 
 The vectors are `operators.SpinVector`s: the exchange, reflection and
 reduction checks act on them with the local matrices of `operators`, and the
@@ -104,7 +109,11 @@ def _split(x) -> tuple:
 class _ResidueTables:
     """The factors of the residue sum for one site tuple as Gaussian integers
     (re, im), with every denominator tracked outside them; raises
-    DegeneratePointError if any denominator bracket vanishes.
+    DegeneratePointError if a factor of `den` vanishes: A_jk (j != k),
+    B_jk (j <= k; B_pp = G w_p^2) or E_pp.  B_jk for j > k and E_jk for
+    j != k are only multiplied by (in pair, pole, site and both): where one
+    vanishes, each component is still its sum over den, the vector's value
+    there (a removable collision).
 
     Write z_j = u_j/e_j, q = r/f and beta = b/g with Gaussian integers u_j,
     r, b over positive integers e_j, f, g, and w_j = u_j e_j, rho = r f.
@@ -173,7 +182,7 @@ class _ResidueTables:
                         raise DegeneratePointError("site values collide: z_j = +-z_k")
                     A[j][k] = v
                 v = _lin(r2sq[j], e2[k], sq[k], f2 * e2[j])
-                if v == (0, 0):
+                if v == (0, 0) and j <= k:
                     raise DegeneratePointError("site ratio hits +-1/q")
                 B[j][k] = v
                 if k < j:
@@ -183,7 +192,7 @@ class _ResidueTables:
                 C[j][k] = (x - f2 * e2[j] * e2[k], y)
                 x, y = _gmul(r4sq[j], sq[k])
                 v = (x - f4 * e2[j] * e2[k], y)
-                if v == (0, 0):
+                if v == (0, 0) and j == k:
                     raise DegeneratePointError("site product hits +-1/q^2")
                 E[j][k] = v
         b, g = _split(beta)
@@ -556,12 +565,22 @@ def check_psi_reduction(N: int, i: int, zs: Sequence, s, beta) -> dict:
     insertion with an explicit elementary prefactor."""
     if N < 2 or not 1 <= i <= N - 1:
         raise UsageError("need N >= 2 and 1 <= i <= N-1")
+    gaussian_ints(zs)   # refuses a value that is not exact, the replaced one too
     q = s * s
     zi = zs[i - 1]
     special = zi * inv(q)
 
-    polys = psi_vector_poly_in_z(N, zs, i + 1, s, beta)
-    lhs = SpinVector.make(N, {k: p.eval_at({"z": special}) for k, p in polys.items()})
+    # [q z_{i+1}/z_i] vanishes here, and the residue tables only multiply by
+    # it, so the vector is read at the point itself.  Where the tables refuse
+    # the point (at a sampled one: z_i^2 = +-1, or z_i = +-q^2 z_j for some
+    # j < i) it is read off the curve in z_{i+1}.
+    pt = list(zs)
+    pt[i] = special
+    try:
+        lhs = psi_vector(N, pt, s, beta)
+    except DegeneratePointError:
+        polys = psi_vector_poly_in_z(N, zs, i + 1, s, beta)
+        lhs = SpinVector.make(N, {k: p.eval_at({"z": special}) for k, p in polys.items()})
 
     pref = bracket(beta * zi)
     for j in range(1, i):

@@ -1,9 +1,11 @@
 """Seeded sampling of exact nondegenerate parameter points.
 
 Values are small Gaussian rationals with numerators and denominators bounded
-by 20 in absolute value.  Site-value tuples are rejected until they avoid the
-pole-collision set of the residue evaluation: pairwise z_i != +-z_j, ratios
-z_i/z_j != +-q^{+-1}, and products z_i z_j != +-1/q^2 (including i = j).
+by 20 in absolute value.  Site-value tuples are rejected until they avoid
+every pole collision of the residue evaluation: pairwise z_i != +-z_j,
+ratios z_i/z_j != +-q^{+-1}, and products z_i z_j != +-1/q^2 (including
+i = j).  That set is symmetric in the sites, a superset of the points the
+residue tables refuse, which leave out the removable collisions.
 
 The report every sampled checker returns, `TheoremReport`, lives here too:
 the modules that draw points import this one, and it imports none of them.
@@ -40,10 +42,14 @@ def half_sites(ws, odd: bool) -> list:
 
 
 def z_point_degenerate(zs, s) -> bool:
-    """Whether the site values zs meet a pole collision at s: the sampler's
-    copy of the set on which `qkz._ResidueTables` raises DegeneratePointError
-    (for two or more sites and q^2 != 1).  The sampler draws its points with
-    it; curves through degenerate points leave the test to the residue
+    """Whether the site values zs meet a pole collision at s.  The set is a
+    superset of the one on which `qkz._ResidueTables` raises
+    DegeneratePointError (for two or more sites and q^2 != 1), not a copy of
+    it: the tables accept the removable collisions z_k = +-z_j/q and
+    z_j z_k = +-q^-2 (j < k), whose brackets they only multiply by.  It is
+    symmetric in the sites, so that the swapped point of the exchange check
+    and the reflected point are generic too.  The sampler draws its points
+    with it; curves through degenerate points leave the test to the residue
     evaluation itself."""
     q = s * s
     q2i = inv(q * q)

@@ -79,23 +79,44 @@ def test_degenerate_point_raises():
         psi_vector(2, (G(2), G(2)), S, BETA)
     with pytest.raises(DegeneratePointError, match="site ratio hits"):
         psi_vector(2, (G(2), Q * 2), S, BETA)
+    # at q = 1 every diagonal [q z_p/z_p] = [q] vanishes, and [q] divides
+    with pytest.raises(DegeneratePointError, match="site ratio hits"):
+        psi_vector(2, (G(2), G(3)), G(1), BETA)
     with pytest.raises(DegeneratePointError, match="site product hits"):
-        psi_vector(2, (G(2), inv(2 * Q * Q)), S, BETA)
+        psi_vector(2, (G(2), inv(Q)), S, BETA)
+    # an off-diagonal product z_1 z_2 = q^-2 is removable: [q^2 z_1 z_2] is
+    # only multiplied by, so the residue sum is the curve's value there
+    zs = (G(2), inv(2 * Q * Q))
+    assert psi_vector(2, zs, S, BETA) == _curve_value(2, zs, 2, S, BETA)
 
 
-@pytest.mark.parametrize("message,partner", [
-    ("site values collide", lambda z: -z),            # z_k = -z_j
-    ("site ratio hits", lambda z: Q * z),             # q z_j / z_k = 1
-    ("site product hits", lambda z: -inv(Q * Q * z)),  # q^2 z_j z_k = -1
+def _curve_value(N, zs, k, s, beta) -> SpinVector:
+    """The vector at zs read off its curve in z_k, psi_vector_poly_in_z."""
+    polys = psi_vector_poly_in_z(N, zs, k, s, beta)
+    return SpinVector.make(N, {a: p.eval_at({"z": zs[k - 1]}) for a, p in polys.items()})
+
+
+@pytest.mark.parametrize("message,partner,removable", [
+    ("site values collide", lambda z: -z, None),                 # z_k = -z_j
+    ("site ratio hits", lambda z: Q * z, lambda z: z * inv(Q)),  # q z_j / z_k = 1, j < k
+    ("site product hits", lambda z: I * inv(Q),                  # q^2 z_k^2 = -1
+     lambda z: -inv(Q * Q * z)),                                 # q^2 z_j z_k = -1, j != k
 ], ids=["collision", "ratio", "product"])
 @pytest.mark.parametrize("N", [3, 4, 5])
-def test_each_guard_raises_among_generic_sites(N, message, partner):
-    # the last site value meets the first one at a pole collision; the
-    # others are a nondegenerate draw, so only that guard can fire
+def test_each_guard_raises_among_generic_sites(N, message, partner, removable):
+    # the last site value meets the first one (or itself) at a pole
+    # collision; the others are a nondegenerate draw, so only that guard can
+    # fire.  The guard's removable twin (q z_k / z_j = 1, an off-diagonal
+    # product) does not raise: the tables only multiply by its bracket, and
+    # the residue sum is the curve's value there
     zs = list(ExactSampler(7708 + N).z_point(N, S, BETA))
     zs[-1] = partner(zs[0])
     with pytest.raises(DegeneratePointError, match=message):
         psi_vector(N, zs, S, BETA)
+    if removable is not None:
+        zs[-1] = removable(zs[0])
+        assert z_point_degenerate(zs, S)
+        assert psi_vector(N, zs, S, BETA) == _curve_value(N, zs, N, S, BETA)
 
 
 def _collisions(zs, s):
@@ -111,25 +132,33 @@ def _collisions(zs, s):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
-def test_sampler_collision_set_is_the_residue_tables_set(N):
-    # the sampler's z_point_degenerate and the residue evaluation state the
-    # same set: a point is degenerate for one exactly when it is for the other
+def test_sampler_collision_set_contains_the_residue_tables_set(N):
+    # z_point_degenerate is a superset of the points the residue tables
+    # refuse: every refused point is one the sampler refuses, and at each
+    # collision the tables accept (z_k = +-z_j/q, z_j z_k = +-q^-2 for
+    # j < k) the residue sum is the value on the curve through it
     rng = ExactSampler(7790 + N)
-    degenerate = generic = 0
+    refused = removable = generic = 0
     for _ in range(3):
         s, beta = rng.s_value(), rng.beta_value()
-        base = [rng.nonzero() for _ in range(N)]
-        for zs in [list(rng.z_point(N, s)), base] + _collisions(base, s):
+        drawn = list(rng.z_point(N, s))
+        for zs in [drawn, [rng.nonzero() for _ in range(N)]] + _collisions(drawn, s):
+            sampled = z_point_degenerate(zs, s)
             try:
-                psi_vector(N, zs, s, beta)
-                raised = False
+                v = psi_vector(N, zs, s, beta)
             except DegeneratePointError:
-                raised = True
-            assert z_point_degenerate(zs, s) == raised, (zs, s)
-            degenerate += raised
-            generic += not raised
-    # every constructed collision is degenerate, and every z_point draw is not
-    assert degenerate >= 3 * 10 and generic >= 3
+                assert sampled, (zs, s)
+                refused += 1
+                continue
+            if sampled:
+                assert v == _curve_value(N, zs, N, s, beta), (zs, s)
+                removable += 1
+            else:
+                generic += 1
+    # every collision made from a z_point draw is degenerate for the
+    # sampler, six kinds for the tables too, and every z_point draw is
+    # generic
+    assert refused >= 3 * 6 and removable >= 3 * 4 and generic >= 3
 
 
 def test_homogeneous_curves_refuse_negative_sizes():
@@ -434,6 +463,62 @@ def test_reduction(N, i):
     assert rep["pass"], rep
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_reduction_point_is_read_directly_and_equals_the_curve(monkeypatch, N):
+    # at z_{i+1} = z_i/q the removable bracket [q z_{i+1}/z_i] vanishes, so
+    # where the tables accept the point the residue sum there is the value
+    # of the curve in z_{i+1}, and the check reads it with one evaluation,
+    # plus one for the N - 2 vector.  Where they refuse it (here z_1 = -1 at
+    # N = 5) the check takes the curve.
+    rng = ExactSampler(7830 + N)
+    s, beta = rng.s_value(), rng.beta_value()
+    zs = list(rng.z_point(N, s, beta))
+    q = s * s
+    calls = _counting_psi(monkeypatch)
+    direct = 0
+    for i in range(1, N):
+        pt = list(zs)
+        pt[i] = zs[i - 1] * inv(q)
+        try:
+            v = psi_vector(N, pt, s, beta)
+        except DegeneratePointError:
+            v = None
+        calls.clear()
+        assert check_psi_reduction(N, i, zs, s, beta)["pass"], i
+        if v is None:
+            # the refused point, N + 2 abscissae or more, the N - 2 vector
+            assert len(calls) >= N + 4 and calls[0][1] == pt, i
+            continue
+        direct += 1
+        assert [len(c[1]) for c in calls] == [N, N - 2], i
+        assert v == _curve_value(N, pt, i + 1, s, beta), i
+    assert direct >= max(1, N - 2)
+
+
+@pytest.mark.parametrize("N,i,forced", [
+    (3, 1, lambda zs: G(1)), (4, 2, lambda zs: G(1)), (5, 3, lambda zs: -G(1)),
+    (3, 2, lambda zs: Q * Q * zs[0]), (4, 3, lambda zs: Q * Q * zs[0]),
+    (5, 2, lambda zs: -Q * Q * zs[0]),
+], ids=["3-1-unit", "4-2-unit", "5-3-unit", "3-2-q2", "4-3-q2", "5-2-q2"])
+def test_reduction_at_a_pole_of_the_denominator_takes_the_curve(monkeypatch, N, i, forced):
+    # z_i^2 = 1 makes [q^2 z_{i+1}^2] vanish at z_{i+1} = z_i/q, and
+    # z_i = +-q^2 z_1 makes [q z_1/z_{i+1}] vanish: the tables refuse the
+    # point, so the check reads it off the curve in z_{i+1}
+    from xtl import qkz
+    zs = list(ExactSampler(7840 + 10 * N + i).z_point(N, S, BETA))
+    zs[i - 1] = forced(zs)
+    pt = list(zs)
+    pt[i] = zs[i - 1] * inv(Q)
+    with pytest.raises(DegeneratePointError):
+        psi_vector(N, pt, S, BETA)
+    real, curves = qkz.psi_vector_poly_in_z, []
+    monkeypatch.setattr(qkz, "psi_vector_poly_in_z",
+                        lambda *a: curves.append(a[2]) or real(*a))
+    rep = check_psi_reduction(N, i, zs, S, BETA)
+    assert rep["pass"], rep
+    assert curves == [i + 1]
+
+
 def test_reduction_two_site_closed_form():
     # the smallest case degenerates to a singlet with an elementary prefactor
     zs = ExactSampler(7704).z_point(2, S)
@@ -510,8 +595,9 @@ def test_wrong_parity_term_fails_the_spare_pairs(monkeypatch, N):
     zs = ExactSampler(7770 + N).z_point(N, S, BETA)
     with pytest.raises(DomainError):
         psi_vector_poly_in_z(N, zs, k, S, BETA)
-    with pytest.raises(DomainError):
-        check_psi_reduction(N, k - 1, zs, S, BETA)
+    # the reduction check reads z_k = z_{k-1}/q directly, not off the curve,
+    # so the extra term shows as a failed relation
+    assert check_psi_reduction(N, k - 1, zs, S, BETA)["pass"] is False
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -773,8 +859,8 @@ def test_sweeps_refuse_requests_that_check_nothing(sweep, max_n, trials):
 
 
 def test_reduction_refuses_an_inexact_value_in_the_slot_it_replaces():
-    # check_psi_reduction(N, 1, ...) interpolates in z_2, so it never reads
-    # zs[1]: the value must still be exact
+    # check_psi_reduction(N, 1, ...) replaces z_2 by z_1/q (or interpolates
+    # in z_2), so it never reads zs[1]: the value must still be exact
     zs = list(ExactSampler(7705).z_point(3, S))
     zs[1] = 0.5
     with pytest.raises(UsageError, match="not an exact scalar"):
