@@ -152,8 +152,8 @@ def _cmd_psi(ns) -> int:
     from .contour import psi_components
 
     _check_order(2 * ns.N + 1, "psi")
-    x = parse_scalar(ns.x) if ns.x else None
-    tau = parse_scalar(ns.tau) if ns.tau else None
+    x = None if ns.x is None else parse_scalar(ns.x)
+    tau = None if ns.tau is None else parse_scalar(ns.tau)
     table = psi_components(ns.N, x=x, tau=tau)
     if ns.format == "json":
         _emit(ns, json.dumps(table.to_json(), separators=(",", ":")) + "\n")
@@ -208,9 +208,10 @@ def _order_to_N(order: int) -> int:
 #     in 21 MB (0.7-1.2 s in 48 MB and 0.9-1.2 s in 51 MB from the single
 #     series; 8.3 s and 10.0 s, 0.17 and 0.19 GB, when x was packed beside
 #     tau); at N = 12 the component sum takes 3-4 s in 57 MB; the limit is
-#     kept (ROADMAP item 11).  spinchain verify --N expands psi at a given x
-#     and tau = 1, over plain ints (0.2-0.25 s at N = 11), and shares the psi
-#     limit (at N = 40 it was killed by SIGKILL before it finished);
+#     kept until the CLI limits are raised together.  spinchain verify --N
+#     expands psi at a given x and tau = 1, over plain ints (0.2-0.25 s at
+#     N = 11), and shares the psi limit (at N = 40 it was killed by SIGKILL
+#     before it finished);
 #   sixvertex pf --n n is checked at order 4n + 1, the order whose count runs
 #     the same 2n-site automaton; --alpha + --s 2 --t 3 at unit sites:
 #     pf_enum takes 0.16-0.18 s in 19 MB at n = 6 (1.7-2.1 s in 0.27 GB
@@ -219,9 +220,9 @@ def _order_to_N(order: int) -> int:
 #     pf_algebraic (a dense 2^(2n) stack column) 4.6 s in 23 MB at n = 7 and
 #     25 s at n = 8.
 # The enum, partition, genfun and pf_enum limits predate the flux bound and
-# are kept: raising them, with the other limits, is a CLI change of its own
-# (ROADMAP item 11).  The verify limits of main, corollaries and gflemma are
-# derived from these (see _SUITES), so they move with them.
+# are kept: raising them, with the other limits, is a CLI change of its own.
+# The verify limits of main, corollaries and gflemma are derived from these
+# (see _SUITES), so they move with them.
 _MAX_ORDER = {"enum": 19, "integral": 23, "partition": 27, "genfun": 27,
               "psi": 23, "sum": 23, "pf_enum": 25, "pf_algebraic": 29}
 
@@ -293,7 +294,7 @@ def _cmd_sixvertex(ns) -> int:
     if s == 0 or s * s == -1:
         raise UsageError(f"--s {ns.s!r} makes s or {{s}} zero")
     t = _scalar_or_var(ns.t)
-    if ns.z:
+    if ns.z is not None:
         zs = [_scalar_or_var(v) for v in ns.z.split(",")]
         if any(z == 0 for z in zs):
             raise UsageError(f"--z {ns.z!r} has a zero site value")
@@ -362,7 +363,8 @@ _Suite = namedtuple("_Suite", "min_n max_n jobs module check")
 # 0.44 s, 10 takes 4.4 s (2.9 s of it the one curve its point needs) and 11
 # takes 7.8 s.  The limits are kept, so that no request moves between
 # refused and accepted.  ybe ignores --max-N and runs at least
-# 20 trials; relationsz runs at most 3 trials above N = 4 (ROADMAP item 8).
+# 20 trials; relationsz runs at most 3 trials above N = 4, until the
+# homogeneous limits are read by point evaluation.
 _SUITES = {
     "ybe": _Suite(-math.inf, math.inf,
                   lambda m, t, s: [{"trials": max(t, 20), "seed": s}],

@@ -16,10 +16,9 @@ x enters the integrand only through the n factors (u_k + x).  So the
 coefficient of u^c is the sum over S in {1..n} of x^(n - |S|) times the
 coefficient of u^(c - e_S) in F, the integrand without those factors (e_S
 has a 1 at each k in S; a negative exponent reads 0).  F is expanded once
-for all reads, and x is applied to the reads afterwards: an unknown x keeps
-them apart by its power, a given real x = p/q weighs x^i by the int
-p^i q^(n-i) over q^n, and a given non-real x is evaluated after the decode.
-At x = 0 each target reads one coefficient, u^(c - (1, ..., 1)).
+for all reads, and the reads are summed apart by the power of x they
+weigh; a given x, real or not, is evaluated after the decode.  At x = 0
+each target reads one coefficient, u^(c - (1, ..., 1)).
 
 F's series runs over one coefficient ring, Python int, on packed integer
 keys: a u-monomial is one int with a fixed-width field per exponent, biased
@@ -230,8 +229,8 @@ def _expand(caps: tuple, factors, targets) -> list:
 
 def _digit_bits(factors, weight: int) -> int:
     """Digit width B for the packed expansion of factors whose coefficients
-    are 1, -1 or tau, whose reads are summed with weights of 1-norm at most
-    weight (see the derivation in _extract)."""
+    are 1, -1 or tau, times further factors of 1-norm weight in all (see the
+    derivation in _extract)."""
     bound = weight
     for f in factors:
         bound *= len(f)
@@ -272,22 +271,20 @@ def _extract(shape: ChainShape, geometric: bool, targets, x, tau) -> list:
     # of _factors, is expanded once, truncated at the componentwise largest
     # read.  A given real tau is put into the factors, each factor is
     # cleared to ints over its own denominator, and the product D of those
-    # denominators divides each coefficient once, at the end, with the q^n
-    # of a real x = p/q.  An unknown or non-real tau becomes T = 2^B
-    # (Kronecker substitution), so F expands once over Z.  What is decoded
-    # at a target c is, for an unknown or non-real x, each
-    # P_i = sum over |S| = n - i of [u^(c - e_S)] F, and for a real x the
-    # one int sum_i p^i q^(n-i) P_i.  Either is a coefficient of the product
-    # of F's integer factors and the n factors (q u_k + p), of x^i u^c or of
-    # u^c, with p = q = 1 when x is not real.  Every coefficient of a
-    # product, truncated or not, as a polynomial in tau, is at most the
-    # product of its factors' coefficient 1-norms with tau set to 1 (a
-    # product's 1-norm is at most the product of its factors' 1-norms; every
-    # coefficient of a factor is 1, -1 or tau, so at tau = 1 a factor's
-    # 1-norm is its term count, the x factors' (|p| + q)^n together), so
-    # B = bit length of that bound + 1 keeps every digit inside the balanced
-    # range [-2^(B-1), 2^(B-1)).  The factors are built once, with None for
-    # tau: B is read off their lengths, then T takes tau's place.
+    # denominators divides each coefficient once, at the end.  An unknown
+    # or non-real tau becomes T = 2^B (Kronecker substitution), so F
+    # expands once over Z.  What is decoded at a target c is each
+    # P_i = sum over |S| = n - i of [u^(c - e_S)] F, the coefficient of
+    # x^i u^c in the product of F's integer factors and the n factors
+    # (u_k + x).  Every coefficient of a product, truncated or not, as a
+    # polynomial in tau, is at most the product of its factors' coefficient
+    # 1-norms with tau set to 1 (a product's 1-norm is at most the product
+    # of its factors' 1-norms; every coefficient of a factor is 1, -1 or
+    # tau, so at tau = 1 a factor's 1-norm is its term count, the x
+    # factors' 2^n together), so B = bit length of that bound + 1 keeps
+    # every digit inside the balanced range [-2^(B-1), 2^(B-1)).  The
+    # factors are built once, with None for tau: B is read off their
+    # lengths, then T takes tau's place.
     n = shape.n
     xr, tr = _rational(x), _rational(tau)
     powers = [0] if xr == 0 else range(n + 1)
@@ -296,30 +293,30 @@ def _extract(shape: ChainShape, geometric: bool, targets, x, tau) -> list:
                for i in powers] for c in targets]
     wanted = list({r for g in groups for rs in g for r in rs})
     caps = tuple(max((r[k] for r in wanted), default=0) for k in range(n))
-    p, q = (1, 1) if xr is None else (xr.numerator, xr.denominator)
     if tr is None:
         factors = _factors(shape, None, geometric, caps)
-        B = _digit_bits(factors, (abs(p) + q) ** n)
+        B = _digit_bits(factors, 1 << n)
         factors, D = [[(e, 1 << B if c is None else c) for e, c in f] for f in factors], 1
     else:
         factors, D = _cleared(_factors(shape, tr, geometric, caps))
     coef = dict(zip(wanted, _expand(caps, factors, wanted)))
-    # a given value that is not real is evaluated after the decode
-    xe, te = (x if xr is None else None), (tau if tr is None else None)
+    # a given x, and a given tau that is not real, are evaluated after the
+    # decode, a real x as the int or Fraction _rational gives.  x's powers
+    # come last, so that each factor 1 meets d while it is still an int
+    xs = [1] * (n + 1) if x is None else [(x if xr is None else xr) ** i for i in powers]
+    te = tau if tr is None else None
     out = []
     for g in groups:
-        sums = [(i, sum(coef[r] for r in rs)) for i, rs in zip(powers, g)]
-        if xr is not None:
-            sums = [(0, sum(p ** i * q ** (n - i) * v for i, v in sums))]
         terms: dict = {}
-        for i, v in sums:
+        for i, rs in zip(powers, g):
+            v = sum(coef[r] for r in rs)
             for j, d in (_decode(v, B) if tr is None else {0: v}).items():
                 if d:
-                    e = (i if xe is None else 0, j if te is None else 0)
-                    d = d * (1 if xe is None else xe ** i) * (1 if te is None else te ** j)
+                    e = (i if x is None else 0, j if te is None else 0)
+                    d = d * (1 if te is None else te ** j) * xs[i]
                     terms[e] = terms.get(e, 0) + d
         out.append(terms)
-    scale = 1 if D * q ** n == 1 else Fraction(1, D * q ** n)
+    scale = 1 if D == 1 else Fraction(1, D)
     if x is not None and tau is not None:
         return [t.get((0, 0), 0) * scale for t in out]
     return [MultiLaurent(("x", "tau"), {e: c * scale for e, c in t.items()})

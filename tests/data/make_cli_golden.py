@@ -26,6 +26,7 @@ COMMANDS = [
     ["psi", "--N", "4"],
     ["psi", "--N", "5", "--x", "3/7", "--tau", "2", "--format", "text"],
     ["psi", "--N", "3", "--x", "2"],
+    ["psi", "--N", "5", "--x", "-3/7"],
     ["psi", "--N", "4", "--tau", "1/2", "--format", "text"],
     ["psi", "--N", "4", "--x", "1+i", "--tau", "2"],
     ["psi", "--N", "4", "--tau", "1+i"],

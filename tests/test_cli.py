@@ -117,6 +117,11 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run_cli(["nonsense"])
     assert code == 2
+    # an empty flag value is a value that does not parse, not an absent flag
+    for args in (["psi", "--N", "2", "--x="], ["psi", "--N", "2", "--tau="],
+                 ["sixvertex", "pf", "--n", "1", "--alpha", "+", "--s", "2", "--t", "3",
+                  "--z="]):
+        assert run_cli(args) == (2, ""), args
 
 
 def test_tsasm_refuses_orders_that_cannot_finish(monkeypatch, capsys):
@@ -559,7 +564,7 @@ def test_verify_exchange_loads_only_the_modules_it_runs():
                 "xtl.spinchain"} & set(rep["modules"])
     # psi, sum and tsasm import their routes on demand and still match the golden file
     golden = (DATA / "cli_golden.txt").read_text()
-    assert len(rep["blocks"]) == 17
+    assert len(rep["blocks"]) == 18
     for block in rep["blocks"]:
         assert block in golden
 

@@ -227,7 +227,10 @@ _EXTRACT_POINTS = [
     (None, None), (Fraction(7, 5), 1), (None, 1), (None, Fraction(-2, 3)),
     (Fraction(-1, 2), None), (1, 1), (0, 1), (Fraction(3, 7), Fraction(5, 2)),
     (GaussianRational(1, 1), 2), (None, 0),
-    # a real GaussianRational is put into the factors, a non-real one packed
+    # an x of wide numerator and denominator beside a packed tau
+    (Fraction(-1000, 999), None),
+    # a real GaussianRational x is evaluated as the Fraction it equals, a
+    # non-real one as itself
     (GaussianRational(Fraction(3, 2)), Fraction(1)), (GaussianRational(1, 1), None),
     # a non-real tau is the one value still packed beside an unknown
     (None, GaussianRational(0, 1)), (Fraction(3, 2), GaussianRational(1, -2)),
