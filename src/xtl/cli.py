@@ -352,19 +352,21 @@ _Suite = namedtuple("_Suite", "min_n max_n jobs module check")
 # The others are the largest size whose one job took at most about 30 s at
 # --trials 1 (trials multiply it) when the limit was set.  Measured on a
 # 2-vCPU Xeon, Python 3.11.7, one job per size:
-#   exchange and reduction run one job over N = 2..max-N: exchange 9 takes
-#     2.6 s, 10 takes 22 s; reduction 9 takes 8.5 s, 10 takes 56 s;
-#   zprops N = 9 takes 4.0 s, 10 takes 26 s;
-#   yandyy N = 11 takes 3.3 s, 12 takes 33 s;
-#   relationsz N = 7 takes 1.3 s, 8 takes 24 s.
-# Since the residue sums run in Gaussian integers, exchange 10, zprops 10
-# and relationsz 8 also fit in 30 s; since the reduction check reads its
-# vector at z_{i+1} = z_i/q instead of off a curve, reduction 9 takes
-# 0.44 s, 10 takes 4.4 s (2.9 s of it the one curve its point needs) and 11
-# takes 7.8 s.  The limits are kept, so that no request moves between
-# refused and accepted.  ybe ignores --max-N and runs at least
-# 20 trials; relationsz runs at most 3 trials above N = 4, until the
-# homogeneous limits are read by point evaluation.
+#   exchange and reduction run one job over N = 2..max-N: exchange 9 took
+#     2.6 s, 10 took 22 s; reduction 9 took 8.5 s, 10 took 56 s;
+#   zprops N = 9 took 4.0 s, 10 took 26 s;
+#   yandyy N = 11 took 3.3 s, 12 took 33 s;
+#   relationsz N = 7 took 1.3 s, 8 took 24 s.
+# Since the residue sums run in Gaussian integers, zprops 10 and
+# relationsz 8 also fit in 30 s.  Since psi_vector memoizes the vectors of a
+# point, exchange 9 takes 0.7-0.9 s in 18-19 MB and 10 takes 5.7-6.6 s
+# in 21 MB.  Since the reduction check reads its vector at z_{i+1} = z_i/q
+# instead of off a curve, reduction 9 takes 0.44 s, 10 takes 4.4 s (2.9 s
+# of it the one curve its point needs) and 11 takes 7.8 s.  The limits
+# are kept, so that no request moves between refused and accepted.  ybe
+# ignores --max-N and runs at least 20 trials; relationsz runs at most 3
+# trials above N = 4, until the homogeneous limits are read by point
+# evaluation.
 _SUITES = {
     "ybe": _Suite(-math.inf, math.inf,
                   lambda m, t, s: [{"trials": max(t, 20), "seed": s}],

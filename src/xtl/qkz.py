@@ -18,6 +18,15 @@ walk is fixed by its set of poles, so the walk carries no denominator: it
 does integer multiply-adds only, and each component is reduced to a
 GaussianRational once (`_ResidueTables`, `_residue_sums`).
 
+`psi_vector` memoizes the components on the point so cleared: the site
+values, q = s^2 and beta as Gaussian-integer pairs.  So value-equal int,
+Fraction and GaussianRational inputs share an entry, as do s and -s, and a
+relation check that runs once per i at one point builds that point's base
+and reflected vectors once.  The memo holds 8 vectors, more than the 5 that
+an exchange-then-reduction pass over i holds between two reads of one
+vector.  Each call returns its own dict of components, so a caller that
+changes one cannot change the memo.
+
 Each component is one sum of products of the tables' differences over one
 denominator, so a specialization raises DegeneratePointError only where a
 factor of that denominator vanishes: z_j = +-z_k, z_k = +-q z_j for j < k,
@@ -38,6 +47,7 @@ generalized sum pairs them with its two-site covector `chi_covector`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Sequence
@@ -156,12 +166,14 @@ class _ResidueTables:
     its walk.
     """
 
-    def __init__(self, zs: Sequence, s, beta):
+    def __init__(self, zs: tuple, q: tuple, beta: tuple):
+        """zs, q and beta as `_split` clears them: (u_j, e_j) per site,
+        (r, f) and (b, g)."""
         N = len(zs)
         self.N = N
         n = N // 2
-        u, e = zip(*(_split(z) for z in zs))
-        r, f = _split(s * s)
+        u, e = zip(*zs)
+        r, f = q
         sq = [_gmul(x, x) for x in u]                 # u_j^2
         e2 = [x * x for x in e]                       # e_j^2
         r2 = _gmul(r, r)
@@ -169,18 +181,21 @@ class _ResidueTables:
         f4 = f2 * f2
         r2sq = [_gmul(r2, x) for x in sq]
         r4sq = [_gmul(r4, x) for x in sq]
-        # C and E are symmetric
+        # A is antisymmetric, C and E are symmetric
         A = [[None] * N for _ in range(N)]
         B = [[None] * N for _ in range(N)]
         C = [[None] * N for _ in range(N)]
         E = [[None] * N for _ in range(N)]
         for j in range(N):
             for k in range(N):
-                if j != k:
+                if j < k:
                     v = _lin(sq[j], e2[k], sq[k], e2[j])
                     if v == (0, 0):
                         raise DegeneratePointError("site values collide: z_j = +-z_k")
                     A[j][k] = v
+                elif k < j:
+                    x, y = A[k][j]
+                    A[j][k] = (-x, -y)
                 v = _lin(r2sq[j], e2[k], sq[k], f2 * e2[j])
                 if v == (0, 0) and j <= k:
                     raise DegeneratePointError("site ratio hits +-1/q")
@@ -195,7 +210,7 @@ class _ResidueTables:
                 if v == (0, 0) and j == k:
                     raise DegeneratePointError("site product hits +-1/q^2")
                 E[j][k] = v
-        b, g = _split(beta)
+        b, g = beta
         w = [(x * k, y * k) for (x, y), k in zip(u, e)]
         rho = (r[0] * f, r[1] * f)
         self.pair = [[None] * N for _ in range(N)]
@@ -339,22 +354,37 @@ def _residue_sums(t: _ResidueTables, tuples: Sequence[tuple]) -> dict:
     return out
 
 
-def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
-    """The eigenvector-family vector at the given site values (exact)."""
-    if N < 0:
-        raise UsageError("N must be >= 0")
-    if len(zs) != N:
-        raise UsageError(f"need {N} site values")
-    if N <= 1:
-        return SpinVector.make(N, {(): _ONE})
-    t = _ResidueTables(zs, s, beta)
+# A relation check reads each vector of its point once per i.  Between two
+# reads of the base vector, the exchange sweep reads 2 others (the swapped
+# and reflected vectors), and a block of exchange(i) then reduction(i)
+# checks reads 4 (those two, the reduction's point and its N - 2 vector).
+# So 5 entries keep every repeat; 8 leave room.
+@lru_cache(maxsize=8)
+def _psi_amps(zs: tuple, q: tuple, beta: tuple) -> dict:
+    """The nonzero components at a point cleared by `_split`."""
+    N = len(zs)
+    t = _ResidueTables(zs, q, beta)
     dr, di = t.den
     norm = dr * dr + di * di
     amps = {}
     for a, (vr, vi) in _residue_sums(t, list(combinations(range(1, N + 1), N // 2))).items():
         if vr or vi:  # (vr + vi i) / den = (vr + vi i) conj(den) / |den|^2
             amps[a], = from_gaussian_ints([vr * dr + vi * di], [vi * dr - vr * di], norm)
-    return SpinVector(N, amps)
+    return amps
+
+
+def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
+    """The eigenvector-family vector at the given site values (exact),
+    memoized on the point as `_split` clears it; each vector gets its own
+    dict, so no caller can change the memo."""
+    if N < 0:
+        raise UsageError("N must be >= 0")
+    if len(zs) != N:
+        raise UsageError(f"need {N} site values")
+    if N <= 1:
+        return SpinVector.make(N, {(): _ONE})
+    amps = _psi_amps(tuple(_split(z) for z in zs), _split(s * s), _split(beta))
+    return SpinVector(N, dict(amps))
 
 
 # ---------------------------------------------------------------------------

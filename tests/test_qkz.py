@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 from itertools import combinations, count, groupby, islice
 from operator import itemgetter
 
@@ -453,6 +454,86 @@ def test_exchange_negative_control():
     swapped = [zs[1], zs[0], zs[2]]
     lhs = perturbed.apply(r_check_exchange(zs[0] * zs[1].inverse(), S), 1, 2)
     assert lhs != psi_vector(3, swapped, S, BETA)
+
+
+# ---------------------------------------------------------------------------
+# the memo of psi_vector
+# ---------------------------------------------------------------------------
+
+# a real point given as ints and Fractions
+_REAL_POINT = ([2, Fraction(-3, 5), Fraction(7, 4)], Fraction(3, 2), Fraction(5, 7))
+
+
+def test_changing_a_returned_vector_leaves_the_memo_intact():
+    zs = ExactSampler(7730).z_point(4, S)
+    first = psi_vector(4, zs, S, BETA)
+    want = dict(first.amps)
+    first.amps.clear()
+    again = psi_vector(4, zs, S, BETA)
+    assert again.amps == want and again.amps is not first.amps
+
+
+def test_value_equal_points_share_one_memo_entry():
+    from xtl import qkz
+    zs, s, beta = _REAL_POINT
+    exact = psi_vector(3, zs, s, beta)
+    hits = qkz._psi_amps.cache_info().hits
+    gauss = psi_vector(3, [G(z) for z in zs], G(s), G(beta))
+    negated = psi_vector(3, zs, -s, beta)   # the vector depends on s through q
+    assert qkz._psi_amps.cache_info().hits == hits + 2
+    assert exact == gauss == negated
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_a_float_is_refused_after_the_equal_exact_point_is_memoized(slot):
+    # 1.5 == Fraction(3, 2) and their hashes agree, so only a key of cleared
+    # values keeps a float out of the memo
+    psi_vector(3, *_REAL_POINT)
+    args = list(_REAL_POINT)
+    args[slot] = [float(args[0][0]), *args[0][1:]] if slot == 0 else float(args[slot])
+    with pytest.raises(UsageError, match="not an exact scalar"):
+        psi_vector(3, *args)
+
+
+def test_a_degenerate_point_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(DegeneratePointError, match="site values collide"):
+            psi_vector(3, (G(2), G(2), G(5)), S, BETA)
+
+
+def test_an_exchange_sweep_builds_each_vector_of_a_point_once(monkeypatch):
+    # the base and reflected vectors serve every i of a point: N + 1 residue
+    # sums a point, not 3(N - 1)
+    from xtl import qkz
+    built = []
+
+    class Counted(qkz._ResidueTables):
+        def __init__(self, *args):
+            built.append(len(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(qkz, "_ResidueTables", Counted)
+    assert check_exchange_sweep(4, trials=1, seed=42).passed
+    assert sorted(built) == [2] * 3 + [3] * 4 + [4] * 5
+
+
+def test_a_fault_below_the_memo_fails_the_exchange_at_every_i(monkeypatch):
+    # R_{i,i+1} mixes components whose position sums differ by one, so
+    # doubling those of odd sum breaks the exchange at every i, also at
+    # i >= 2, where the base and reflected vectors are memo hits (doubling
+    # only the last component, (3, 4), breaks it at i = 2 alone)
+    from xtl import qkz
+    real = qkz._residue_sums
+
+    def doubled_odd(t, tuples):
+        return {a: (2 * x, 2 * y) if sum(a) % 2 else (x, y)
+                for a, (x, y) in real(t, tuples).items()}
+
+    monkeypatch.setattr(qkz, "_residue_sums", doubled_odd)
+    zs = ExactSampler(7731).z_point(4, S)
+    fails = [check_exchange_and_reflection(4, i, zs, S, BETA)["failures"] for i in (1, 2, 3)]
+    assert fails == [[{"relation": "exchange", "i": i}] for i in (1, 2, 3)]
+    assert qkz._psi_amps.cache_info().hits == 4
 
 
 @pytest.mark.parametrize("N,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
