@@ -10,8 +10,10 @@ Two families of 2x2 / 4x4 matrices are used throughout:
 
 Dense state vectors on L sites are plain lists of length 2**L over exact
 scalars; basis index b has the spin of site i (1-indexed, site 1 most
-significant) in bit (L - i), with up = 0 and down = 1; `act` applies local
-matrices to them in Gaussian integers over one tracked denominator.
+significant) in bit (L - i), with up = 0 and down = 1; `act_ints` applies
+local matrices to them in Gaussian integers over one tracked denominator,
+and `act` reduces its image.  An unreduced `Image` is compared with another
+by cross-multiplication and reduced only where its values are read.
 `SpinVector` is the one sparse form, keyed by down-spin position tuples over
 any exact ring; its `apply` takes one operator of `act`'s list, so the qKZ
 relation checks act in the same convention as the dense stacks.  Both
@@ -22,14 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exact import (DomainError, GaussianRational, MultiLaurent, UsageError, bracket,
                     brace, from_gaussian_ints, gaussian_ints, inv)
 
 __all__ = [
     "SpinVector", "word_index", "index_word",
-    "act", "apply_one_site", "apply_two_site",
+    "Image", "image", "same_images", "reduced_images",
+    "act", "act_ints", "act_covector", "apply_one_site", "apply_two_site",
     "r_check_exchange", "k_boundary",
     "r_bulk", "r_check_bulk", "k_corner", "chi_covector",
     "basis_vector",
@@ -160,19 +163,81 @@ class SpinVector:
 # dense applications, in Gaussian integers over one tracked denominator
 # ---------------------------------------------------------------------------
 
+class Image(NamedTuple):
+    """Dense amplitudes as Gaussian integers over one denominator d > 0,
+    unreduced: amplitude k is (re[k] + im[k]*i)/d."""
+    re: list
+    im: list
+    d: int
+
+    def amplitude(self, k: int) -> GaussianRational:
+        """Amplitude k, reduced."""
+        return from_gaussian_ints([self.re[k]], [self.im[k]], self.d)[0]
+
+    def paired(self, cov) -> GaussianRational:
+        """The sum over k of cov[k] times amplitude k, for a covector cov of
+        exact scalars: cov is cleared to Gaussian integers, and only the sum
+        is reduced."""
+        cre, cim, cd = gaussian_ints(cov)
+        x = y = 0
+        for a, b, u, v in zip(cre, cim, self.re, self.im):
+            if a or b:
+                x += a * u - b * v
+                y += a * v + b * u
+        return from_gaussian_ints([x], [y], cd * self.d)[0]
+
+
+def image(values) -> Image:
+    """Exact scalars as an Image over the lcm of their denominators."""
+    return Image(*gaussian_ints(values))
+
+
+def same_images(x, y) -> bool:
+    """Whether two Images, or two lists or tuples of them, hold the same
+    amplitudes: over one denominator the integers are compared as they
+    stand, over two by cross-multiplication."""
+    if not isinstance(x, Image):
+        return len(x) == len(y) and all(map(same_images, x, y))
+    if x.d == y.d:
+        return x.re == y.re and x.im == y.im
+    return (len(x.re) == len(y.re)
+            and all(a * y.d == b * x.d for a, b in zip(x.re, y.re))
+            and all(a * y.d == b * x.d for a, b in zip(x.im, y.im)))
+
+
+def reduced_images(x):
+    """Images as GaussianRational lists, in the list or tuple shape x has."""
+    if isinstance(x, Image):
+        return from_gaussian_ints(*x)
+    return type(x)(map(reduced_images, x))
+
+
 def act(vec, ops, L: int) -> list:
     """Apply operators to a dense vector on L sites, the first listed first:
     (2x2, site) acts on one site and (4x4, i, j) on the pair (i, j); rows are
     out, cols in, in the order u, d and uu, ud, du, dd.  A list of k * 2**L
     amplitudes holds k vectors end to end, and each is acted on alone.
 
-    Entries and amplitudes are exact Q(i) scalars.  The vector is cleared to
-    Gaussian integers over one denominator d, and each matrix once to
-    Gaussian integers over the lcm of its entries' denominators; each step
-    multiplies d by that lcm and does only integer multiply-adds.  At the end
-    every amplitude, zeros included, goes back to GaussianRational with one
-    gcd.
+    Entries and amplitudes are exact Q(i) scalars; act_ints does the
+    arithmetic, and every amplitude of its image, zeros included, goes back
+    to GaussianRational with one gcd.
     """
+    return from_gaussian_ints(*act_ints(vec, ops, L))
+
+
+def act_ints(vec, ops, L: int) -> Image:
+    """act without the final reduction: the image as an Image (re, im, d),
+    for a caller that compares images or reads only a few amplitudes.
+
+    The vector is cleared to Gaussian integers over one denominator d, and
+    each matrix once to Gaussian integers over the lcm of its entries'
+    denominators; each step multiplies d by that lcm and does only integer
+    multiply-adds, so two images through the same multiset of matrices from
+    one vector share d.  A vector whose length is not a positive multiple of
+    2**L, or an operator on bad sites, is refused before any arithmetic.
+    """
+    if not vec or len(vec) % (1 << L):
+        raise UsageError(f"a vector of {len(vec)} amplitudes is not whole vectors on {L} sites")
     for m, *sites in ops:
         _check_sites(m, sites, L)
     re, im, d = gaussian_ints(vec)
@@ -183,7 +248,19 @@ def act(vec, ops, L: int) -> list:
             re, im = apply_one_site(re, im, cols, sites[0], L)
         else:
             re, im = apply_two_site(re, im, cols, *sites, L)
-    return from_gaussian_ints(re, im, d)
+    return Image(re, im, d)
+
+
+def act_covector(cov, ops, L: int) -> Image:
+    """Apply operators to a covector from the right, cov * O1 * O2 * ...,
+    unreduced; cov is the dense coefficient list and ops are as for act.
+
+    Right-multiplication by O is left-multiplication by the transpose of O,
+    so each matrix is transposed before act_ints applies it; the crossing
+    matrices happen to be symmetric, but an identity checked through here
+    must not rest on that (a perturbed matrix need not be).
+    """
+    return act_ints(cov, [(tuple(zip(*m)), *sites) for m, *sites in ops], L)
 
 
 def _columns(m):

@@ -49,8 +49,9 @@ from operator import mul
 from typing import Sequence
 
 from .exact import DomainError, GaussianRational, UsageError, bracket, brace, inv
-from .operators import (act, basis_vector, chi_covector, index_word, k_boundary, k_corner,
-                        r_bulk, r_check_bulk, r_check_exchange, word_index)
+from .operators import (Image, act, act_covector, act_ints, basis_vector, chi_covector, image,
+                        index_word, k_boundary, k_corner, r_bulk, r_check_bulk,
+                        r_check_exchange, reduced_images, same_images, word_index)
 from .sampling import ExactSampler, half_sites
 
 __all__ = [
@@ -340,29 +341,32 @@ def _stack_ops(zs: Sequence, s, t) -> list:
     return ops
 
 
-def _stack_column(zs: Sequence, s, t) -> list:
-    """The stack applied to |dd...d>: entry b is <b| stack |dd...d>."""
-    return apply_operator_stack(zs, s, t, basis_vector("d" * len(zs)))
+def _stack_column(zs: Sequence, s, t) -> Image:
+    """The stack applied to |dd...d>, unreduced: amplitude b is
+    <b| stack |dd...d>."""
+    return act_ints(basis_vector("d" * len(zs)), _stack_ops(zs, s, t), len(zs))
 
 
 def partition_algebraic(n: int, alpha: str, zs: Sequence, s, t):
-    """Partition function as the matrix element <alpha| stack |dd...d>."""
+    """Partition function as the matrix element <alpha| stack |dd...d>; of
+    the stack's image only this amplitude is reduced."""
     _check_sites(n, zs)
-    alpha = _check_alpha(n, alpha)
-    return _stack_column(zs, s, t)[word_index(alpha)]
+    return _stack_column(zs, s, t).amplitude(word_index(_check_alpha(n, alpha)))
 
 
 def partition_algebraic_all_words(n: int, zs: Sequence, s, t) -> dict:
     """Matrix elements <word| stack |dd...d> for every word, from one stack
     application."""
     _check_sites(n, zs)
-    return {index_word(b, 2 * n): v for b, v in enumerate(_stack_column(zs, s, t))}
+    column = apply_operator_stack(zs, s, t, basis_vector("d" * 2 * n))
+    return {index_word(b, 2 * n): v for b, v in enumerate(column)}
 
 
 def overlap_ZZ(n: int, ws: Sequence, s, t, b):
     """The boundary overlap: the two-row covector built from b, the tensor
     product of _nu_cov(w_i), paired with the operator stack at the
-    pairwise-inverted site values (w_1, 1/w_1, ...)."""
+    pairwise-inverted site values (w_1, 1/w_1, ...); the pairing reads the
+    unreduced stack column and reduces only the sum."""
     if n < 0:
         raise UsageError("n must be >= 0")
     if n == 0:
@@ -373,8 +377,7 @@ def overlap_ZZ(n: int, ws: Sequence, s, t, b):
     cov = [GaussianRational(1)]
     for w in zs[::2]:  # w_1, ..., w_n
         cov = _tensor_cov(cov, _nu_cov(w, s, b))
-    return sum((c * v for c, v in zip(cov, _stack_column(zs, s, t)) if c),
-               GaussianRational(0))
+    return _stack_column(zs, s, t).paired(cov)
 
 
 def yy_divisor(ws: Sequence, s) -> GaussianRational:
@@ -408,8 +411,10 @@ _MAX_REDRAWS = 20  # draws per trial before check_yb_identities reports a failur
 def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3) -> dict:
     """Exact verification of the crossing/boundary consistency identities at
     random nondegenerate points.  Each trial returns the two sides of its
-    identity.  Returns {family: {trials, resampled, failures: [...]}} and
-    "passed"; a failure records the family and both sides, or the error.
+    identity unreduced, as an Image or a list or tuple of them, and
+    same_images compares them.  Returns {family: {trials, resampled,
+    failures: [...]}} and "passed"; a failure records the family and both
+    sides, reduced, or the error.
     """
     if trials < 1 or max_stack_n < 1:
         raise UsageError("trials and max_stack_n must be at least 1")
@@ -430,8 +435,9 @@ def check_yb_identities(trials: int = 100, seed: int = 42, max_stack_n: int = 3)
                 fails.append({"identity": name, "error":
                               f"no nondegenerate point in {_MAX_REDRAWS} draws"})
                 continue
-            if lhs != rhs:
-                fails.append({"identity": name, "lhs": repr(lhs), "rhs": repr(rhs)})
+            if not same_images(lhs, rhs):
+                fails.append({"identity": name, "lhs": repr(reduced_images(lhs)),
+                              "rhs": repr(reduced_images(rhs))})
         report[name] = {"trials": trials, "resampled": resampled, "failures": fails}
 
     run("yang_baxter_bulk", _ybe_bulk_trial)
@@ -455,8 +461,8 @@ def _ybe_bulk_trial(rng):
     z, w = rng.nonzero(), rng.nonzero()
     rc = r_check_bulk(z * inv(w), s)
     vec = rng.dense_vector(3)
-    return (act(vec, [(r_bulk(w, s), 2, 3), (r_bulk(z, s), 1, 3), (rc, 1, 2)], 3),
-            act(vec, [(rc, 1, 2), (r_bulk(z, s), 2, 3), (r_bulk(w, s), 1, 3)], 3))
+    return (act_ints(vec, [(r_bulk(w, s), 2, 3), (r_bulk(z, s), 1, 3), (rc, 1, 2)], 3),
+            act_ints(vec, [(rc, 1, 2), (r_bulk(z, s), 2, 3), (r_bulk(w, s), 1, 3)], 3))
 
 
 def _bybe_bulk_trial(rng):
@@ -466,8 +472,8 @@ def _bybe_bulk_trial(rng):
     rp = r_bulk(z * w, s)
     vec = rng.dense_vector(2)
     kz, kw = k_corner(z, s, t), k_corner(w, s, t)
-    return (act(vec, [(kw, 2), (rp, 1, 2), (kz, 1), (rc, 1, 2)], 2),
-            act(vec, [(rc, 1, 2), (kz, 2), (rp, 1, 2), (kw, 1)], 2))
+    return (act_ints(vec, [(kw, 2), (rp, 1, 2), (kz, 1), (rc, 1, 2)], 2),
+            act_ints(vec, [(rc, 1, 2), (kz, 2), (rp, 1, 2), (kw, 1)], 2))
 
 
 def _ybe_exchange_trial(rng):
@@ -477,8 +483,8 @@ def _ybe_exchange_trial(rng):
     r13 = r_check_exchange(z1 * inv(z3), s)
     r23b = r_check_exchange(z2 * inv(z3), s)
     vec = rng.dense_vector(3)
-    return (act(vec, [(r23b, 2, 3), (r13, 1, 2), (r12a, 2, 3)], 3),
-            act(vec, [(r12a, 1, 2), (r13, 2, 3), (r23b, 1, 2)], 3))
+    return (act_ints(vec, [(r23b, 2, 3), (r13, 1, 2), (r12a, 2, 3)], 3),
+            act_ints(vec, [(r12a, 1, 2), (r13, 2, 3), (r23b, 1, 2)], 3))
 
 
 def _bybe_exchange_trial(rng):
@@ -489,8 +495,8 @@ def _bybe_exchange_trial(rng):
     k1 = k_boundary(z1, beta)
     k2 = k_boundary(z2, beta)
     vec = rng.dense_vector(2)
-    return (act(vec, [(k2, 1), (rb, 1, 2), (k1, 1), (ra, 1, 2)], 2),
-            act(vec, [(ra, 1, 2), (k1, 1), (rb, 1, 2), (k2, 1)], 2))
+    return (act_ints(vec, [(k2, 1), (rb, 1, 2), (k1, 1), (ra, 1, 2)], 2),
+            act_ints(vec, [(ra, 1, 2), (k1, 1), (rb, 1, 2), (k2, 1)], 2))
 
 
 def _stack_commutation_trial(rng, n):
@@ -507,10 +513,12 @@ def _stack_commutation_trial(rng, n):
             [[GaussianRational(int(j == k)) for j in range(1 << n2)] for k in range(1 << n2)])
     swap = [(rc, i, i + 1)]
     stack, stack_sw = _stack_ops(zs, s, t), _stack_ops(zs_sw, s, t)
-    # one act call per side takes all the vectors end to end
+    # one act_ints call per side takes all the vectors end to end; both
+    # sides go through the same matrices, so they share a denominator
     flat, size = [x for v in vecs for x in v], 1 << n2
-    sides = act(flat, stack + swap, n2), act(flat, swap + stack_sw, n2)
-    return tuple([w[k:k + size] for k in range(0, len(w), size)] for w in sides)
+    sides = act_ints(flat, stack + swap, n2), act_ints(flat, swap + stack_sw, n2)
+    return tuple([Image(re[k:k + size], im[k:k + size], d) for k in range(0, len(re), size)]
+                 for re, im, d in sides)
 
 
 def _chi_exchange_trial(rng):
@@ -520,8 +528,8 @@ def _chi_exchange_trial(rng):
     r_zbw = r_check_exchange(z * inv(w), s)
     cov_l = _tensor_cov(chi_covector(w, s), chi_covector(z, s))
     cov_r = _tensor_cov(chi_covector(z, s), chi_covector(w, s))
-    return (_cov_apply(cov_l, [(r_zw, 2, 3), (r_zbw, 1, 2)], 4),
-            _cov_apply(cov_r, [(r_zw, 2, 3), (r_zbw, 3, 4)], 4))
+    return (act_covector(cov_l, [(r_zw, 2, 3), (r_zbw, 1, 2)], 4),
+            act_covector(cov_r, [(r_zw, 2, 3), (r_zbw, 3, 4)], 4))
 
 
 def _nu_exchange_trial(rng):
@@ -534,30 +542,30 @@ def _nu_exchange_trial(rng):
 
     cov_l = _tensor_cov(_nu_cov(w, s, b), _nu_cov(z, s, b))
     cov_r = _tensor_cov(_nu_cov(z, s, b), _nu_cov(w, s, b))
-    lhs = _cov_apply(cov_l, [(r_check_bulk(z * w, s), 2, 3),
-                             (r_check_bulk(z * inv(w), s), 1, 2),
-                             (r_check_bulk(inv(z) * w, s), 3, 4),
-                             (r_check_bulk(inv(z) * inv(w), s), 2, 3)], 4)
+    lhs = act_covector(cov_l, [(r_check_bulk(z * w, s), 2, 3),
+                               (r_check_bulk(z * inv(w), s), 1, 2),
+                               (r_check_bulk(inv(z) * w, s), 3, 4),
+                               (r_check_bulk(inv(z) * inv(w), s), 2, 3)], 4)
     scale = r(z * w) * r(z * inv(w))
-    return lhs, [scale * x for x in cov_r]
+    return lhs, image(scale * x for x in cov_r)
 
 
 def _chi_inversion_trial(rng):
     s = rng.s_value()
     z = rng.nonzero()
     rc = r_check_exchange(z * z, s)
-    lhs = _cov_apply(chi_covector(inv(z), s), [(rc, 1, 2)], 2)
+    lhs = act_covector(chi_covector(inv(z), s), [(rc, 1, 2)], 2)
     fac = bracket(inv(s) * inv(z)) * inv(bracket(inv(s) * z))
-    return lhs, [fac * x for x in chi_covector(z, s)]
+    return lhs, image(fac * x for x in chi_covector(z, s))
 
 
 def _nu_inversion_trial(rng):
     s, b = rng.s_value(), rng.nonzero()
     z = rng.nonzero()
     q = s * s
-    lhs = _cov_apply(_nu_cov(inv(z), s, b), [(r_check_bulk(z * z, s), 1, 2)], 2)
+    lhs = act_covector(_nu_cov(inv(z), s, b), [(r_check_bulk(z * z, s), 1, 2)], 2)
     fac = bracket(q * q * z * z)
-    return lhs, [fac * x for x in _nu_cov(z, s, b)]
+    return lhs, image(fac * x for x in _nu_cov(z, s, b))
 
 
 def _braid_lowest_trial(rng):
@@ -566,8 +574,8 @@ def _braid_lowest_trial(rng):
     q = s * s
     vec = basis_vector("dd")
     lam = bracket(q * q * inv(z) * inv(z))
-    return (act(vec, [(r_check_bulk(z * z, s), 1, 2)], 2),
-            [lam * x for x in vec])
+    return (act_ints(vec, [(r_check_bulk(z * z, s), 1, 2)], 2),
+            image(lam * x for x in vec))
 
 
 def _corner_matrix_trial(rng):
@@ -579,9 +587,9 @@ def _corner_matrix_trial(rng):
     k = k_corner(inv(w), s, t)
     det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
     vec = basis_vector("u") + basis_vector("d")
-    return ((act(vec, [(k_corner(-GaussianRational(0, 1) * inv(s), s, t), 1)], 1),
-             act(vec, [(k_corner(-inv(q) * w, s, t), 1), (k, 1)], 1)),
-            ([t * x for x in vec], [det * x for x in vec]))
+    return ((act_ints(vec, [(k_corner(-GaussianRational(0, 1) * inv(s), s, t), 1)], 1),
+             act_ints(vec, [(k_corner(-inv(q) * w, s, t), 1), (k, 1)], 1)),
+            (image(t * x for x in vec), image(det * x for x in vec)))
 
 
 def _nu_cov(w, s, b):
@@ -594,18 +602,3 @@ def _nu_cov(w, s, b):
 
 def _tensor_cov(a, b):
     return [x * y for x in a for y in b]
-
-
-def _cov_apply(cov, ops, L):
-    """Apply operators to a covector from the right: cov * O1 * O2 * ...
-
-    cov is the dense coefficient list.  Right-multiplication by O is
-    left-multiplication by the transpose of O, so each matrix is transposed
-    before act applies it; the crossing matrices happen to be symmetric, but
-    the identities must not rest on that (a perturbed matrix need not be).
-    """
-    return act(cov, [(_transpose4(m), i, j) for m, i, j in ops], L)
-
-
-def _transpose4(m):
-    return tuple(tuple(m[c][r] for c in range(4)) for r in range(4))

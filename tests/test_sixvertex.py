@@ -1,21 +1,27 @@
 import functools
+import importlib.util
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from xtl import sixvertex
+from xtl import operators, sixvertex
 from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        MultiLaurent as ML, UsageError, abscissa_sweep, bracket, brace,
-                       div_exact_univar, interpolate_along, inv)
-from xtl.operators import SpinVector, act, basis_vector, r_bulk, r_check_bulk
-from xtl.sampling import ExactSampler
+                       div_exact_univar, gaussian_ints, interpolate_along, inv)
+from xtl.operators import (Image, SpinVector, act, act_ints, basis_vector, image, r_bulk,
+                           r_check_bulk, same_images)
+from xtl.sampling import ExactSampler, half_sites
 from xtl.sixvertex import (_column_steps, _transition_table, alpha_minus, alpha_plus,
                            check_yb_identities, config_weight, enumerate_configs,
                            overlap_ZZ, partition_algebraic,
                            partition_algebraic_all_words, partition_enum,
                            partition_enum_all_words, rescaled_YY)
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 # fixed parameters; every test draws its points from a sampler of its own, so
 # a test's point does not depend on which tests ran before it
@@ -307,6 +313,40 @@ def test_negative_control_negated_turning_weight(monkeypatch):
     assert any(enum[w] != alg[w] for w in enum)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_single_word_stack_read_equals_the_all_words_entry(n):
+    # partition_algebraic reduces one amplitude of the unreduced stack image,
+    # partition_algebraic_all_words all of them; the same normal form either way
+    rng = ExactSampler(10130 + n)
+    zs = [G(rng.fraction(), rng.fraction()) for _ in range(2 * n)]
+    every = partition_algebraic_all_words(n, zs, S, T)
+    for a, word in (("+", alpha_plus(n)), ("-", alpha_minus(n))):
+        got = partition_algebraic(n, a, zs, S, T)
+        assert type(got) is G and repr(got) == repr(every[word]), (n, a)
+        assert partition_algebraic(n, word, zs, S, T) == got
+
+
+def _reference_overlap(n, ws, s, t, b):
+    """The overlap as the covector's dot product with the reduced stack
+    column, in GaussianRational arithmetic, as overlap_ZZ summed it before
+    it paired the cleared covector with the unreduced column."""
+    zs = half_sites(ws, False)
+    cov = [G(1)]
+    for w in zs[::2]:
+        cov = sixvertex._tensor_cov(cov, sixvertex._nu_cov(w, s, b))
+    column = sixvertex.apply_operator_stack(zs, s, t, basis_vector("d" * 2 * n))
+    return sum((c * v for c, v in zip(cov, column) if c), G(0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overlap_equals_the_reduced_dot_product(n):
+    rng = ExactSampler(10140 + n)
+    for _ in range(3):
+        ws = [G(rng.fraction(), rng.fraction()) for _ in range(n)]
+        got = overlap_ZZ(n, ws, S, T, B)
+        assert type(got) is G and repr(got) == repr(_reference_overlap(n, ws, S, T, B)), n
+
+
 def test_dual_route_sees_a_doubled_corner_off_diagonal(monkeypatch):
     # the yang-baxter families cannot see this fault (see _PERTURBED); the
     # operator stack reads k_corner and the automaton does not
@@ -542,7 +582,7 @@ def test_stack_commutation_full_operator_n3():
 def test_stack_commutation_trial_builds_each_stack_once(monkeypatch):
     # one n = 2 trial builds the stack at zs and at the swapped zs once each,
     # 6 crossing and 4 corner matrices apiece, for all 16 basis vectors
-    built = {"r_bulk": 0, "k_corner": 0}
+    built = {"_stack_ops": 0, "r_bulk": 0, "k_corner": 0}
     for name in built:
         def counted(*args, name=name, real=getattr(sixvertex, name)):
             built[name] += 1
@@ -550,8 +590,80 @@ def test_stack_commutation_trial_builds_each_stack_once(monkeypatch):
 
         monkeypatch.setattr(sixvertex, name, counted)
     lhs, rhs = sixvertex._stack_commutation_trial(ExactSampler(7), 2)
-    assert len(lhs) == 16 and lhs == rhs
-    assert built == {"r_bulk": 12, "k_corner": 8}
+    assert built == {"_stack_ops": 2, "r_bulk": 12, "k_corner": 8}
+    # each side is one unreduced image per basis vector, and the two sides
+    # went through the same matrices, so they share one denominator and
+    # their integers are equal as they stand
+    for side in (lhs, rhs):
+        assert type(side) is list and len(side) == 16
+        assert all(type(p) is Image and len(p.re) == len(p.im) == 16 for p in side)
+    assert len({p.d for p in lhs + rhs}) == 1
+    assert lhs == rhs and same_images(lhs, rhs)
+
+
+def test_failure_entries_record_the_reduced_sides():
+    # a doubled (0, 0) entry of the lattice crossing matrix breaks the bulk
+    # families; their failure entries hold the same lhs/rhs text as when the
+    # trials compared reduced GaussianRational lists (written by that code)
+    spec = importlib.util.spec_from_file_location("make_yb_failure_golden",
+                                                  DATA / "make_yb_failure_golden.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    golden = json.loads((DATA / "yb_failure_golden.json").read_text())
+    assert gen.failures() == golden
+    for fam, fails in golden.items():
+        assert len(fails) == 1 and fails[0]["lhs"] != fails[0]["rhs"], fam
+
+
+def _unreduced(values):
+    """values as an identity side over a denominator 6 times the least."""
+    re, im, d = gaussian_ints(values)
+    return Image([6 * a for a in re], [6 * b for b in im], 6 * d)
+
+
+def test_unreduced_sides_compare_by_their_values():
+    rng = ExactSampler(23)
+    vals = [G(rng.fraction(), rng.fraction()) for _ in range(8)] + [G(0)]
+    same, reduced = same_images, image(vals)
+    lax = _unreduced(vals)
+    assert lax.d != reduced.d and lax != reduced
+    assert same(lax, reduced) and same(reduced, lax)
+    # one amplitude off, in its real or its imaginary part, against a side
+    # over another denominator and against one over the same
+    for k in (0, 8):
+        for part in ("re", "im"):
+            off = getattr(lax, part)[:]
+            off[k] += 1
+            bad = lax._replace(**{part: off})
+            for other in (reduced, lax):
+                assert not same(bad, other) and not same(other, bad), (k, part, other.d)
+    # every amplitude scaled by one constant, over the same or another denominator
+    for c in (2, -1, G(0, 1)):
+        assert not same(image(c * v for v in vals), reduced), c
+        assert not same(_unreduced([c * v for v in vals]), reduced), c
+    twice = reduced._replace(re=[2 * a for a in reduced.re], im=[2 * b for b in reduced.im])
+    assert not same(twice, reduced)
+    # lists and tuples of sides compare part by part
+    assert same([lax, reduced], [reduced, lax]) and same((lax,), (reduced,))
+    assert not same([lax, reduced], [reduced, twice])
+
+
+def test_an_identity_side_off_by_one_amplitude_fails_its_family(monkeypatch):
+    # the chi inversion trial's rhs, over another denominator than its lhs,
+    # with one amplitude bumped by 1: the cross-multiplied comparison sees it
+    real = sixvertex._chi_inversion_trial
+
+    def bumped(rng):
+        lhs, rhs = real(rng)
+        assert lhs.d != rhs.d
+        return lhs, rhs._replace(re=rhs.re[:-1] + [rhs.re[-1] + rhs.d])
+
+    monkeypatch.setattr(sixvertex, "_chi_inversion_trial", bumped)
+    rep = check_yb_identities(trials=2, seed=6, max_stack_n=1)
+    failed = {k for k, v in rep.items() if isinstance(v, dict) and v["failures"]}
+    assert failed == {"chi_inversion"}
+    fails = rep["chi_inversion"]["failures"]
+    assert len(fails) == 2 and all(f["lhs"] != f["rhs"] for f in fails)
 
 
 def test_negative_control_corrupted_crossing_matrix():
@@ -708,6 +820,20 @@ def test_a_singlet_on_bad_sites_is_refused(i):
     # (i, i+1) must be sites of the N + 2 = 4 site result
     with pytest.raises(UsageError):
         SpinVector.make(2, {(1,): 1}).insert_singlet(i)
+
+
+@pytest.mark.parametrize("vec", [[G(1), G(5)], [G(k) for k in range(6)], []],
+                         ids=["two_of_four", "six", "empty"])
+def test_act_refuses_a_vector_that_is_not_whole_vectors(monkeypatch, vec):
+    # on 2 sites a vector list must hold a positive multiple of 4 amplitudes;
+    # anything else is refused before the vector is cleared
+    def cleared(values):
+        raise AssertionError("arithmetic before the length check")
+
+    monkeypatch.setattr(operators, "gaussian_ints", cleared)
+    for fn in (act, act_ints):
+        with pytest.raises(UsageError):
+            fn(vec, [(_M2, 2)], 2)
 
 
 def test_act_refuses_symbolic_values():
