@@ -362,11 +362,12 @@ _Suite = namedtuple("_Suite", "min_n max_n jobs module check")
 # point, exchange 9 takes 0.7-0.9 s in 18-19 MB and 10 takes 5.7-6.6 s
 # in 21 MB.  Since the reduction check reads its vector at z_{i+1} = z_i/q
 # instead of off a curve, reduction 9 takes 0.44 s, 10 takes 4.4 s (2.9 s
-# of it the one curve its point needs) and 11 takes 7.8 s.  The limits
+# of it the one curve its point needs) and 11 takes 7.8 s.  Since the
+# homogeneous vector is read at lambda = 1 off one curve, one relationsz
+# trial takes 0.3-0.5 s at N = 7 and 2.4-2.8 s at N = 8.  The limits
 # are kept, so that no request moves between refused and accepted.  ybe
 # ignores --max-N and runs at least 20 trials; relationsz runs at most 3
-# trials above N = 4, until the homogeneous limits are read by point
-# evaluation.
+# trials above N = 4.
 _SUITES = {
     "ybe": _Suite(-math.inf, math.inf,
                   lambda m, t, s: [{"trials": max(t, 20), "seed": s}],

@@ -688,25 +688,25 @@ def _weights(xs: tuple, lo: int) -> tuple:
     return w
 
 
-def _spare_checks(xs: tuple, lo: int, spare: tuple) -> list:
-    """One (row, f) per spare abscissa, given like xs as _real_pairs: for
-    samples at xs + spare cleared together to Gaussian integers y, the
-    polynomial through the window's samples takes the spare sample y_s at
-    that abscissa iff row . y[:len(xs)] == f y_s."""
+def _point_rows(xs: tuple, lo: int, points: tuple) -> list:
+    """One (row, f) per point, given like xs as _real_pairs: for samples at
+    xs cleared to Gaussian integers y over d, the polynomial through them
+    takes the value row . y / (f d) there, with f > 0.  So a spare sample
+    y_s, cleared together with the window's, fits iff row . y == f y_s."""
     D, rows, scale = _weights(xs, lo)
     m = len(xs)
     hi = lo + m - 1
-    checks = []
-    for p, q in spare:
+    out = []
+    for p, q in points:
         # x^(lo + j) = p^j q^(m-1-j) / (p^-lo q^hi) at x = p/q: one more row
         # of the weights, times the power of x the rows leave out
         powers = [p ** j * q ** (m - 1 - j) for j in range(m)]
         t = p ** max(lo, 0) * q ** max(-hi, 0)
         row = [sum(map(mul, powers, col)) * c * t for col, c in zip(zip(*rows), scale)]
         f = D * p ** max(-lo, 0) * q ** max(hi, 0)
-        g = gcd(f, *row)
-        checks.append(([r // g for r in row], f // g))
-    return checks
+        g = gcd(f, *row) if f > 0 else -gcd(f, *row)
+        out.append(([r // g for r in row], f // g))
+    return out
 
 
 def interpolate_laurent(var: str, xs: Sequence[Scalar], ys: Sequence, min_exp: int,
@@ -738,36 +738,45 @@ def interpolate_laurent(var: str, xs: Sequence[Scalar], ys: Sequence, min_exp: i
     return _raw((var,), terms)
 
 
-def interpolate_along(var: str, samples: Iterable, lo: int, hi: int, spare: int):
+def interpolate_along(var: str, samples: Iterable, lo: int, hi: int, spare: int, at=None):
     """Laurent polynomial in var with exponents in [lo, hi] through the first
-    hi - lo + 1 (x, y) pairs of samples, checked at the next `spare` pairs.
+    hi - lo + 1 (x, y) pairs of samples, checked at the next `spare` pairs;
+    given `at`, only that polynomial's value at var = at.
 
     y is a scalar, or a mapping in which a missing key means zero; then each
-    key seen at any of the pairs is interpolated and {key: polynomial} is
-    returned.  Every x must be real.  The weights of `interpolate_laurent`
-    serve every key, and each spare check is one integer equality on the
-    key's samples cleared together.  Raises DomainError if a spare pair
-    disagrees, i.e. the window is too small.
+    key seen at any of the pairs is read and {key: result} is returned.
+    Every x, and `at`, must be nonzero and real.  The weights of
+    `interpolate_laurent` serve every key, and each spare check is one
+    integer equality on the key's samples cleared together.  The value at
+    `at` is one more row of those weights (the barycentric form): one dot
+    product per key and no coefficients, an int when integral and else a
+    GaussianRational, as `MultiLaurent.eval_at` gives.  Raises DomainError
+    if a spare pair disagrees, i.e. the window is too small.
     """
+    reads = () if at is None else _real_pairs([at])
     m = hi - lo + 1
     pts = list(islice(samples, m + spare))
     if len(pts) != m + spare:
         raise UsageError(f"need {m + spare} sample points, got {len(pts)}")
     xs = [x for x, _ in pts]
     window = xs[:m]
-    checks = _spare_checks(_real_pairs(window), lo, _real_pairs(xs[m:]))
+    rows = _point_rows(_real_pairs(window), lo, _real_pairs(xs[m:]) + reads)
     scalar = not isinstance(pts[0][1], Mapping)
     ys = [{None: y} if scalar else y for _, y in pts]
     out = {}
     for key in dict.fromkeys(k for y in ys for k in y):
         vals = [y.get(key, 0) for y in ys]
-        if checks:
-            re, im, _ = gaussian_ints(vals)
-            for s, (row, f) in enumerate(checks, m):
-                if (sum(map(mul, row, re)) != f * re[s]
-                        or sum(map(mul, row, im)) != f * im[s]):
-                    raise DomainError(f"interpolation window [{lo}, {hi}] in {var} too small")
-        out[key] = interpolate_laurent(var, window, vals[:m], lo, hi)
+        if rows:
+            re, im, d = gaussian_ints(vals)
+            dots = [(sum(map(mul, row, re)), sum(map(mul, row, im)), f) for row, f in rows]
+            if any(a != f * re[s] or b != f * im[s]
+                   for s, (a, b, f) in enumerate(dots[:spare], m)):
+                raise DomainError(f"interpolation window [{lo}, {hi}] in {var} too small")
+        if reads:
+            a, b, f = dots[-1]
+            out[key] = _normcoef(_reduced(a, b, f * d))
+        else:
+            out[key] = interpolate_laurent(var, window, vals[:m], lo, hi)
     return out[None] if scalar else out
 
 

@@ -40,6 +40,14 @@ sampled at the abscissae of `exact.abscissa_sweep`, which skips those where
 the evaluation raises, so the residue tables are the only degeneracy test
 along it, and `exact.interpolate_along` makes every spare check.
 
+The homogeneous point z = (1, ..., 1) has one curve,
+z = (1, lambda, 1/lambda, lambda^2, ...), read at lambda = 1 as one more row
+of the interpolation weights, with no coefficients formed
+(`psi_vector_homogeneous`).  The generalized sum at w = (1, ..., 1) is the
+sum of those components, since every pairing weight is 1 there.  Callers
+that need a polynomial, or a value at a non-real point (the reduction
+check's fallback), keep the polynomial fit.
+
 The vectors are `operators.SpinVector`s: the exchange, reflection and
 reduction checks act on them with the local matrices of `operators`, and the
 generalized sum pairs them with its two-site covector `chi_covector`.
@@ -391,10 +399,12 @@ def psi_vector(N: int, zs: Sequence, s, beta) -> SpinVector:
 # interpolation along a curve through degenerate specializations
 # ---------------------------------------------------------------------------
 
-def _psi_along(var: str, N: int, sites, s, beta, h: int, parity, spare: int) -> dict:
+def _psi_along(var: str, N: int, sites, s, beta, h: int, parity, spare: int, at=None) -> dict:
     """The components of psi_vector(N, sites(x), s, beta) as exact Laurent
     polynomials in var with exponents in [-h, h], given that component a is
-    x^parity(a) times a polynomial P_a in y = x^2.
+    x^parity(a) times a polynomial P_a in y = x^2; given `at`, only the
+    values P_a(at), read without coefficients (at y = 1, the components at
+    x = 1).
 
     P_a has exponents in [-((h+1)//2), h//2], so it is interpolated in y at
     h + 1 abscissae of distinct squares (not 2h + 1 in x), and checked at
@@ -412,8 +422,11 @@ def _psi_along(var: str, N: int, sites, s, beta, h: int, parity, spare: int) -> 
         xi = inv(x)
         return {a: v * xi if parity(a) else v for a, v in amps.items()}
 
-    fits = interpolate_along(var, ((x * x, v) for x, v in abscissa_sweep(sample)),
-                             -((h + 1) // 2), h // 2, spare)
+    samples = ((x * x, v) for x, v in abscissa_sweep(sample))
+    lo, hi = -((h + 1) // 2), h // 2
+    if at is not None:
+        return interpolate_along(var, samples, lo, hi, spare, at)
+    fits = interpolate_along(var, samples, lo, hi, spare)
     return {a: MultiLaurent((var,), {(2 * e + parity(a),): c for (e,), c in p.terms.items()})
             for a, p in fits.items()}
 
@@ -449,23 +462,24 @@ def psi_vector_poly_in_z(N: int, zs: Sequence, i: int, s, beta) -> dict:
 
 
 def psi_vector_homogeneous(N: int, s, beta) -> SpinVector:
-    """The vector with every site value specialized to 1, via exact
-    interpolation along the curve z_k = lambda^(k-1)."""
+    """The vector with every site value specialized to 1, read at lambda = 1
+    off the curve z = (1, lambda, 1/lambda, lambda^2, 1/lambda^2, ...)."""
     if N < 0:
         raise UsageError("N must be >= 0")
     if N <= 1:
         return SpinVector.make(N, {(): _ONE})
-
+    # z_k = lambda^e_k with e_k = (-1)^k floor(k/2) = 0, 1, -1, 2, -2, ...
+    # for k = 1..N.  Each component has |exponent| <= N - 1 in z_k
+    # (psi_vector_poly_in_z), so |exponent of lambda| <= (N - 1) sum_k |e_k|
+    # = (N - 1) floor(N^2/4).  lambda -> -lambda negates z_k for odd e_k, so
+    # by the sign rule of psi_vector_poly_in_z component a has the parity of
+    # #{k in a : e_k odd}.
     def at(lam) -> list:
-        return [lam ** k for k in range(N)]
+        return [lam ** ((-1) ** k * (k // 2)) for k in range(1, N + 1)]
 
-    # each component has |exponent| <= N - 1 in z_k (psi_vector_poly_in_z),
-    # so |exponent of lambda| <= (N - 1) * sum_k (k - 1); lambda -> -lambda
-    # negates z_k for even k, so by the sign rule of psi_vector_poly_in_z
-    # component a has the parity of #{k in a : k even}
-    polys = _psi_along("l", N, at, s, beta, (N - 1) * (N * (N - 1) // 2),
-                       lambda a: sum(1 for k in a if k % 2 == 0) % 2, 1)
-    return SpinVector.make(N, {k: p.eval_at({"l": _ONE}) for k, p in polys.items()})
+    amps = _psi_along("l", N, at, s, beta, (N - 1) * (N * N // 4),
+                      lambda a: sum(1 for k in a if k // 2 % 2) % 2, 1, _ONE)
+    return SpinVector.make(N, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +504,8 @@ def _gen_sum_at(N: int, ws: Sequence, s, beta) -> GaussianRational:
 def gen_sum_Z(N: int, ws: Sequence, s, beta) -> Scalar:
     """The generalized component sum at exact w values.
 
-    The all-ones point (the homogeneous limit) is evaluated through the
-    one-parameter curve w_i = lambda^i; any other degenerate point raises
+    The all-ones point (the homogeneous limit) is the sum of the components
+    of psi_vector_homogeneous; any other degenerate point raises
     DegeneratePointError.
     """
     if N < 0:
@@ -502,24 +516,10 @@ def gen_sum_Z(N: int, ws: Sequence, s, beta) -> Scalar:
     if N <= 1:
         return _ONE
     if all(w == 1 for w in ws):
-        return gen_sum_Z_homogeneous(N, s, beta)
+        # the sites (w_i, 1/w_i) are all 1 there, and a pair whose spins
+        # agree weighs {s w_i}/{s} = {s}/{s} = 1, so every weight is 1
+        return sum(psi_vector_homogeneous(N, s, beta).amps.values(), _ZERO)
     return _gen_sum_at(N, ws, s, beta)
-
-
-def gen_sum_Z_homogeneous(N: int, s, beta) -> Scalar:
-    """The generalized component sum at w = (1, ..., 1), by interpolation in
-    lambda along w_i = lambda^i."""
-    if N < 0:
-        raise UsageError("N must be >= 0")
-    if N <= 1:
-        return _ONE
-    n = N // 2
-    # the sum is centred of halfwidth 2N-3 in each w_i (gen_sum_Z_poly_in_w),
-    # so |exponent of lambda| <= (2N-3) * sum_i i
-    h = (2 * N - 3) * (n * (n + 1) // 2)
-    samples = abscissa_sweep(
-        lambda lam: _gen_sum_at(N, [lam ** i for i in range(1, n + 1)], s, beta))
-    return interpolate_along("l", samples, -h, h, 1).eval_at({"l": _ONE})
 
 
 def gen_sum_Z_poly_in_w(N: int, ws: Sequence, i: int, s, beta) -> MultiLaurent:

@@ -510,7 +510,7 @@ def _stack_commutation_trial(rng, n):
     zs_sw = list(zs)
     zs_sw[i - 1], zs_sw[i] = zs_sw[i], zs_sw[i - 1]
     vecs = ([rng.dense_vector(n2) for _ in range(3)] if n >= 3 else
-            [[GaussianRational(int(j == k)) for j in range(1 << n2)] for k in range(1 << n2)])
+            [[int(j == k) for j in range(1 << n2)] for k in range(1 << n2)])
     swap = [(rc, i, i + 1)]
     stack, stack_sw = _stack_ops(zs, s, t), _stack_ops(zs_sw, s, t)
     # one act_ints call per side takes all the vectors end to end; both

@@ -290,9 +290,9 @@ def count_from_partition(N: int) -> int:
 
     The partition function at unit site values and t = 1 equals [q]^{n(2n-1)}
     times the generating function evaluated at tau = -(q + 1/q) (see
-    _lemma_point); sampling q = s^2 for s = 2, 3, ... and interpolating the
-    polynomial in tau recovers the value at tau = 1.  (tau(s) = tau(1/s) =
-    tau(-s), so the common abscissa sweep would repeat points.)
+    _lemma_point); the polynomial in tau through the samples at q = s^2 for
+    s = 2, 3, ... is read at tau = 1, without its coefficients.  (tau(s) =
+    tau(1/s) = tau(-s), so the common abscissa sweep would repeat points.)
     """
     n, alpha = _staircase(N)
     if n == 0:
@@ -301,8 +301,7 @@ def count_from_partition(N: int) -> int:
     samples = (_lemma_point(n, alpha, GaussianRational(k), one) for k in count(2))
     # tau counts the nonzero entries below the staircase diagonal: at most
     # n(n'-1), with n' = N - n
-    poly = interpolate_along("tau", samples, 0, n * (N - n - 1), 0)
-    val = poly.eval_at({"tau": one})  # an int exactly when the value is integral
+    val = interpolate_along("tau", samples, 0, n * (N - n - 1), 0, one)  # an int iff integral
     if not isinstance(val, int):
         raise DomainError(f"partition-function route gave a non-integer count {val}")
     return val

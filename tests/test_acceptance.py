@@ -178,3 +178,15 @@ def test_criterion_12b_main_theorem_past_n_8():
         assert rep.passed, (N, rep.failures[:1])
     assert [tsasm_count_integral(N) for N in range(9, 13)] == COUNTS_19_TO_25
     _report("12b", "main theorem symbolic N = 9..13; counting integral N = 9..12", t0, 60)
+
+
+def test_criterion_12c_relation_sz():
+    # the homogeneous generalized sum against the component-sum polynomial
+    # at the (x, tau) that (q, beta) induce; measured 0.8-0.9 s in all on a
+    # 2-vCPU Xeon, most of it the two trials at N = 7
+    from xtl.theorems import check_relation_SZ
+    t0 = time.time()
+    for N in range(2, 8):
+        rep = check_relation_SZ(N, trials=2, seed=42)
+        assert rep.passed, (N, rep.failures[:1])
+    _report("12c", "relation SZ, N = 2..7, 2 points", t0, 60)

@@ -476,6 +476,69 @@ def test_weights_equal_the_newton_reference(lo, hi, spare, seed):
         [False, False] + ([False, True] if spare else []) + [bool(spare)]
 
 
+def _typed_value(v):
+    return {k: (type(x), x) for k, x in v.items()} if isinstance(v, dict) else (type(v), v)
+
+
+@pytest.mark.parametrize("lo,hi", [(-3, 2), (-1, 4), (0, 0), (0, 3), (2, 5)])
+@pytest.mark.parametrize("spare", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_point_read_equals_the_fit_evaluated(lo, hi, spare, seed):
+    rng = random.Random(f"read {lo} {hi} {spare} {seed}")
+    m = hi - lo + 1
+    xs = _random_abscissae(rng, m + spare)
+    p = _random_laurent(rng, lo, hi)
+    # a scalar line, then mappings with a key missing at a pair where it
+    # vanishes and a key that is zero at every pair it is missing from
+    maps = [{"b": p.eval_at({"w": x})} for x in xs]
+    if hi > lo:
+        r = rng.randrange(m + spare)
+        a = (MultiLaurent.var("w") - xs[r]) * _random_laurent(rng, lo, hi - 1)
+        for k, x in enumerate(xs):
+            if k != r:
+                maps[k]["a"] = a.eval_at({"w": x})
+    maps[0]["z"] = 0
+    ats = [1, -1, Fraction(5, 3), GaussianRational(Fraction(-2, 7)), xs[0], xs[-1]]
+    for pairs in ([(x, y["b"]) for x, y in zip(xs, maps)], list(zip(xs, maps))):
+        fit = interpolate_along("w", iter(pairs), lo, hi, spare)
+        for at in ats:
+            if isinstance(fit, dict):
+                want = {k: f.eval_at({"w": at}) for k, f in fit.items()}
+            else:
+                want = fit.eval_at({"w": at})
+            got = interpolate_along("w", iter(pairs), lo, hi, spare, at)
+            assert _typed_value(got) == _typed_value(want), at
+
+
+def test_point_read_checks_its_spare_pairs():
+    p = MultiLaurent(("w",), {(-2,): Fraction(3, 5), (0,): -I, (3,): 7})
+    pairs = list(islice(abscissa_sweep(_evaluate(p)), 8))
+    assert interpolate_along("w", iter(pairs), -2, 3, 2, 1) == p.eval_at({"w": 1})
+    for k in (6, 7):
+        bent = list(pairs)
+        bent[k] = (bent[k][0], bent[k][1] + Fraction(1, 10 ** 9))
+        with pytest.raises(DomainError, match="too small"):
+            interpolate_along("w", iter(bent), -2, 3, 2, 1)
+    # a window one too small
+    with pytest.raises(DomainError, match="too small"):
+        interpolate_along("w", iter(pairs), -2, 2, 3, 1)
+
+
+def test_point_read_refuses_a_zero_or_non_real_point_before_sampling():
+    taken = []
+
+    def samples():
+        for k in range(2, 10):
+            taken.append(k)
+            yield k, k
+
+    for at, match in ((0, "nonzero"), (GaussianRational(0), "nonzero"), (I, "not real"),
+                      (GaussianRational(2, 1), "not real")):
+        with pytest.raises(UsageError, match=match):
+            interpolate_along("w", samples(), 0, 1, 1, at)
+    assert taken == []
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_psi_in_z_equals_the_newton_reference(monkeypatch, N):
     from xtl import qkz

@@ -67,7 +67,6 @@ TEST_REFERENCES = {
     "config_weight": ("test_sixvertex.py", "test_partition_enum_equals_sum_of_config_weights"),
     "config_from_tsasm": ("test_tsasm.py", "test_bijection_round_trip"),
     "triangular_array": ("test_tsasm.py", "test_statistics_bounds"),
-    "psi_vector_homogeneous": ("test_qkz.py", "test_homogeneous_vector_matches_extraction_table"),
     "MultiLaurent.from_json": ("test_exact.py", "test_json_schema_roundtrip_and_order"),
     "TriangularArray.mu": ("test_tsasm.py", "test_statistics_bounds"),
     "TriangularArray.nu": ("test_tsasm.py", "test_statistics_bounds"),

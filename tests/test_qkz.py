@@ -11,7 +11,7 @@ from xtl.exact import (DegeneratePointError, DomainError, GaussianRational as G,
                        MultiLaurent, UsageError, bracket, brace, format_scalar, inv)
 from xtl.operators import SpinVector, r_check_exchange
 from xtl.qkz import (check_exchange_and_reflection, check_exchange_sweep, check_psi_reduction,
-                     check_reduction_sweep, check_Z_properties, gen_sum_Z, gen_sum_Z_homogeneous,
+                     check_reduction_sweep, check_Z_properties, gen_sum_Z,
                      gen_sum_Z_poly_in_w, psi_vector, psi_vector_homogeneous, psi_vector_poly_in_z,
                      rescaled_Y, y_divisor)
 from xtl.sampling import ExactSampler, half_sites, z_point_degenerate
@@ -167,7 +167,7 @@ def test_homogeneous_curves_refuse_negative_sizes():
         with pytest.raises(UsageError, match="N must be >= 0"):
             psi_vector_homogeneous(N, S, BETA)
         with pytest.raises(UsageError, match="N must be >= 0"):
-            gen_sum_Z_homogeneous(N, S, BETA)
+            gen_sum_Z(N, [], S, BETA)
 
 
 def _counting_psi(monkeypatch) -> list:
@@ -212,7 +212,7 @@ def test_curve_through_colliding_fixed_sites_runs_out_of_patience(monkeypatch):
 # homogeneous limit against the coefficient-extraction oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_homogeneous_vector_matches_extraction_table(N):
     x, tau = induced_xtau()
     vec = psi_vector_homogeneous(N, S, BETA)
@@ -221,6 +221,34 @@ def test_homogeneous_vector_matches_extraction_table(N):
     assert set(vec.amps) <= set(table.entries)
     for a, poly in table.entries.items():
         assert G(0) + poly.eval_at({"x": x, "tau": tau}) == resc * vec.amps.get(a, 0)
+
+
+def test_homogeneous_curve_refuses_a_wrong_parity_rule_or_a_too_small_window(monkeypatch):
+    # psi_vector_homogeneous's own curve, with one of its arguments bent
+    from xtl import qkz
+    real, seen = qkz._psi_along, []
+
+    def bent(var, N, sites, s, beta, h, parity, spare, at=None):
+        seen.append((h, sites(G(2)), [parity(a) for a in combinations(range(1, N + 1), N // 2)]))
+        if mode == "parity":
+            return real(var, N, sites, s, beta, h, lambda a: 1 - parity(a), spare, at)
+        if mode == "window":
+            # the widest component reaches lambda^+-9 at N = 4
+            return real(var, N, sites, s, beta, h // 2, parity, spare, at)
+        return real(var, N, sites, s, beta, h, parity, spare, at)
+
+    monkeypatch.setattr(qkz, "_psi_along", bent)
+    mode = None
+    want = psi_vector_homogeneous(4, S, BETA)
+    # z = (1, lambda, 1/lambda, lambda^2); e_k odd at k = 2, 3
+    h, sites, parities = seen[0]
+    assert h == 3 * 4 and sites == [1, 2, Fraction(1, 2), 4]
+    assert parities == [1, 1, 0, 0, 1, 1]
+    for mode in ("parity", "window"):
+        with pytest.raises(DomainError, match="too small"):
+            psi_vector_homogeneous(4, S, BETA)
+    mode = None
+    assert psi_vector_homogeneous(4, S, BETA) == want
 
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "psi_golden.json").read_text())
@@ -719,7 +747,7 @@ def test_gen_sum_refuses_a_wrong_number_of_w_values(N, ws):
 
 def test_gen_sum_homogeneous_matches_sum_polynomial():
     x, tau = induced_xtau()
-    for N in (2, 3, 4, 5):
+    for N in (2, 3, 4, 5, 6, 7):
         n = N // 2
         z = gen_sum_Z(N, [G(1)] * n, S, BETA)
         lhs = G(0) + sum_components(N).eval_at({"x": x, "tau": tau})
